@@ -49,7 +49,7 @@ class WrongTree(workloads.StreamTree):
         return [(name, OffByOne(est))] + ests[1:]
 
 
-class WrongPoly(workloads.StreamPoly):
+class WrongPoly(workloads.PolyPass):
     def estimator(self, seed, noisy=True):
         return OffByOne(super().estimator(seed, noisy))
 
