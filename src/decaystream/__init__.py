@@ -31,7 +31,7 @@ from .bounds import (
     utility_delta,
     worst_noise_profile,
 )
-from .dyadic import DyadicTree, Interval, TreeNode
+from .dyadic import DyadicTree
 from .extensions import (
     DecayedHistogram,
     DistinctCount,
@@ -74,7 +74,6 @@ __all__ = [
     "ExponentialSum",
     "FixedWindowView",
     "IndependenceWitness",
-    "Interval",
     "KSensitiveStream",
     "LaplaceScale",
     "LowerBoundFamily",
@@ -86,7 +85,6 @@ __all__ = [
     "RandomSource",
     "RunningDiffBaseline",
     "RunningSum",
-    "TreeNode",
     "WindowSum",
     "allwindow_query_profile",
     "check_closeness",

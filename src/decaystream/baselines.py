@@ -12,9 +12,9 @@ of staying bounded by the window.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 
+from .dyadic import DyadicTree, PrefixCursor
 from .mechanisms import DecaySpec
 from .noise import RandomSource
 
@@ -126,11 +126,12 @@ class RandomizedResponse:
 class RunningDiffBaseline:
     """Window sum as a difference of private prefix sums (known horizon).
 
-    A single dense dyadic tree over the whole horizon with uniform per-node
-    noise of scale ``(log2(horizon') + 1) / epsilon``; the window estimate at
-    step i is prefix(i) - prefix(i - W).  Error at step i grows with the
-    number of tiling nodes of the two prefixes, i.e. with log i, and for
-    large i dwarfs the window range.
+    One dyadic counter store (:mod:`decaystream.dyadic`) holding the subtree
+    over the whole horizon, padded to a power of two ``horizon'``, with
+    uniform per-node noise of scale ``(log2(horizon') + 1) / epsilon``; the
+    window estimate at step i is prefix(i) - prefix(i - W).  Error at step i
+    grows with the number of tiling nodes of the two prefixes, i.e. with
+    log i, and for large i dwarfs the window range.
     """
 
     def __init__(
@@ -148,28 +149,12 @@ class RunningDiffBaseline:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.W = W
         self.horizon = horizon
-        self._S = 1 << (horizon - 1).bit_length()
-        self.counter_scale = (math.log2(self._S) + 1.0) / epsilon
-        n = 2 * self._S
-        self._c0 = array("d", bytes(8 * n))
-        if noisy:
-            self._z = array("d", rng.laplace_vector(self.counter_scale, n).tobytes())
-        else:
-            self._z = array("d", bytes(8 * n))
+        self._h = (horizon - 1).bit_length() + 1  # levels of the horizon tree
+        self.counter_scale = scale = self._h / epsilon
+        self._tree = DyadicTree(rng, lambda _level: scale, noisy)
+        self._now = PrefixCursor(self._tree)  # prefix(i)
+        self._lag = PrefixCursor(self._tree)  # prefix(i - W)
         self.i = 0
-
-    def _prefix(self, p: int) -> float:
-        c0, z, S = self._c0, self._z, self._S
-        total = 0.0
-        a = 0
-        while p:
-            v = p.bit_length() - 1
-            n = (S + a) >> v
-            total += c0[n] + z[n]
-            s = 1 << v
-            a += s
-            p -= s
-        return total
 
     def push(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:
@@ -178,12 +163,8 @@ class RunningDiffBaseline:
         if i > self.horizon:
             raise ValueError(f"stream exceeds the declared horizon {self.horizon}")
         self.i = i
-        c0 = self._c0
-        n = self._S + (i - 1)
-        while n:
-            c0[n] += x
-            n >>= 1
-        est = self._prefix(i)
+        self._tree.add_path(i, x, self._h)
+        est = self._now.advance()
         if i > self.W:
-            est -= self._prefix(i - self.W)
+            est -= self._lag.advance()
         return est

@@ -99,23 +99,40 @@ class ErrorSummary:
     delta_lb_ref: float
 
 
+def parse_stream(lines, keyed: bool = False) -> list:
+    """Validate a stream file: one value in [0, 1] per line, or ``key,value``.
+
+    Surrounding whitespace (CRLF endings included) is stripped and blank
+    lines are skipped.  The key is everything before the first comma, so a
+    key containing a comma leaves a value that is not a number.  Returns the
+    values, or (key, value) pairs when ``keyed``; raises ``ValueError``
+    ``line N: ...`` at the first bad line.
+    """
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        text = line
+        if keyed:
+            key, sep, text = line.partition(",")
+            if not sep:
+                raise ValueError(f"line {lineno}: expected key,value: {line!r}")
+        try:
+            x = float(text)
+        except ValueError:
+            raise ValueError(f"line {lineno}: not a number: {text!r}") from None
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"line {lineno}: value {x} outside [0, 1]")
+        out.append((key, x) if keyed else x)
+    return out
+
+
 def make_stream(cfg: ExperimentConfig) -> list[float]:
     """Materialise the input stream for a config (deterministic in the seed)."""
     if cfg.input_path is not None:
-        xs = []
         with open(cfg.input_path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    x = float(line)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: not a number: {line!r}") from exc
-                if not 0.0 <= x <= 1.0:
-                    raise ValueError(f"line {lineno}: value {x} outside [0, 1]")
-                xs.append(x)
-        return xs
+            return parse_stream(fh)
     if cfg.T < 1:
         raise ValueError(f"stream length must be >= 1, got {cfg.T}")
     name, _, arg = cfg.source.partition(":")

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 from .baselines import decayed_sum
 from .mechanisms import (
+    _TINY_WEIGHT,
     DecaySpec,
     exp_decay_sensitivity,
     poly_breakpoint,
     poly_decay_sensitivity,
 )
 from .noise import level_epsilons
-
-_TINY_WEIGHT = 1e-300
 
 
 @dataclass(frozen=True)

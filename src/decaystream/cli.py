@@ -18,7 +18,7 @@ import math
 import sys
 
 from .baselines import ExactOracle, RandomizedResponse, rr_flip_parameter
-from .bench import ExperimentConfig, build_mechanism, make_stream, run_bench
+from .bench import ExperimentConfig, build_mechanism, make_stream, parse_stream, run_bench
 from .bounds import (
     LowerBoundFamily,
     allwindow_query_profile,
@@ -95,6 +95,17 @@ def _emit(records, header, fmt, out):
             out.write(json.dumps(dict(zip(header, rec))) + "\n")
 
 
+def _read_input(args, keyed):
+    fh = sys.stdin if args.input == "-" else open(args.input)
+    try:
+        return parse_stream(fh, keyed)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    finally:
+        if fh is not sys.stdin:
+            fh.close()
+
+
 def _read_stream(args):
     if args.input is None:
         cfg = ExperimentConfig(
@@ -102,50 +113,13 @@ def _read_stream(args):
             W=args.W,
         )
         return make_stream(cfg)
-    fh = sys.stdin if args.input == "-" else open(args.input)
-    try:
-        xs = []
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                x = float(line)
-            except ValueError:
-                raise DataError(f"line {lineno}: not a number: {line!r}")
-            if not 0.0 <= x <= 1.0:
-                raise DataError(f"line {lineno}: value {x} outside [0, 1]")
-            xs.append(x)
-        return xs
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    return _read_input(args, keyed=False)
 
 
 def _read_keyed_stream(args):
     if args.input is None:
         raise DataError("histogram mode requires --input with key,value lines")
-    fh = sys.stdin if args.input == "-" else open(args.input)
-    try:
-        rows = []
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, val = line.partition(",")
-            if not sep:
-                raise DataError(f"line {lineno}: expected key,value: {line!r}")
-            try:
-                x = float(val)
-            except ValueError:
-                raise DataError(f"line {lineno}: not a number: {val!r}")
-            if not 0.0 <= x <= 1.0:
-                raise DataError(f"line {lineno}: value {x} outside [0, 1]")
-            rows.append((key, x))
-        return rows
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    return _read_input(args, keyed=True)
 
 
 def _build_runner(args, decay, noisy):
@@ -170,38 +144,41 @@ def cmd_run(args) -> int:
         print("WARNING: --no-noise disables privacy noise; output is NOT private.",
               file=sys.stderr)
     decay = _decay_from_args(args)
+    exact_cols = ["exact", "abs_error"] if args.with_exact else []
+    # input is parsed and validated in full first; records are then written
+    # as they are produced
     if args.histogram:
         rows = _read_keyed_stream(args)
         hist = DecayedHistogram(decay, args.eps, RandomSource(args.seed), noisy=noisy)
         oracles: dict = {}
-        records = []
-        for t, (key, x) in enumerate(rows, 1):
-            _, est = hist.push(key, x)
-            rec = [t, key, est]
-            if args.with_exact:
-                oracle = oracles.setdefault(key, ExactOracle(decay))
-                exact = oracle.push(x)
-                rec += [exact, abs(est - exact)]
-            records.append(rec)
-        header = ["t", "key", "estimate"] + (
-            ["exact", "abs_error"] if args.with_exact else [])
-        _emit(records, header, args.format, sys.stdout)
+
+        def keyed_records():
+            for t, (key, x) in enumerate(rows, 1):
+                _, est = hist.push(key, x)
+                rec = [t, key, est]
+                if args.with_exact:
+                    exact = oracles.setdefault(key, ExactOracle(decay)).push(x)
+                    rec += [exact, abs(est - exact)]
+                yield rec
+
+        _emit(keyed_records(), ["t", "key", "estimate"] + exact_cols, args.format, sys.stdout)
         return 0
     xs = _read_stream(args)
     if args.mech == "rr" and any(x not in (0.0, 1.0) for x in xs):
         raise DataError("randomized response requires a binary stream")
     runner = _build_runner(args, decay, noisy)
     oracle = ExactOracle(decay) if args.with_exact else None
-    records = []
-    for t, x in enumerate(xs, 1):
-        est = runner.push(int(x) if args.mech == "rr" else x)
-        rec = [t, est]
-        if oracle is not None:
-            exact = oracle.push(x)
-            rec += [exact, abs(est - exact)]
-        records.append(rec)
-    header = ["t", "estimate"] + (["exact", "abs_error"] if args.with_exact else [])
-    _emit(records, header, args.format, sys.stdout)
+
+    def records():
+        for t, x in enumerate(xs, 1):
+            est = runner.push(int(x) if args.mech == "rr" else x)
+            rec = [t, est]
+            if oracle is not None:
+                exact = oracle.push(x)
+                rec += [exact, abs(est - exact)]
+            yield rec
+
+    _emit(records(), ["t", "estimate"] + exact_cols, args.format, sys.stdout)
     return 0
 
 

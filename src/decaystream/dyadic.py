@@ -1,229 +1,273 @@
-"""Interval-indexed complete binary tree over a contiguous time range.
+"""The one dyadic counter store behind every tree in the package.
 
-The tree over ``[lo, lo + size - 1]`` (``size`` a power of two) has height
-``log2(size) + 1``; leaves sit at level 1 and the node at level ``k`` with
-0-based index ``i`` covers ``[lo + i*2**(k-1), lo + (i+1)*2**(k-1) - 1]``.
-Each node carries a noiseless accumulator ``c0`` and a frozen noise term
-``z`` drawn once when the node is first published; the published value is
-always ``c0 + z`` and is never stored separately, so noise cannot drift.
+Stream positions 1, 2, 3, ... are the leaves of an unbounded binary tree.  The
+node at level ``k`` (leaves are level 1) with 0-based index ``j`` covers the
+positions ``[j * 2**(k-1) + 1, (j + 1) * 2**(k-1)]``.  Each node carries a
+noiseless accumulator ``c0`` and a noise term ``z`` fixed when the node is
+created; the published value is always ``c0 + z`` and is never stored
+separately, so noise cannot drift.
 
-Nodes are materialised lazily (an untouched node behaves as ``c0 = 0`` with
-``z`` drawn on first publication, which is statistically identical to eager
-initialisation because the noise is independent of the data).  The tree is
-policy-free: which nodes an estimator updates, and whether the root counts as
-a left node, is decided by callers.
+Every tree is a view of this store, chosen by its caller:
+
+* growing trees (running, all-window and exponential sums) use the subtree
+  rooted at ``[1, 2**(h-1)]`` and, when it fills up, seed the next root with
+  the old one (:meth:`DyadicTree.carry`);
+* window trees use aligned subtrees of ``S`` leaves as blocks;
+* the prefix-difference baseline uses one subtree spanning its horizon.
+
+Storage is level-indexed and append-only: each level keeps a list of ``c0``,
+a list of ``z`` and the index held in slot 0.  A node is created when it is
+first touched, together with any uncreated node before it on its level.  Its
+``z`` is the level's scale times the next value of the store's buffer of
+unit Laplace draws, so which draw a node gets depends only on the order in
+which callers touch nodes; callers keep that order independent of the data.
+Eviction drops a prefix of a level; reading an evicted or uncreated node
+raises ``ValueError``.  A :class:`PrefixCursor` walks the prefix sums of one
+block position by position, reading one node per step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .noise import RandomSource
 
-
-class Interval(NamedTuple):
-    """Inclusive 1-based node interval [l, u]; u - l + 1 is a power of two."""
-
-    l: int
-    u: int
-
-
-class TreeNode(NamedTuple):
-    """Inspection view of one counter: published value is c0 + z."""
-
-    interval: Interval
-    c0: float
-    z: float
-
-    @property
-    def value(self) -> float:
-        return self.c0 + self.z
+_DRAWS = 256  # unit Laplace draws fetched per refill of a store's buffer
 
 
 class DyadicTree:
-    """Sparse growable dyadic counter tree.
+    """Append-only dyadic counter store with frozen per-node Laplace noise.
 
     ``scale_for_level`` maps a level (1 = leaves) to the Laplace scale of the
-    initialisation noise at that level; with ``noisy=False`` every ``z`` is
-    pinned to zero (test mode, not private).  Single-owner mutable structure.
+    noise of that level's nodes; it is called once per level, when the level
+    is first reached.  It must not refer to the store's owner: that cycle
+    would keep a discarded owner's counters alive until a full garbage
+    collection.  With ``noisy=False`` every ``z`` is pinned to zero (test
+    mode, not private).  Single-owner mutable structure.
     """
 
     def __init__(
         self,
-        lo: int,
-        size: int,
         rng: RandomSource,
         scale_for_level: Callable[[int], float],
         noisy: bool = True,
     ):
-        if size < 1 or size & (size - 1):
-            raise ValueError(f"tree size must be a power of two, got {size}")
-        if lo < 1:
-            raise ValueError(f"tree base index must be >= 1, got {lo}")
-        self.lo = lo
-        self.size = size
-        self.height = size.bit_length()  # log2(size) + 1
         self._rng = rng
         self._scale_for_level = scale_for_level
         self.noisy = noisy
-        self._c0: dict[tuple[int, int], float] = {}
-        self._z: dict[tuple[int, int], float] = {}
-
-    # -- indexing helpers ---------------------------------------------------
+        # per level (list index = level - 1)
+        self._c0: list[list[float]] = []
+        self._z: list[list[float]] = []
+        self._lo: list[int] = []  # node index held in slot 0
+        self._scale: list[float] = []
+        self._units: list[float] = []
 
     @property
-    def hi(self) -> int:
-        return self.lo + self.size - 1
+    def height(self) -> int:
+        """Number of levels reached so far."""
+        return len(self._c0)
 
-    def _check_node(self, iv: Interval) -> tuple[int, int]:
-        length = iv.u - iv.l + 1
-        if length < 1 or length & (length - 1):
-            raise ValueError(f"{iv} is not a node interval (length not a power of two)")
-        off = iv.l - self.lo
-        if off < 0 or iv.u > self.hi or off % length:
-            raise ValueError(f"{iv} is not aligned inside [{self.lo}, {self.hi}]")
-        level = length.bit_length()
-        return level, off // length
+    # -- node creation --------------------------------------------------------
 
-    def interval_of(self, level: int, index: int) -> Interval:
-        length = 1 << (level - 1)
-        l = self.lo + index * length
-        return Interval(l, l + length - 1)
+    def _reach(self, height: int) -> None:
+        while len(self._c0) < height:
+            level = len(self._c0) + 1
+            self._scale.append(self._scale_for_level(level) if self.noisy else 0.0)
+            self._c0.append([])
+            self._z.append([])
+            self._lo.append(0)
 
-    # -- structural queries ---------------------------------------------------
-
-    def is_left_node(self, iv: Interval) -> bool:
-        """True iff the node precedes its sibling; the root reports False."""
-        level, index = self._check_node(iv)
-        if level == self.height:
-            return False  # root convention: callers decide root handling
-        return index % 2 == 0
-
-    def path_intervals(self, i: int) -> list[Interval]:
-        """All node intervals containing leaf i, leaf first (one per level)."""
-        if not self.lo <= i <= self.hi:
-            raise ValueError(f"leaf {i} outside [{self.lo}, {self.hi}]")
-        off = i - self.lo
-        return [self.interval_of(k, off >> (k - 1)) for k in range(1, self.height + 1)]
-
-    def decompose_prefix(self, u: int, base: int | None = None) -> list[Interval]:
-        """Tile the prefix [base, u] with maximal node intervals.
-
-        Returns at most ceil(log2(u - base + 1)) intervals, pairwise disjoint
-        and sorted; every interval after the first is a left node apart from
-        the leading run along the left spine.  ``u = base - 1`` yields the
-        empty prefix.  ``base`` defaults to the tree base and must be the
-        start of an aligned block.
-        """
-        lo = self.lo if base is None else base
-        if u == lo - 1:
-            return []
-        if not lo <= u <= self.hi:
-            raise ValueError(f"prefix end {u} outside [{self.lo - 1}, {self.hi}]")
-        out = []
-        a = lo - self.lo  # 0-based offset of the block start
-        p = u - lo + 1
-        while p:
-            align = (a & -a) if a else self.size
-            top = 1 << (p.bit_length() - 1)
-            s = align if align < top else top
-            out.append(Interval(self.lo + a, self.lo + a + s - 1))
-            a += s
-            p -= s
-        return out
-
-    def decompose_nodes(self, u: int, base: int | None = None):
-        """Same tiling as :meth:`decompose_prefix`, as (level, index, right_end)."""
-        lo = self.lo if base is None else base
-        if u == lo - 1:
+    def _create(self, k: int, n: int) -> None:
+        """Append ``n`` nodes to level ``k + 1``, drawing their noise."""
+        self._c0[k].extend([0.0] * n)
+        if not self.noisy:
+            self._z[k].extend([0.0] * n)
             return
-        if not lo <= u <= self.hi:
-            raise ValueError(f"prefix end {u} outside [{self.lo - 1}, {self.hi}]")
-        a = lo - self.lo
-        p = u - lo + 1
-        while p:
-            align = (a & -a) if a else self.size
-            top = 1 << (p.bit_length() - 1)
-            s = align if align < top else top
-            yield s.bit_length(), a // s, self.lo + a + s - 1
-            a += s
-            p -= s
+        units = self._units
+        if len(units) < n:
+            units[:0] = self._rng.laplace_vector(1.0, max(n, _DRAWS)).tolist()
+        scale = self._scale[k]
+        self._z[k].extend([scale * u for u in units[-n:]])
+        del units[-n:]
 
-    # -- counter access -------------------------------------------------------
+    def _slot(self, level: int, index: int) -> tuple[int, int]:
+        """(level list, slot) of a live node; raises if evicted or uncreated."""
+        k = level - 1
+        if 0 <= k < len(self._c0):
+            j = index - self._lo[k]
+            if 0 <= j < len(self._c0[k]):
+                return k, j
+        raise ValueError(f"node (level {level}, index {index}) is not live")
+
+    # -- updates ---------------------------------------------------------------
+
+    def add_path(self, i: int, x: float, height: int) -> None:
+        """Add ``x`` to the nodes at levels 1..height that contain position i."""
+        if height > len(self._c0):
+            self._reach(height)
+        off = i - 1
+        c0s = self._c0
+        lo = self._lo
+        for k in range(height):
+            c = c0s[k]
+            j = (off >> k) - lo[k]
+            n = len(c)
+            if j < n:
+                if j < 0:
+                    raise ValueError(f"node (level {k + 1}, index {off >> k}) was evicted")
+                c[j] += x
+            elif j == n and self._units:  # the next node, noise at hand
+                c.append(x)
+                self._z[k].append(self._scale[k] * self._units.pop())
+            else:
+                self._create(k, j + 1 - n)
+                c[j] = x
 
     def add(self, level: int, index: int, w: float) -> None:
-        key = (level, index)
-        c0 = self._c0
-        c0[key] = c0.get(key, 0.0) + w
+        """Add the weighted value ``w`` at one node, creating it if needed."""
+        if level < 1:
+            raise ValueError(f"levels start at 1, got {level}")
+        if level > len(self._c0):
+            self._reach(level)
+        k = level - 1
+        c = self._c0[k]
+        j = index - self._lo[k]
+        if j >= len(c):
+            self._create(k, j + 1 - len(c))
+        elif j < 0:
+            raise ValueError(f"node (level {level}, index {index}) was evicted")
+        c[j] += w
 
-    def c0_at(self, level: int, index: int) -> float:
-        return self._c0.get((level, index), 0.0)
+    def carry(self, level: int, weight: float) -> None:
+        """Seed the root of ``level`` with ``weight`` times the noiseless root
+        one level below: the doubling step of a growing tree."""
+        if weight < 0.0:
+            raise ValueError(f"carry weight must be >= 0, got {weight}")
+        k, j = self._slot(level - 1, 0)
+        self.add(level, 0, weight * self._c0[k][j])
+
+    # -- reads -----------------------------------------------------------------
 
     def published(self, level: int, index: int) -> float:
-        """Noisy counter value c0 + z; draws and freezes z on first touch."""
-        key = (level, index)
-        z = self._z.get(key)
-        if z is None:
-            if self.noisy:
-                z = self._rng.laplace(self._scale_for_level(level))
-            else:
-                z = 0.0
-            self._z[key] = z
-        return self._c0.get(key, 0.0) + z
+        """Noisy counter value c0 + z of a live node."""
+        k = level - 1
+        try:
+            j = index - self._lo[k]
+            if k < 0 or j < 0:
+                raise IndexError
+            return self._c0[k][j] + self._z[k][j]
+        except IndexError:
+            raise ValueError(f"node (level {level}, index {index}) is not live") from None
 
-    def node(self, iv: Interval) -> TreeNode:
-        """Inspection view; publishes the node (freezing its noise)."""
-        level, index = self._check_node(iv)
-        value = self.published(level, index)
-        z = self._z[(level, index)]
-        return TreeNode(iv, value - z, z)
+    def decompose_nodes(self, u: int, base: int = 1):
+        """Tile [base, u] with maximal nodes, as (level, index, right_end).
 
-    def prefix_value(self, u: int, base: int | None = None) -> float:
-        """Sum of published counters tiling [base, u]; 0 for the empty prefix."""
+        ``base - 1`` must be a multiple of a power of two at least
+        ``u - base + 1`` (the start of an aligned block holding the prefix).
+        The tiles are disjoint, sorted, of distinct power-of-two lengths, at
+        most ceil(log2(u - base + 1)) of them; ``u = base - 1`` yields none.
+        """
+        a, p = _checked_prefix(u, base)
+        while p:
+            k = p.bit_length() - 1
+            s = 1 << k
+            yield k + 1, a >> k, a + s
+            a += s
+            p -= s
+
+    def prefix_value(self, u: int, base: int = 1) -> float:
+        """Sum of the published nodes tiling [base, u]; 0 for the empty prefix."""
+        a, p = _checked_prefix(u, base)
+        c0s = self._c0
+        zs = self._z
+        lo = self._lo
         total = 0.0
-        for level, index, _ in self.decompose_nodes(u, base):
-            total += self.published(level, index)
+        try:
+            while p:
+                k = p.bit_length() - 1
+                j = (a >> k) - lo[k]
+                if j < 0:
+                    raise IndexError
+                total += c0s[k][j] + zs[k][j]
+                a += 1 << k
+                p -= 1 << k
+        except IndexError:
+            raise ValueError(f"[{base}, {u}] reads a node that is not live") from None
         return total
 
-    # -- growth and eviction --------------------------------------------------
+    # -- eviction and inspection ----------------------------------------------
 
-    def grow_double(self, carry_weight: float) -> "DyadicTree":
-        """Double the span; the old root becomes the left child of a new root
-        seeded with ``carry_weight`` times the old root's noiseless value.
+    def evict_covered(self, level: int, index: int) -> None:
+        """Drop the nodes of ``level`` whose index is below ``index``.
+
+        Callers drop nodes no later tiling can read: those whose parent
+        interval has ended (exponential sums) or whose block has left the
+        window (window sums).
         """
-        if self.lo != 1:
-            raise ValueError("only trees based at 1 grow")
-        if carry_weight < 0.0:
-            raise ValueError(f"carry weight must be >= 0, got {carry_weight}")
-        carried = carry_weight * self._c0.get((self.height, 0), 0.0)
-        self.size *= 2
-        self.height += 1
-        if carried:
-            self._c0[(self.height, 0)] = carried
-        return self
-
-    def evict_covered(self, watermark: int) -> None:
-        """Drop nodes whose parent interval ends at or before ``watermark``.
-
-        Such nodes can never appear in a later prefix tiling (the parent is
-        always preferred), so their counters are dead.  Keeps at most one
-        node per level.
-        """
-        height = self.height
-        doomed = []
-        for level, index in self._c0.keys() | self._z.keys():
-            if level == height:
-                continue
-            parent_end = self.lo + ((index >> 1) + 1) * (1 << level) - 1
-            if parent_end <= watermark:
-                doomed.append((level, index))
-        for key in doomed:
-            self._c0.pop(key, None)
-            self._z.pop(key, None)
+        k = level - 1
+        if not 0 <= k < len(self._c0):
+            return
+        n = index - self._lo[k]
+        if n > 0:
+            del self._c0[k][:n]
+            del self._z[k][:n]
+            self._lo[k] = index
 
     def live_nodes(self) -> set[tuple[int, int]]:
-        return self._c0.keys() | self._z.keys()
+        return set(self.counters())
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Snapshot of all noiseless accumulators (for sensitivity audits)."""
-        return dict(self._c0)
+        """Noiseless accumulators of all live nodes, keyed (level, index)."""
+        return {
+            (k + 1, lo + j): c
+            for k, (lo, c0) in enumerate(zip(self._lo, self._c0))
+            for j, c in enumerate(c0)
+        }
+
+
+class PrefixCursor:
+    """Published prefix sums of [base, base + p - 1] for p = 1, 2, 3, ... in turn.
+
+    The tiling of the first p positions is the tiling of the first
+    ``p - low`` positions plus the node of length ``low = p & -p`` ending at
+    position ``base + p - 1``.  Memoising each prefix sum under the level of
+    its last node makes every step read one node, and every value equals
+    :meth:`DyadicTree.prefix_value` bit for bit (same summation order).
+    ``base - 1`` must be aligned as for :meth:`DyadicTree.prefix_value` over
+    every prefix the cursor reaches.
+    """
+
+    __slots__ = ("_tree", "_a", "p", "_memo")
+
+    def __init__(self, tree: DyadicTree, base: int = 1):
+        self._tree = tree
+        self._a = base - 1
+        self.p = 0
+        self._memo = [0.0] * 65  # by level; slot 0 is the empty prefix
+
+    def advance(self) -> float:
+        """Move to the next position and return the prefix sum up to it."""
+        p = self.p + 1
+        self.p = p
+        low = p & -p
+        level = low.bit_length()
+        end = self._a + p
+        if end & (low - 1):
+            raise ValueError(f"prefix from {self._a + 1} to {end} is not block-aligned")
+        rest = p - low
+        total = self._memo[(rest & -rest).bit_length()] + self._tree.published(
+            level, end // low - 1
+        )
+        self._memo[level] = total
+        return total
+
+
+def _checked_prefix(u: int, base: int) -> tuple[int, int]:
+    """(block offset, prefix length) of [base, u], checking the alignment."""
+    a = base - 1
+    p = u - a
+    if a < 0 or p < 0:
+        raise ValueError(f"prefix [{base}, {u}] is not a range of positions >= 1")
+    if p and a & ((1 << (p - 1).bit_length()) - 1):
+        raise ValueError(f"prefix [{base}, {u}] does not start an aligned block")
+    return a, p

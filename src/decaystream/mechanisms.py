@@ -4,10 +4,10 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
 [0, 1]):
 
 * :class:`WindowSum` -- sum of the last W updates, W a power of two.  The
-  stream is cut into blocks of size W, each with its own dyadic counter tree;
-  a window spanning two blocks is a block suffix plus a block prefix, so each
-  update touches exactly ``log2(W) + 1`` counters and each estimate reads
-  ``O(log W)`` of them.
+  stream is cut into blocks of size W, each an aligned subtree of one dyadic
+  counter store; a window spanning two blocks is a block suffix plus a block
+  prefix, so each update touches exactly ``log2(W) + 1`` counters and each
+  estimate reads ``O(log W)`` of them.
 * :class:`AllWindowSum` -- one growing tree answering window queries for
   every W simultaneously, with per-level budgets ``eps_k`` that sum to the
   total budget.
@@ -36,10 +36,9 @@ every trial its own state and its own child random source.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
-from .dyadic import DyadicTree, Interval
+from .dyadic import DyadicTree, PrefixCursor
 from .noise import PrivacyBudget, RandomSource, zeta
 
 _TINY_WEIGHT = 1e-300  # discount weights below this clamp to zero
@@ -159,13 +158,15 @@ def poly_decay_sensitivity(c: float, beta: float) -> float:
 
 
 class WindowSum:
-    """Private sliding-window sum with per-block dyadic trees.
+    """Private sliding-window sum on aligned blocks of one dyadic store.
 
     W must be a power of two unless ``counter_scale`` overrides the default
     per-counter noise scale ``(log2 W + 1) / epsilon`` (the decayed-sum
-    composition relies on arbitrary W with an externally supplied scale; in
-    that case the block tree is padded to the next power of two).  Only the
-    two most recent block trees are retained.
+    composition relies on arbitrary W with an externally supplied scale).
+    Block b holds positions ``b*W + 1 .. (b+1)*W`` as the aligned subtree of
+    ``S = 2**ceil(log2 W)`` leaves that starts after store position ``b*S``;
+    when W < S the last ``S - W`` leaves of each block are padding that no
+    update touches.  Only the current and the previous block are retained.
     """
 
     def __init__(
@@ -193,43 +194,16 @@ class WindowSum:
         self.epsilon = epsilon
         self.counter_scale = counter_scale
         self.noisy = noisy
-        self._rng = rng
-        # block trees are dense heaps: slot 1 is the block root, leaves at
-        # [S, 2S).  Noise is drawn eagerly per block (independent of data).
         self._S = 1 << (W - 1).bit_length()
-        self._cur: tuple[array, array] | None = None
-        self._prev: tuple[array, array] | None = None
-        self._blk = -1
-        self.i = 0
-        # retain_all keeps every block tree so sensitivity audits can diff the
+        self._h = self._S.bit_length()  # levels of one block subtree
+        self._tree = DyadicTree(rng, lambda _level: counter_scale, noisy)
+        # retain_all keeps every block so sensitivity audits can diff the
         # complete counter vector; never used on the live estimation path
-        self._archive: list[tuple[int, tuple[array, array]]] | None = (
-            [] if retain_all else None
-        )
-
-    def _new_block(self) -> tuple[array, array]:
-        n = 2 * self._S
-        c0 = array("d", bytes(8 * n))
-        if self.noisy:
-            z = array("d", self._rng.laplace_vector(self.counter_scale, n).tobytes())
-        else:
-            z = array("d", bytes(8 * n))
-        return c0, z
-
-    def _prefix_published(self, tree: tuple[array, array], p: int) -> float:
-        # sum of published counters tiling the first p leaves of the block
-        c0, z = tree
-        S = self._S
-        total = 0.0
-        a = 0
-        while p:
-            v = p.bit_length() - 1
-            n = (S + a) >> v
-            total += c0[n] + z[n]
-            s = 1 << v
-            a += s
-            p -= s
-        return total
+        self._evict = not retain_all
+        self._prev_total = 0.0  # published sum of the previous (complete) block
+        self._cur = PrefixCursor(self._tree)  # current-block prefixes
+        self._prev: PrefixCursor | None = None  # previous-block prefixes
+        self.i = 0
 
     def push(self, x: float) -> float:
         """Feed one update, return the window estimate at the new step."""
@@ -238,62 +212,44 @@ class WindowSum:
         i = self.i + 1
         self.i = i
         W = self.W
-        blk = (i - 1) // W
-        if blk != self._blk:
-            if self._archive is not None and self._prev is not None:
-                self._archive.append((self._blk - 1, self._prev))
-            self._prev = self._cur
-            self._cur = self._new_block()
-            self._blk = blk
-        off = (i - 1) - blk * W
-        c0 = self._cur[0]
-        n = self._S + off
-        while n:
-            c0[n] += x
-            n >>= 1
+        S = self._S
+        tree = self._tree
+        blk, off = divmod(i - 1, W)
+        start = blk * S  # store position just before the block's first leaf
+        if off == 0 and blk:
+            prev = start - S
+            self._prev_total = tree.prefix_value(prev + W, prev + 1)
+            if self._evict and blk > 1:
+                for level in range(1, self._h + 1):
+                    tree.evict_covered(level, prev >> (level - 1))
+            self._prev = PrefixCursor(tree, prev + 1)
+            self._cur = PrefixCursor(tree, start + 1)
         p = off + 1
-        est = self._prefix_published(self._cur, p)
-        if self._prev is not None and p < W:
-            est += self._prefix_published(self._prev, W) - self._prefix_published(
-                self._prev, p
-            )
+        tree.add_path(start + p, x, self._h)
+        # current-block prefix plus the previous block's suffix p+1..W
+        est = self._cur.advance()
+        if blk and p < W:
+            est += self._prev_total - self._prev.advance()
         return est
 
-    # -- inspection (tests, audits) --------------------------------------
-
-    def node(self, iv: Interval):
-        """(c0, z) of the counter at a node interval of a live block tree."""
-        length = iv.u - iv.l + 1
-        if length < 1 or length & (length - 1):
-            raise ValueError(f"{iv} is not a node interval")
-        blk = (iv.l - 1) // self.W
-        lo = blk * self.W + 1
-        off = iv.l - lo
-        if off % length or iv.u > lo + self._S - 1:
-            raise ValueError(f"{iv} is not aligned in block {blk}")
-        tree = self._cur if blk == self._blk else (self._prev if blk == self._blk - 1 else None)
-        if tree is None:
-            raise ValueError(f"block {blk} is not retained")
-        n = (self._S + off) >> (length.bit_length() - 1)
-        return tree[0][n], tree[1][n]
-
-    def counters(self) -> dict[int, "object"]:
-        """Noiseless accumulators per retained block (numpy arrays)."""
-        import numpy as np
-
-        out = {}
-        if self._archive:
-            for blk, tree in self._archive:
-                out[blk] = np.frombuffer(tree[0], dtype=np.float64).copy()
-        if self._prev is not None:
-            out[self._blk - 1] = np.frombuffer(self._prev[0], dtype=np.float64).copy()
-        if self._cur is not None:
-            out[self._blk] = np.frombuffer(self._cur[0], dtype=np.float64).copy()
-        return out
+    def counters(self) -> dict[tuple[int, int], float]:
+        """Noiseless accumulators of the retained blocks, keyed (level, index)."""
+        return self._tree.counters()
 
 
 # ---------------------------------------------------------------------------
 # all-window sum / running sum
+
+
+def _level_epsilon(epsilon, schedule_beta, explicit, k):
+    if explicit is not None:
+        if k > len(explicit):
+            raise ValueError(
+                f"explicit level schedule has {len(explicit)} terms "
+                f"but level {k} was reached"
+            )
+        return explicit[k - 1]
+    return epsilon / (zeta(schedule_beta) * k**schedule_beta)
 
 
 class AllWindowSum:
@@ -321,23 +277,16 @@ class AllWindowSum:
             raise ValueError(f"schedule exponent must exceed 1, got {schedule_beta}")
         self.epsilon = epsilon
         self.schedule_beta = schedule_beta
-        self._explicit = tuple(level_schedule) if level_schedule else None
-        self._zeta = zeta(schedule_beta)
+        self._explicit = explicit = tuple(level_schedule) if level_schedule else None
         self.step = 0
-        self._tree = DyadicTree(1, 1, rng, self._scale_for_level, noisy)
+        self._tree = DyadicTree(
+            rng,
+            lambda k: 1.0 / _level_epsilon(epsilon, schedule_beta, explicit, k),
+            noisy,
+        )
 
     def level_epsilon(self, k: int) -> float:
-        if self._explicit is not None:
-            if k > len(self._explicit):
-                raise ValueError(
-                    f"explicit level schedule has {len(self._explicit)} terms "
-                    f"but level {k} was reached"
-                )
-            return self._explicit[k - 1]
-        return self.epsilon / (self._zeta * k**self.schedule_beta)
-
-    def _scale_for_level(self, k: int) -> float:
-        return 1.0 / self.level_epsilon(k)
+        return _level_epsilon(self.epsilon, self.schedule_beta, self._explicit, k)
 
     def push(self, x: float) -> None:
         """Feed one update (queries are separate)."""
@@ -345,12 +294,11 @@ class AllWindowSum:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.step + 1
         self.step = i
-        tree = self._tree
-        if tree.size == i - 1:
-            tree.grow_double(1.0)
         off = i - 1
-        for level in range(1, tree.height + 1):
-            tree.add(level, off >> (level - 1), x)
+        height = off.bit_length() + 1  # the tree [1, 2**(height-1)] holds i
+        if off and not off & (off - 1):
+            self._tree.carry(height, 1.0)  # the tree doubles
+        self._tree.add_path(i, x, height)
 
     def query(self, j: int, W: int) -> float:
         """Window estimate for the W most recent updates as of step j <= now.
@@ -413,6 +361,7 @@ class RunningSum:
             level_schedule=level_schedule,
             noisy=noisy,
         )
+        self._prefix = PrefixCursor(self._aw._tree)
 
     @property
     def step(self) -> int:
@@ -420,7 +369,7 @@ class RunningSum:
 
     def push(self, x: float) -> float:
         self._aw.push(x)
-        return self._aw.running_sum(self._aw.step)
+        return self._prefix.advance()  # running_sum(step), one node read
 
     def query(self, j: int) -> float:
         return self._aw.running_sum(j)
@@ -442,13 +391,20 @@ class FixedWindowView:
         rng: RandomSource,
         *,
         schedule_beta: float = 2.0,
+        level_schedule: tuple[float, ...] | None = None,
         noisy: bool = True,
     ):
         if W < 1:
             raise ValueError(f"window size must be >= 1, got {W}")
         self.W = W
         self.epsilon = epsilon
-        self._aw = AllWindowSum(epsilon, rng, schedule_beta=schedule_beta, noisy=noisy)
+        self._aw = AllWindowSum(
+            epsilon,
+            rng,
+            schedule_beta=schedule_beta,
+            level_schedule=level_schedule,
+            noisy=noisy,
+        )
 
     @property
     def step(self) -> int:
@@ -492,10 +448,10 @@ class ExponentialSum:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.alpha = alpha
         self.epsilon = epsilon
-        self.counter_scale = self.lam / epsilon
+        self.counter_scale = scale = self.lam / epsilon
         self._evict = evict
         self.step = 0
-        self._tree = DyadicTree(1, 1, rng, lambda _level: self.counter_scale, noisy)
+        self._tree = DyadicTree(rng, lambda _level: scale, noisy)
 
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
@@ -505,25 +461,31 @@ class ExponentialSum:
         self.step = i
         tree = self._tree
         alpha = self.alpha
-        if tree.size == i - 1:
-            tree.grow_double(alpha ** (i - 1))
         off = i - 1
-        height = tree.height
-        if x:
-            for level in range(1, height + 1):
-                idx = off >> (level - 1)
-                if level != height and idx & 1:
-                    continue  # right node, never updated
-                u = (idx + 1) << (level - 1)
-                w = alpha ** (u - i)
-                if w >= _TINY_WEIGHT:
-                    tree.add(level, idx, x * w)
+        height = off.bit_length() + 1  # the tree [1, 2**(height-1)] holds i
+        if off and not off & (off - 1):
+            tree.carry(height, alpha**off)  # the tree doubles
+        # zero updates are added too, so nodes are created (and draw their
+        # noise) in an order that does not depend on the data
+        for level in range(1, height + 1):
+            idx = off >> (level - 1)
+            if level != height and idx & 1:
+                continue  # right node, never updated
+            u = (idx + 1) << (level - 1)
+            w = alpha ** (u - i)
+            if w >= _TINY_WEIGHT:
+                tree.add(level, idx, x * w)
         est = 0.0
         for level, idx, right in tree.decompose_nodes(i):
             w = alpha ** (i - right)
             est += tree.published(level, idx) * w
         if self._evict:
-            tree.evict_covered(i)
+            # a level-k node is dead once its parent has ended, i.e. below
+            # index 2 * (i >> k); that bound moves only when 2**k divides i
+            k = 1
+            while k < height and not i & ((1 << k) - 1):
+                tree.evict_covered(k, 2 * (i >> k))
+                k += 1
         return est
 
     def live_node_count(self) -> int:
@@ -644,12 +606,13 @@ class PolynomialSum:
     def child_windows(self) -> list[int]:
         return [ch.win.W for ch in self._children]
 
-    def counters(self) -> dict[tuple[int, int], "object"]:
-        out = {}
-        for ci, ch in enumerate(self._children):
-            for blk, arr in ch.win.counters().items():
-                out[(ci, blk)] = arr
-        return out
+    def counters(self) -> dict[tuple[int, int, int], float]:
+        """Every child's counters, keyed (child, level, index)."""
+        return {
+            (ci,) + key: c
+            for ci, ch in enumerate(self._children)
+            for key, c in ch.win.counters().items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +630,9 @@ def make_mechanism(
     """Build the streaming estimator for a decay spec and privacy budget.
 
     Window sizes that are not powers of two are routed to the growing-tree
-    estimator (the estimand is unchanged; only block alignment differs).
+    estimator (the estimand is unchanged; only block alignment differs).  A
+    budget's level schedule reaches the growing-tree estimators; the other
+    routes have no per-level budgets and reject one.
     """
     if isinstance(budget, PrivacyBudget):
         epsilon = budget.epsilon
@@ -675,10 +640,24 @@ def make_mechanism(
     else:
         epsilon = float(budget)
         level_schedule = None
+    growing = decay.kind == "running" or (
+        decay.kind == "window" and decay.W & (decay.W - 1)
+    )
+    if level_schedule is not None and not growing:
+        raise ValueError(
+            "a level schedule applies only to running sums and to window "
+            f"sizes that are not a power of two, not to {decay.kind} decay"
+            + (f" with W={decay.W}" if decay.kind == "window" else "")
+        )
     if decay.kind == "window":
         if decay.W & (decay.W - 1):
             return FixedWindowView(
-                decay.W, epsilon, rng, schedule_beta=schedule_beta, noisy=noisy
+                decay.W,
+                epsilon,
+                rng,
+                schedule_beta=schedule_beta,
+                level_schedule=level_schedule,
+                noisy=noisy,
             )
         return WindowSum(decay.W, epsilon, rng, noisy=noisy)
     if decay.kind == "exponential":

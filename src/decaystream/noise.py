@@ -23,20 +23,21 @@ import numpy as np
 _BUFFER = 4096
 
 
-def laplace_from_uniform(u: float, b: float) -> float:
+def laplace_from_uniform(u, b: float):
     """Inverse-CDF transform of u in (-1/2, 1/2) to a zero-mean Laplace(b) draw.
 
-    u = 0 maps to the median 0; the endpoints +-1/2 are excluded to avoid
-    log(0).
+    The one transform behind both samplers of :class:`RandomSource`.  ``u``
+    is a float or a numpy array (transformed elementwise, returning an
+    array).  u = 0 maps to the median 0; the endpoints +-1/2 are excluded to
+    avoid log(0).
     """
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError(f"Laplace scale must be positive, got {b}")
-    if not -0.5 < u < 0.5:
+    a = np.abs(u)
+    if not np.all(a < 0.5):
         raise ValueError(f"uniform input must lie in (-1/2, 1/2), got {u}")
-    if u == 0.0:
-        return 0.0
-    m = math.log(1.0 - 2.0 * abs(u))  # <= 0
-    return b * m if u < 0.0 else -b * m
+    out = -b * np.sign(u) * np.log(1.0 - 2.0 * a)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 class RandomSource:
@@ -74,23 +75,21 @@ class RandomSource:
         self._pos += 1
         return u
 
+    # Both samplers centre a uniform u in [0, 1) as u - 1/2 and apply
+    # laplace_from_uniform.  The draw u = 0 would give log(0); like u = 1/2
+    # it maps to the median 0 (probability 2**-53 per draw).
+
     def laplace(self, b: float) -> float:
         """One zero-mean Laplace(b) draw via the inverse CDF."""
         u = self.uniform()
-        while u == 0.0:  # keep 1 - 2|u - 1/2| strictly positive
-            u = self.uniform()
-        v = u - 0.5
-        m = math.log(1.0 - 2.0 * abs(v))
-        return b * m if v < 0.0 else -b * m
+        return laplace_from_uniform(u - 0.5 if u else 0.0, b)
 
     def laplace_vector(self, b: float, n: int) -> np.ndarray:
         """n independent Laplace(b) draws (vectorised, same transform)."""
-        if b < 0.0:
-            raise ValueError(f"Laplace scale must be non-negative, got {b}")
         u = self._gen.random(n)
-        u[u == 0.0] = 0.5  # measure-zero guard; maps to median
         v = u - 0.5
-        return -b * np.sign(v) * np.log(1.0 - 2.0 * np.abs(v))
+        v[u == 0.0] = 0.0
+        return laplace_from_uniform(v, b)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from dyadic_reference import Interval, decompose_prefix, frozen_noise, node
 
 from decaystream.baselines import decayed_sum
 from decaystream.bench import ExperimentConfig, run_bench
@@ -24,7 +25,7 @@ from decaystream.bounds import (
     utility_delta,
     worst_noise_profile,
 )
-from decaystream.dyadic import DyadicTree, Interval
+from decaystream.dyadic import DyadicTree
 from decaystream.extensions import first_occurrence_bits
 from decaystream.mechanisms import (
     AllWindowSum,
@@ -197,43 +198,43 @@ def test_criterion_03_noise_calibration():
         assert len(zs) >= 10**5
         ok &= abs(zs.var() - 2.0 * scale * scale) <= 0.1 * 2.0 * scale * scale
 
-    # window blocks (eager per-block draws), default scale
+    def block_noise(w, blocks, x):
+        # every node of each block, read at the block's last push (the block
+        # is complete and still retained)
+        zs = []
+        for i in range(1, blocks * w.W + 1):
+            w.push(x)
+            if i % w.W == 0:
+                start = i - w.W  # block start, W a power of two
+                zs += [z for (level, index), z in frozen_noise(w._tree).items()
+                       if index << (level - 1) >= start]
+        return zs
+
+    # window blocks, default scale
     W = 512
     w = WindowSum(W, 1.0, RandomSource(31))
-    zs = []
-    for i in range(98 * W):
-        w.push(1.0)
-        if i % W == 0:
-            zs.append(np.frombuffer(w._cur[1], dtype=np.float64).copy())
-    check(np.concatenate(zs), w.counter_scale)
+    check(block_noise(w, 98, 1.0), w.counter_scale)
 
     # window blocks with the overridden uniform scale used by the band bank
     scale_p = poly_decay_sensitivity(2.0, 0.5) / 1.0
     w2 = WindowSum(16, 1.0, RandomSource(32), counter_scale=scale_p)
-    zs = []
-    for i in range(3200 * 16):
-        w2.push(0.0)
-        if i % 16 == 0:
-            zs.append(np.frombuffer(w2._cur[1], dtype=np.float64).copy())
-    check(np.concatenate(zs), scale_p)
+    check(block_noise(w2, 3300, 0.0), scale_p)
 
-    # sparse-tree publications at the exponential-decay scale
+    # store nodes at the exponential-decay scale
     scale_e = exp_decay_sensitivity(0.9) / 1.0
-    tree = DyadicTree(1, 1 << 17, RandomSource(33), lambda level: scale_e)
+    tree = DyadicTree(RandomSource(33), lambda level: scale_e)
     for idx in range(110_000):
-        tree.published(1, idx)
-    check(list(tree._z.values()), scale_e)
+        tree.add(1, idx, 0.0)
+    check(list(frozen_noise(tree).values()), scale_e)
 
     # per-level schedule scales, pooled after normalising each draw by its
     # level's scale (normalised noise is unit-scale Laplace)
     eps_k = level_epsilons(1.0, 2.0, 4)
-    sched_tree = DyadicTree(
-        1, 1 << 17, RandomSource(34), lambda level: 1.0 / eps_k[level - 1]
-    )
+    sched_tree = DyadicTree(RandomSource(34), lambda level: 1.0 / eps_k[level - 1])
     for level in range(1, 5):
         for idx in range(35_000):
-            sched_tree.published(level, idx)
-    pooled = [z * eps_k[level - 1] for (level, _), z in sched_tree._z.items()]
+            sched_tree.add(level, idx, 0.0)
+    pooled = [z * eps_k[level - 1] for (level, _), z in frozen_noise(sched_tree).items()]
     check(pooled, 1.0)
     report(3, "counter noise calibration", ok)
 
@@ -388,16 +389,15 @@ def test_criterion_09_distinct_count_two_sensitive():
 
 def test_criterion_10_tree_figures():
     ok = True
-    tree = DyadicTree(1, 8, RandomSource(0), lambda level: 1.0, noisy=False)
-    ok &= tree.decompose_prefix(6) == [Interval(1, 4), Interval(5, 6)]
-    offset = DyadicTree(9, 8, RandomSource(0), lambda level: 1.0, noisy=False)
-    ok &= offset.decompose_prefix(14) == [Interval(9, 12), Interval(13, 14)]
+    tree = DyadicTree(RandomSource(0), lambda level: 1.0, noisy=False)
+    ok &= decompose_prefix(tree, 6) == [Interval(1, 4), Interval(5, 6)]
+    ok &= decompose_prefix(tree, 14, base=9) == [Interval(9, 12), Interval(13, 14)]
 
     w = WindowSum(4, 1.0, RandomSource(1), noisy=True)
     xs = [1, 0, 1, 1, 0, 1, 1]
     for x in xs:
         est = w.push(float(x))
-    val = lambda l, u: sum(w.node(Interval(l, u)))
+    val = lambda l, u: node(w._tree, Interval(l, u)).value
     composed = val(1, 4) - (val(1, 2) + val(3, 3)) + (val(5, 6) + val(7, 7))
     ok &= abs(est - composed) < 1e-12
     noiseless = WindowSum(4, 1.0, RandomSource(2), noisy=False)
@@ -416,10 +416,11 @@ def test_criterion_11_performance_and_space():
     for _ in range(10**6):
         w.push(1.0)
     elapsed = time.perf_counter() - start
-    blocks = w.counters()
+    nodes = w.counters()
+    blocks = {(index << (level - 1)) // W for level, index in nodes}
     ok = elapsed < 10.0
     ok &= len(blocks) <= 2
-    ok &= all(len(arr) == 2 * w._S for arr in blocks.values())
+    ok &= len(nodes) <= 2 * (2 * W - 1)  # at most every node of two blocks
 
     ex = ExponentialSum(0.9, 1.0, RandomSource(4))
     for _ in range(4000):

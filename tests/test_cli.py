@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from decaystream.cli import main
@@ -248,3 +249,44 @@ def test_stream_round_trip_matches_memory(capsys, tmp_path):
     mech = build_mechanism(cfg, RandomSource(5).child(1).child(0).child(0))
     want = [mech.push(x) for x in make_stream(cfg)]
     assert got == want
+
+
+# Each case: the file's lines, its line ending, and the parsed values, or
+# None when line 2 must be rejected.  Keyed runs prefix every non-blank line
+# with "k,".
+STREAM_FILE_CASES = {
+    "nan": (["0.5", "nan"], "\n", None),
+    "inf": (["0.5", "inf"], "\n", None),
+    "negative": (["0.5", "-0.1"], "\n", None),
+    "above_one": (["0.5", "1.5"], "\n", None),
+    "text": (["0.5", "abc"], "\n", None),
+    "comma_in_key": (["0.5", "b,0.5"], "\n", None),
+    "crlf": (["0.5", "1"], "\r\n", [0.5, 1.0]),
+    "blank_lines": (["0.5", "", "  ", "1", ""], "\n", [0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "histogram"])
+@pytest.mark.parametrize("case", sorted(STREAM_FILE_CASES))
+def test_stream_file_validation(command, case, tmp_path, capsys):
+    lines, end, want = STREAM_FILE_CASES[case]
+    keyed = command == "histogram"
+    path = tmp_path / "stream.txt"
+    path.write_bytes("".join(
+        ("k," + line if keyed and line.strip() else line) + end for line in lines
+    ).encode())
+    argv = {
+        "run": ["run", "--mech", "running", "--no-noise"],
+        "histogram": ["run", "--mech", "running", "--no-noise", "--histogram"],
+        "bench": ["bench", "--mech", "running", "--trials", "30"],
+    }[command] + ["--input", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    if want is None:
+        assert code == 3
+        assert "error: line 2:" in err
+        assert out == ""
+        return
+    assert code == 0
+    if command != "bench":
+        estimates = [float(row.split(",")[-1]) for row in out.strip().splitlines()[1:]]
+        assert estimates == list(np.cumsum(want))

@@ -1,112 +1,145 @@
 import pytest
+from dyadic_reference import (
+    Interval,
+    c0_at,
+    decompose_prefix,
+    frozen_noise,
+    is_left_node,
+    node,
+    node_of,
+    path_intervals,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaystream.dyadic import DyadicTree, Interval
+from decaystream.dyadic import DyadicTree, PrefixCursor
 from decaystream.noise import RandomSource
 
 
-def make_tree(lo, size, noisy=False, seed=0, scale=1.0):
-    return DyadicTree(lo, size, RandomSource(seed), lambda level: scale, noisy=noisy)
+def make_tree(noisy=False, seed=0, scale=1.0):
+    return DyadicTree(RandomSource(seed), lambda level: scale, noisy=noisy)
+
+
+def filled_tree(size, noisy=False, seed=0, scale=1.0, x=1.0):
+    """Store holding the complete tree over [1, size], every leaf set to x."""
+    tree = make_tree(noisy, seed, scale)
+    for i in range(1, size + 1):
+        tree.add_path(i, x, size.bit_length())
+    return tree
 
 
 def test_prefix_decomposition_two_blocks_of_eight_leaves():
-    # u = lo + 5 in an 8-leaf tree tiles as a 4-block plus a 2-block
-    for lo in (1, 9):
-        tree = make_tree(lo, 8)
-        assert tree.decompose_prefix(lo + 5) == [
-            Interval(lo, lo + 3),
-            Interval(lo + 4, lo + 5),
+    # u = base + 5 in an 8-leaf block tiles as a 4-block plus a 2-block
+    tree = make_tree()
+    for base in (1, 9):
+        assert decompose_prefix(tree, base + 5, base) == [
+            Interval(base, base + 3),
+            Interval(base + 4, base + 5),
         ]
 
 
 def test_prefix_decomposition_full_range_is_root():
-    tree = make_tree(1, 16)
-    assert tree.decompose_prefix(16) == [Interval(1, 16)]
+    assert decompose_prefix(make_tree(), 16) == [Interval(1, 16)]
 
 
 def test_prefix_decomposition_offset_tree():
-    tree = make_tree(5, 4)
-    assert tree.decompose_prefix(7) == [Interval(5, 6), Interval(7, 7)]
+    assert decompose_prefix(make_tree(), 7, base=5) == [Interval(5, 6), Interval(7, 7)]
 
 
 def test_prefix_decomposition_empty_prefix():
-    tree = make_tree(1, 8)
-    assert tree.decompose_prefix(0) == []
-    tree5 = make_tree(5, 4)
-    assert tree5.decompose_prefix(4) == []
+    tree = make_tree()
+    assert decompose_prefix(tree, 0) == []
+    assert decompose_prefix(tree, 4, base=5) == []
+    assert filled_tree(8).prefix_value(4, base=5) == 0.0
 
 
 def test_prefix_decomposition_range_errors():
-    tree = make_tree(1, 8)
+    tree = filled_tree(8)
     with pytest.raises(ValueError):
-        tree.decompose_prefix(9)
+        decompose_prefix(tree, -1)
     with pytest.raises(ValueError):
-        tree.decompose_prefix(-1)
+        decompose_prefix(tree, 8, base=3)  # [3, 8] is not in an aligned block
+    with pytest.raises(ValueError):
+        tree.prefix_value(8, base=3)
+    with pytest.raises(ValueError):
+        tree.prefix_value(9)  # leaf 9 was never created
 
 
 def test_path_intervals_examples():
-    tree = make_tree(1, 4)
-    assert tree.path_intervals(3) == [Interval(3, 3), Interval(3, 4), Interval(1, 4)]
-    tree8 = make_tree(1, 8)
-    spine = tree8.path_intervals(1)
+    assert path_intervals(3, 3) == [Interval(3, 3), Interval(3, 4), Interval(1, 4)]
+    spine = path_intervals(1, 4)
     assert len(spine) == 4
     assert all(iv.l == 1 for iv in spine)
 
 
 def test_path_intervals_length_is_height():
     for size in (1, 2, 8, 64):
-        tree = make_tree(1, size)
+        height = size.bit_length()
         for i in (1, size):
-            assert len(tree.path_intervals(i)) == tree.height
+            assert len(path_intervals(i, height)) == height
     with pytest.raises(ValueError):
-        make_tree(1, 4).path_intervals(5)
+        path_intervals(5, 3)
+
+
+def test_add_path_touches_exactly_the_path():
+    for size in (1, 2, 8, 64):
+        height = size.bit_length()
+        for i in (1, size // 2 + 1, size):
+            tree = make_tree()
+            tree.add_path(i, 1.0, height)
+            assert tree.height == height
+            touched = {key for key, c in tree.counters().items() if c}
+            assert touched == {node_of(iv) for iv in path_intervals(i, height)}
 
 
 def test_is_left_node_examples():
-    tree = make_tree(1, 8)
-    assert tree.is_left_node(Interval(1, 2))
-    assert not tree.is_left_node(Interval(7, 8))
-    assert not tree.is_left_node(Interval(1, 8))  # root convention
+    assert is_left_node(Interval(1, 2), 4)
+    assert not is_left_node(Interval(7, 8), 4)
+    assert not is_left_node(Interval(1, 8), 4)  # root convention
     with pytest.raises(ValueError):
-        tree.is_left_node(Interval(2, 3))  # unaligned
+        is_left_node(Interval(2, 3), 4)  # unaligned
     with pytest.raises(ValueError):
-        tree.is_left_node(Interval(1, 3))  # not a power-of-two length
+        is_left_node(Interval(1, 3), 4)  # not a power-of-two length
 
 
 def test_grow_double_unit_carry_copies_prefix_sum():
-    tree = make_tree(1, 4)
-    tree.add(3, 0, 3.0)  # root [1,4] accumulator = 3
-    tree.grow_double(1.0)
-    assert tree.size == 8
-    assert tree.c0_at(4, 0) == 3.0
+    tree = filled_tree(4)  # root [1,4] accumulator = 4
+    tree.carry(4, 1.0)
+    assert tree.height == 4
+    assert c0_at(tree, 4, 0) == 4.0
 
 
 def test_grow_double_weighted_carry():
-    tree = make_tree(1, 4)
+    tree = make_tree()
     tree.add(3, 0, 2.0)
-    tree.grow_double(0.5**4)
-    assert tree.c0_at(4, 0) == pytest.approx(0.125, abs=1e-15)
+    tree.carry(4, 0.5**4)
+    assert c0_at(tree, 4, 0) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_grow_double_doubling_sequence():
-    tree = make_tree(1, 1)
-    for step in range(2, 10):  # 9 updates total; grow whenever the tree is full
-        if tree.size == step - 1:
-            tree.grow_double(1.0)
-    assert tree.size == 16
+    # 9 updates on a growing tree; it doubles whenever it is full
+    tree = make_tree()
+    for i in range(1, 10):
+        off = i - 1
+        height = off.bit_length() + 1
+        if off and not off & (off - 1):
+            tree.carry(height, 1.0)
+        tree.add_path(i, 1.0, height)
+    assert tree.height == 5  # the tree over [1, 16]
+    assert c0_at(tree, 5, 0) == 9.0
 
 
 def test_grow_double_requires_base_one():
-    tree = make_tree(5, 4)
+    # a growing tree is based at position 1: the carry reads the root [1, 2]
+    # one level below, which must be live
     with pytest.raises(ValueError):
-        tree.grow_double(1.0)
+        make_tree().carry(2, 1.0)
     with pytest.raises(ValueError):
-        make_tree(1, 4).grow_double(-1.0)
+        filled_tree(4).carry(4, -1.0)
 
 
-def _check_tiling(tree, base, u):
-    parts = tree.decompose_prefix(u, base=base)
+def _check_tiling(tree, base, u, height):
+    parts = decompose_prefix(tree, u, base)
     # disjoint, sorted, exact cover
     covered = []
     for iv in parts:
@@ -122,49 +155,78 @@ def _check_tiling(tree, base, u):
         assert len(parts) <= max(1, (n - 1).bit_length())
     # every interval after the first is a left node
     for iv in parts[1:]:
-        assert tree.is_left_node(iv)
+        assert is_left_node(iv, height)
 
 
 def test_prefix_decomposition_tiling_exhaustive():
+    tree = make_tree()
     for h in range(0, 11):
         size = 1 << h
-        tree = make_tree(1, size)
         for u in range(0, size + 1):
-            _check_tiling(tree, 1, u)
+            _check_tiling(tree, 1, u, h + 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=12), st.data())
 def test_prefix_decomposition_tiling_with_block_bases(h, data):
     size = 1 << h
-    tree = make_tree(1, size)
     block = 1 << data.draw(st.integers(min_value=0, max_value=h))
     k = data.draw(st.integers(min_value=0, max_value=size // block - 1))
     base = 1 + k * block
     u = data.draw(st.integers(min_value=base - 1, max_value=base + block - 1))
-    _check_tiling(tree, base, u)
+    _check_tiling(make_tree(), base, u, h + 1)
+
+
+def test_prefix_value_sums_published_tiles():
+    tree = filled_tree(64, noisy=True, seed=4, scale=2.0)
+    for block in (1, 4, 16, 64):
+        for base in range(1, 65, block):
+            for u in range(base - 1, base + block):
+                want = 0.0
+                for level, index, _ in tree.decompose_nodes(u, base):
+                    want += tree.published(level, index)
+                assert tree.prefix_value(u, base) == want
+
+
+def test_prefix_cursor_matches_prefix_value_bit_for_bit():
+    tree = filled_tree(64, noisy=True, seed=5, scale=3.0)
+    for base, size in ((1, 64), (17, 16), (33, 32), (49, 8)):
+        cursor = PrefixCursor(tree, base)
+        for u in range(base, base + size):
+            assert cursor.advance() == tree.prefix_value(u, base)
+    cursor = PrefixCursor(tree, 3)
+    assert [cursor.advance() for _ in range(3)] == [
+        tree.prefix_value(3, 3),
+        tree.prefix_value(4, 3),
+        tree.published(2, 1) + tree.published(1, 4),  # [3, 4] + [5, 5]
+    ]
+    with pytest.raises(ValueError):
+        cursor.advance()  # [3, 6] would need a length-4 node ending at 6
 
 
 def test_noise_frozen_under_updates():
-    rng = RandomSource(11)
-    tree = DyadicTree(1, 64, rng, lambda level: 2.0, noisy=True)
-    stamped = {}
-    for i in range(1, 65):
-        for k, iv in enumerate(tree.path_intervals(i), 1):
-            level, index = k, (i - 1) >> (k - 1)
-            value = tree.published(level, index)
-            stamped.setdefault((level, index), value - tree.c0_at(level, index))
+    tree = filled_tree(64, noisy=True, seed=11, scale=2.0, x=0.0)
+    stamped = frozen_noise(tree)
+    assert len(stamped) == 127  # every node of the tree over [1, 64]
     gen = RandomSource(12)
     for _ in range(10**4):
         i = int(gen.uniform() * 64) + 1
-        off = i - 1
-        for level in range(1, tree.height + 1):
-            tree.add(level, off >> (level - 1), gen.uniform())
+        tree.add_path(i, gen.uniform(), tree.height)
+    assert frozen_noise(tree) == stamped
     for (level, index), z in stamped.items():
         # the stored noise is bit-identical to its creation-time draw and the
         # published value is always recomposed as c0 + z
-        assert tree._z[(level, index)] == z
-        assert tree.published(level, index) == tree.c0_at(level, index) + z
+        assert tree.published(level, index) == c0_at(tree, level, index) + z
+
+
+def test_node_noise_is_drawn_in_creation_order():
+    # z depends only on the order in which nodes are created, not on values
+    a = make_tree(noisy=True, seed=13)
+    b = make_tree(noisy=True, seed=13)
+    for i in range(1, 33):
+        a.add_path(i, 0.0, 6)
+        b.add_path(i, 1.0 if i % 3 else 0.5, 6)
+    assert frozen_noise(a) == frozen_noise(b)
 
 
 def test_left_ancestor_gaps_grow_geometrically():
@@ -172,21 +234,19 @@ def test_left_ancestor_gaps_grow_geometrically():
     # past i; exhaustive over tree heights up to 10
     for h in range(1, 11):
         size = 1 << (h - 1)
-        tree = make_tree(1, size)
         for i in range(1, size + 1):
-            lefts = [iv for iv in tree.path_intervals(i) if tree.is_left_node(iv)]
+            lefts = [iv for iv in path_intervals(i, h) if is_left_node(iv, h)]
             lefts.sort(key=lambda iv: iv.u - iv.l)
             for k, iv in enumerate(lefts, 1):
                 assert iv.u - i >= 2 ** (k - 1) - 1
 
 
 def test_eviction_drops_covered_nodes_only():
-    tree = make_tree(1, 8, noisy=True, seed=3)
-    for i in range(1, 9):
-        off = i - 1
-        for level in range(1, tree.height + 1):
-            tree.add(level, off >> (level - 1), 1.0)
-    tree.evict_covered(4)
+    tree = filled_tree(8, noisy=True, seed=3)
+    # watermark 4: a level-k node is covered once its parent ends by step 4,
+    # i.e. below index 2 * (4 >> k)
+    for level in range(1, tree.height):
+        tree.evict_covered(level, 2 * (4 >> level))
     live = tree.live_nodes()
     # everything strictly below [1,4] is covered and gone; [1,4] itself, the
     # right half and the root survive
@@ -194,10 +254,25 @@ def test_eviction_drops_covered_nodes_only():
     assert {(3, 0), (1, 4), (2, 2), (3, 1), (4, 0)} <= live
 
 
+def test_evicted_and_uncreated_nodes_raise():
+    tree = filled_tree(8, noisy=True, seed=3)
+    tree.evict_covered(1, 4)
+    for level, index in ((1, 3), (1, 0), (1, 8), (5, 0), (0, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            tree.published(level, index)
+    with pytest.raises(ValueError):
+        tree.prefix_value(3)  # tiles [1, 2] and [3, 3]; leaf 3 is gone
+    with pytest.raises(ValueError):
+        tree.add_path(2, 1.0, 1)
+    with pytest.raises(ValueError):
+        tree.add(1, 3, 1.0)
+
+
 def test_published_value_is_sum_of_c0_and_frozen_noise():
-    tree = make_tree(1, 4, noisy=True, seed=9, scale=3.0)
+    tree = make_tree(noisy=True, seed=9, scale=3.0)
+    tree.add(1, 0, 0.0)
     v1 = tree.published(1, 0)
     tree.add(1, 0, 2.5)
     assert tree.published(1, 0) == v1 + 2.5
-    node = tree.node(Interval(1, 1))
-    assert node.value == node.c0 + node.z
+    view = node(tree, Interval(1, 1))
+    assert view.value == view.c0 + view.z

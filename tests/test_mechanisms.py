@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from dyadic_reference import Interval, node
 
-from decaystream.dyadic import Interval
 from decaystream.mechanisms import (
     AllWindowSum,
     DecaySpec,
@@ -81,7 +81,7 @@ def test_window_estimate_composes_block_counters():
     est = None
     for x in xs:
         est = w.push(float(x))
-    val = lambda l, u: sum(w.node(Interval(l, u)))
+    val = lambda l, u: node(w._tree, Interval(l, u)).value
     assert est == pytest.approx(
         val(1, 4) - (val(1, 2) + val(3, 3)) + (val(5, 6) + val(7, 7)), abs=1e-12
     )
@@ -106,9 +106,12 @@ def test_window_keeps_two_blocks():
     w = WindowSum(8, 1.0, RandomSource(1))
     for _ in range(100):
         w.push(1.0)
-    blocks = w.counters()
-    assert len(blocks) == 2
-    assert all(len(arr) == 2 * 8 for arr in blocks.values())
+    per_block = {}
+    for level, index in w.counters():
+        blk = (index << (level - 1)) // 8
+        per_block[blk] = per_block.get(blk, 0) + 1
+    assert len(per_block) == 2
+    assert all(n <= 2 * 8 - 1 for n in per_block.values())  # one block's nodes
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,7 @@ def test_allwindow_tree_doubles_with_stream():
     aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
     for _ in range(3):
         aw.push(1.0)
-    assert aw._tree.size == 4
+    assert aw._tree.height == 3  # the tree over [1, 4]
     assert aw.counters()[(3, 0)] == 3.0  # root accumulator via carry + adds
 
 
@@ -458,3 +461,57 @@ def test_decay_spec_validation_and_weights():
     assert DecaySpec.polynomial(2.0, 0.5).weight(2) == pytest.approx(1 / 9)
     assert DecaySpec.running().cumulative(7) == 7.0
     assert DecaySpec.window(3).cumulative(10) == 3.0
+
+
+def test_factory_passes_schedule_to_fixed_window_view():
+    # a two-level schedule is exhausted once the tree needs a third level
+    short = PrivacyBudget(1.0, level_schedule=(0.5, 0.25))
+    for decay in (DecaySpec.window(6), DecaySpec.running()):
+        mech = make_mechanism(decay, short, RandomSource(0))
+        mech.push(1.0)
+        mech.push(1.0)
+        with pytest.raises(ValueError, match="level schedule"):
+            mech.push(1.0)
+
+
+def test_factory_rejects_schedule_without_levels():
+    budget = PrivacyBudget(1.0, level_schedule=(0.5, 0.25))
+    for decay in (
+        DecaySpec.window(8),
+        DecaySpec.exponential(0.9),
+        DecaySpec.polynomial(2.0, 0.5),
+    ):
+        with pytest.raises(ValueError, match="level schedule"):
+            make_mechanism(decay, budget, RandomSource(0))
+
+
+def test_noise_does_not_depend_on_the_data():
+    # under one seed, noisy minus noise-off output is the same sequence on
+    # two neighbouring streams: every node's noise draw is data-independent
+    from decaystream.baselines import RunningDiffBaseline
+
+    factories = {
+        "window": lambda noisy: WindowSum(8, 1.0, RandomSource(1), noisy=noisy),
+        "padded window": lambda noisy: WindowSum(
+            5, 1.0, RandomSource(2), counter_scale=3.0, noisy=noisy
+        ),
+        "fixed view": lambda noisy: FixedWindowView(6, 1.0, RandomSource(3), noisy=noisy),
+        "running": lambda noisy: RunningSum(1.0, RandomSource(4), noisy=noisy),
+        "exponential": lambda noisy: ExponentialSum(0.9, 1.0, RandomSource(5), noisy=noisy),
+        "polynomial": lambda noisy: PolynomialSum(
+            2.0, 0.5, 1.0, RandomSource(6), noisy=noisy
+        ),
+        "running diff": lambda noisy: RunningDiffBaseline(
+            8, 200, 1.0, RandomSource(7), noisy=noisy
+        ),
+    }
+    xs = random_stream(10, 200)
+    for pos in (0, 37, 199):
+        ys = list(xs)
+        ys[pos] = 1.0 - ys[pos]
+        for name, make in factories.items():
+            noise = []
+            for stream in (xs, ys):
+                noisy, exact = make(True), make(False)
+                noise.append([noisy.push(x) - exact.push(x) for x in stream])
+            assert noise[0] == pytest.approx(noise[1], abs=1e-9), (name, pos)

@@ -127,3 +127,29 @@ def test_privacy_budget_schedule_validation():
         PrivacyBudget(0.0)
     with pytest.raises(ValueError):
         PrivacyBudget(1.0, gamma=1.5)
+
+
+class _ZeroFirstGenerator:
+    """Stands in for numpy's generator: uniform draws 0.0, 0.75, 0.0, 0.75, ..."""
+
+    def random(self, n):
+        return np.resize(np.array([0.0, 0.75]), n)
+
+
+def test_uniform_zero_maps_to_the_median_in_both_samplers():
+    scalar = RandomSource(0)
+    scalar._gen = _ZeroFirstGenerator()
+    vector = RandomSource(0)
+    vector._gen = _ZeroFirstGenerator()
+    want = [0.0, laplace_from_uniform(0.25, 2.0)]
+    assert [scalar.laplace(2.0), scalar.laplace(2.0)] == want
+    assert vector.laplace_vector(2.0, 2).tolist() == want
+
+
+def test_laplace_from_uniform_is_elementwise():
+    u = np.array([-0.3, 0.0, 0.1, 0.49])
+    out = laplace_from_uniform(u, 1.5)
+    assert isinstance(out, np.ndarray)
+    assert out.tolist() == [laplace_from_uniform(float(v), 1.5) for v in u]
+    with pytest.raises(ValueError):
+        laplace_from_uniform(np.array([0.0, 0.5]), 1.0)
