@@ -50,7 +50,6 @@ from .mechanisms import (
     exp_decay_sensitivity,
     make_mechanism,
     poly_breakpoint,
-    poly_decay_sensitivity,
 )
 from .noise import (
     LaplaceScale,
@@ -100,7 +99,6 @@ __all__ = [
     "level_epsilons",
     "make_mechanism",
     "poly_breakpoint",
-    "poly_decay_sensitivity",
     "reference_delta",
     "rr_epsilon_of_flip",
     "rr_flip_parameter",

@@ -11,6 +11,7 @@ orientation only, never asserted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +20,7 @@ from .mechanisms import (
     _TINY_WEIGHT,
     DecaySpec,
     exp_decay_sensitivity,
-    poly_breakpoint,
-    poly_decay_sensitivity,
+    poly_bands,
 )
 from .noise import level_epsilons
 
@@ -109,9 +109,31 @@ def worst_noise_profile(
     window: one previous-block total plus two partial-prefix tilings of up to
     log2(W) nodes each, all of scale (log2 W + 1)/eps.  exponential: one node
     per level with effective scale (lam/eps) * alpha**(2**m - 1).  running:
-    one node per level with the per-level schedule scales.  polynomial: the
-    window profile of every live band child at the horizon, uniform scale
-    lam/eps.
+    one node per level with the per-level schedule scales.
+
+    polynomial: the estimate at step i is ``sum_t w_t * query(e_t, W_t)`` on
+    one all-window tree (default schedule, level-k scale s_k = 1/eps_k), over
+    the bands t reached by the horizon, with ``e_t = i - lag_t``, so
+    ``e_{t+1} = e_t - W_t``.  Every tiling in a query starts at a position
+    aligned to a multiple of its block ``W_t' = 2**ceil(log2 W_t)``, so its
+    level-k node, if any, is the aligned node N_k(e) of length L = 2**(k-1)
+    that ends at ``L * floor(e / L)``, e being the tiling's end.  Query t
+    therefore reads +N_k(e_t) (its current-block tiling, or the previous
+    block's total, which is N_k(e_t) at the block level) and -N_k(e_{t+1})
+    (its second tiling), at most once each per level, and only at levels
+    with L <= W_t', i.e. 2 W_t > L; the oldest band's running prefix ends at
+    e_t <= W_t and obeys the same level limit.  Grouping the reads by end,
+    the noise is ``sum_k sum_t c_tk z(N_k(e_t))`` with
+    ``|c_tk| <= v_tk = max(w_t [2 W_t > L], w_{t-1} [2 W_{t-1} > L])``, as the
+    two weights enter with opposite signs.  Several ends can share one node:
+    the node's coefficient is the sum of theirs, and treating them as
+    independent terms would understate the variance.  The ends sharing a
+    node lie within L - 1 positions, so charging each node to its youngest
+    end t bounds its coefficient by ``G_tk = sum v_uk`` over the bands u with
+    ``0 <= lag_u - lag_t < L``.  One term of scale ``G_tk * s_k`` per (t, k)
+    with ``v_tk > 0`` then bounds both the sum of squared node scales and
+    the largest one, which is all :func:`laplace_tail` uses, at every step up
+    to the horizon.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -132,21 +154,29 @@ def worst_noise_profile(
             m += 1
         return NoiseProfile(tuple(scales) or (base,))
     if decay.kind == "polynomial":
-        lam = poly_decay_sensitivity(decay.c, decay.beta)
-        scale = lam / epsilon
         T = horizon or 1 << 20
-        terms = 1  # age-0 child
-        prev = 0
-        j = 1
-        while prev <= T - 2:
-            b = poly_breakpoint(decay.c, decay.beta, j)
-            if b > prev:
-                W = b - prev
-                logw = (W - 1).bit_length()
-                terms += 2 * logw + 1
-                prev = b
-            j += 1
-        return NoiseProfile((scale,) * terms)
+        bands = list(itertools.takewhile(lambda band: band[0] < T, poly_bands(decay.c, decay.beta)))
+        lags = [lag for lag, _, _ in bands]
+        height = (max(W for _, W, _ in bands) - 1).bit_length() + 1
+        scales = []
+        for k, eps_k in enumerate(level_epsilons(epsilon, 2.0, height), 1):
+            L = 1 << (k - 1)
+            v = []
+            prev = 0.0  # weight of the next younger band if it reads level k
+            for _, W, w in bands:
+                own = w if 2 * W > L else 0.0
+                v.append(max(own, prev))
+                prev = own
+            # mass of v from band t on, summed oldest first so that a small
+            # weight is not lost next to a large one
+            mass = list(itertools.accumulate(reversed(v), initial=0.0))[::-1]
+            end = 0
+            for t, lag in enumerate(lags):
+                while end < len(lags) and lags[end] - lag < L:
+                    end += 1
+                if v[t]:
+                    scales.append((mass[t] - mass[end]) / eps_k)
+        return NoiseProfile(tuple(scales))
     # running sum: one node per level of the grown tree
     T = horizon or 1 << 20
     h = (1 << (max(T - 1, 1)).bit_length()).bit_length()

@@ -30,11 +30,7 @@ from .bounds import (
     worst_noise_profile,
 )
 from .extensions import DecayedHistogram
-from .mechanisms import (
-    DecaySpec,
-    exp_decay_sensitivity,
-    poly_decay_sensitivity,
-)
+from .mechanisms import DecaySpec, exp_decay_sensitivity
 from .noise import RandomSource, level_epsilons
 
 USAGE_EXIT = 2
@@ -233,22 +229,19 @@ def cmd_bound(args) -> int:
         r = decay.alpha / (1.0 - decay.alpha)
         branch = "log2(range) >= log2(1/gamma)" if math.log2(r) >= math.log2(1.0 / gamma) \
             else "log2(range) < log2(1/gamma)"
-    elif decay.kind == "polynomial":
-        lam = poly_decay_sensitivity(decay.c, decay.beta)
-        rows.append(("sensitivity", lam))
-        rows.append(("counter_scale", lam / eps))
-        t = math.log2(1.0 / (1.0 - decay.beta)) / (decay.c * decay.beta**2)
-        branch = "band term >= log2(1/gamma)" if t >= math.log2(1.0 / gamma) \
-            else "band term < log2(1/gamma)"
     else:
-        # allwindow / running: per-level schedule
-        sched_beta = args.beta if args.beta is not None else 2.0
+        # allwindow / running / poly: per-level schedule (poly's all-window
+        # tree has the default one; its --beta is the band slack)
+        poly = decay.kind == "polynomial"
+        sched_beta = 2.0 if poly or args.beta is None else args.beta
         h = (1 << max(args.T - 1, 1).bit_length()).bit_length()
         eps_k = level_epsilons(eps, sched_beta, h)
         rows.append(("sensitivity_per_level", 1.0))
         for k, e in enumerate(eps_k, 1):
             rows.append((f"level_{k}_scale", 1.0 / e))
         branch = "per-level budgets eps_k = eps / (zeta(beta) k**beta)"
+        if poly:
+            branch += "; bands are post-processing of the all-window tree"
     if args.mech == "allwindow":
         profile = allwindow_query_profile(eps, args.T)
     elif args.mech == "running":

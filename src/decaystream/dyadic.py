@@ -12,7 +12,7 @@ Every tree is a view of this store, chosen by its caller:
 * growing trees (running, all-window and exponential sums) use the subtree
   rooted at ``[1, 2**(h-1)]`` and, when it fills up, seed the next root with
   the old one (:meth:`DyadicTree.carry`);
-* window trees use aligned subtrees of ``S`` leaves as blocks;
+* window trees use aligned subtrees of ``W`` leaves as blocks;
 * the prefix-difference baseline uses one subtree spanning its horizon.
 
 Storage is level-indexed and append-only: each level keeps a list of ``c0``,

@@ -15,8 +15,9 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
   each node holds the discounted sum of its interval, only left nodes and the
   current root are updated, and stale nodes are evicted to keep one node per
   level.
-* :class:`PolynomialSum` -- power-law discounted sum approximated by a bank
-  of lagged, geometrically scaled window estimators; the noise-free output
+* :class:`PolynomialSum` -- power-law discounted sum approximated by
+  geometrically weighted window queries over age bands, all answered by one
+  :class:`AllWindowSum` (post-processing of its tree); the noise-free output
   F' satisfies (1 - beta) * F <= F' <= F.
 
 ``RunningSum`` (undiscounted prefix sum) is the degenerate window query on
@@ -140,19 +141,6 @@ def exp_decay_sensitivity(alpha: float) -> float:
     )
 
 
-def poly_decay_sensitivity(c: float, beta: float) -> float:
-    """Worst-case L1 counter change across the window-estimator bank.
-
-    log2(1 / (1 - beta)) / (c * beta**2) + 1 / beta; the logarithm is base 2
-    because it counts dyadic tree levels.
-    """
-    if not c > 1.0:
-        raise ValueError(f"c must exceed 1, got {c}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    return math.log2(1.0 / (1.0 - beta)) / (c * beta * beta) + 1.0 / beta
-
-
 # ---------------------------------------------------------------------------
 # window sum
 
@@ -160,13 +148,10 @@ def poly_decay_sensitivity(c: float, beta: float) -> float:
 class WindowSum:
     """Private sliding-window sum on aligned blocks of one dyadic store.
 
-    W must be a power of two unless ``counter_scale`` overrides the default
-    per-counter noise scale ``(log2 W + 1) / epsilon`` (the decayed-sum
-    composition relies on arbitrary W with an externally supplied scale).
-    Block b holds positions ``b*W + 1 .. (b+1)*W`` as the aligned subtree of
-    ``S = 2**ceil(log2 W)`` leaves that starts after store position ``b*S``;
-    when W < S the last ``S - W`` leaves of each block are padding that no
-    update touches.  Only the current and the previous block are retained.
+    W must be a power of two; every counter carries Laplace noise of scale
+    ``(log2 W + 1) / epsilon``.  Block b holds positions ``b*W + 1 ..
+    (b+1)*W`` as one aligned subtree of the store.  Only the current and the
+    previous block are retained.
     """
 
     def __init__(
@@ -175,31 +160,23 @@ class WindowSum:
         epsilon: float,
         rng: RandomSource,
         *,
-        counter_scale: float | None = None,
         noisy: bool = True,
-        retain_all: bool = False,
     ):
         if W < 1:
             raise ValueError(f"window size must be >= 1, got {W}")
         if not epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if counter_scale is None:
-            if W & (W - 1):
-                raise ValueError(
-                    f"window size {W} is not a power of two; use AllWindowSum "
-                    "for arbitrary window sizes"
-                )
-            counter_scale = (math.log2(W) + 1.0) / epsilon
+        if W & (W - 1):
+            raise ValueError(
+                f"window size {W} is not a power of two; use AllWindowSum "
+                "for arbitrary window sizes"
+            )
         self.W = W
         self.epsilon = epsilon
-        self.counter_scale = counter_scale
+        self.counter_scale = scale = (math.log2(W) + 1.0) / epsilon
         self.noisy = noisy
-        self._S = 1 << (W - 1).bit_length()
-        self._h = self._S.bit_length()  # levels of one block subtree
-        self._tree = DyadicTree(rng, lambda _level: counter_scale, noisy)
-        # retain_all keeps every block so sensitivity audits can diff the
-        # complete counter vector; never used on the live estimation path
-        self._evict = not retain_all
+        self._h = W.bit_length()  # levels of one block subtree
+        self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         self._prev_total = 0.0  # published sum of the previous (complete) block
         self._cur = PrefixCursor(self._tree)  # current-block prefixes
         self._prev: PrefixCursor | None = None  # previous-block prefixes
@@ -212,20 +189,19 @@ class WindowSum:
         i = self.i + 1
         self.i = i
         W = self.W
-        S = self._S
         tree = self._tree
         blk, off = divmod(i - 1, W)
-        start = blk * S  # store position just before the block's first leaf
+        start = blk * W  # store position just before the block's first leaf
         if off == 0 and blk:
-            prev = start - S
-            self._prev_total = tree.prefix_value(prev + W, prev + 1)
-            if self._evict and blk > 1:
+            prev = start - W
+            self._prev_total = tree.prefix_value(start, prev + 1)
+            if blk > 1:
                 for level in range(1, self._h + 1):
                     tree.evict_covered(level, prev >> (level - 1))
             self._prev = PrefixCursor(tree, prev + 1)
             self._cur = PrefixCursor(tree, start + 1)
         p = off + 1
-        tree.add_path(start + p, x, self._h)
+        tree.add_path(i, x, self._h)
         # current-block prefix plus the previous block's suffix p+1..W
         est = self._cur.advance()
         if blk and p < W:
@@ -381,7 +357,12 @@ class RunningSum:
 class FixedWindowView:
     """Streaming adapter: AllWindowSum queried at one window size per step.
 
-    This is the route for window sizes that are not powers of two.
+    This is the route for window sizes that are not powers of two.  A query
+    at step i reads only nodes inside the aligned block of ``W' =
+    2**ceil(log2 W)`` positions holding i and the block before it, so when a
+    block starts, every node that ended before the previous block is
+    evicted: about ``2 * (2 W' - 1)`` counters stay live, plus at most two
+    per higher level.
     """
 
     def __init__(
@@ -398,6 +379,7 @@ class FixedWindowView:
             raise ValueError(f"window size must be >= 1, got {W}")
         self.W = W
         self.epsilon = epsilon
+        self._Wp = 1 << (W - 1).bit_length()
         self._aw = AllWindowSum(
             epsilon,
             rng,
@@ -411,8 +393,19 @@ class FixedWindowView:
         return self._aw.step
 
     def push(self, x: float) -> float:
-        self._aw.push(x)
-        return self._aw.query(self._aw.step, self.W)
+        aw = self._aw
+        aw.push(x)  # a doubling reads the old root, which ends at step - 1
+        i = aw.step
+        Wp = self._Wp
+        off = i - 1
+        if off >= 2 * Wp and not off % Wp:
+            # a block starts: drop the nodes ending at or before the position
+            # just before the previous block
+            drop = off - Wp
+            tree = aw._tree
+            for level in range(1, tree.height + 1):
+                tree.evict_covered(level, drop >> (level - 1))
+        return aw.query(i, self.W)
 
     def counters(self):
         return self._aw.counters()
@@ -441,7 +434,6 @@ class ExponentialSum:
         rng: RandomSource,
         *,
         noisy: bool = True,
-        evict: bool = True,
     ):
         self.lam = exp_decay_sensitivity(alpha)  # validates alpha in (2/3, 1)
         if not epsilon > 0.0:
@@ -449,7 +441,6 @@ class ExponentialSum:
         self.alpha = alpha
         self.epsilon = epsilon
         self.counter_scale = scale = self.lam / epsilon
-        self._evict = evict
         self.step = 0
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
 
@@ -479,13 +470,12 @@ class ExponentialSum:
         for level, idx, right in tree.decompose_nodes(i):
             w = alpha ** (i - right)
             est += tree.published(level, idx) * w
-        if self._evict:
-            # a level-k node is dead once its parent has ended, i.e. below
-            # index 2 * (i >> k); that bound moves only when 2**k divides i
-            k = 1
-            while k < height and not i & ((1 << k) - 1):
-                tree.evict_covered(k, 2 * (i >> k))
-                k += 1
+        # a level-k node is dead once its parent has ended, i.e. below
+        # index 2 * (i >> k); that bound moves only when 2**k divides i
+        k = 1
+        while k < height and not i & ((1 << k) - 1):
+            tree.evict_covered(k, 2 * (i >> k))
+            k += 1
         return est
 
     def live_node_count(self) -> int:
@@ -512,25 +502,35 @@ def poly_breakpoint(c: float, beta: float, j: int) -> int:
     return math.floor((1.0 - beta) ** (-j / c)) - 1
 
 
-class _PolyChild:
-    __slots__ = ("lag", "scale", "win")
+def poly_bands(c: float, beta: float):
+    """Yield the bands ``(lag, W, weight)`` of the polynomial estimator.
 
-    def __init__(self, lag: int, scale: float, win: WindowSum):
-        self.lag = lag
-        self.scale = scale
-        self.win = win
+    Age 0 comes first as ``(0, 1, 1.0)``; band j covers the ages
+    ``(b(j-1), b(j)]`` with weight ``(1-beta)**j``, where b is
+    :func:`poly_breakpoint`.  Empty bands (b(j) = b(j-1)) are skipped, so lags
+    increase and the bands tile every age.  The sequence is infinite.
+    """
+    yield 0, 1, 1.0
+    prev = 0
+    j = 1
+    while True:
+        b = poly_breakpoint(c, beta, j)
+        if b > prev:
+            yield prev + 1, b - prev, (1.0 - beta) ** j
+            prev = b
+        j += 1
 
 
 class PolynomialSum:
-    """Private power-law discounted sum via a bank of window estimators.
+    """Private power-law discounted sum as post-processing of one tree.
 
     Ages are grouped into bands (b(j-1), b(j)] on which the weight
-    (age + 1)**-c is within a (1-beta) factor of (1-beta)**j; band j is
-    served by a window estimator of size b(j) - b(j-1) fed the raw stream
-    lagged by b(j-1) + 1 and scaled by (1-beta)**j, plus one undelayed
-    size-1 estimator for age 0.  Empty bands (b(j) = b(j-1)) spawn nothing.
-    Every counter in every child uses the same noise scale lambda/epsilon
-    where lambda = poly_decay_sensitivity(c, beta).
+    (age + 1)**-c is within a (1-beta) factor of (1-beta)**j
+    (:func:`poly_bands`).  At step i the estimate is the sum over the bands
+    reached so far of ``weight * query(i - lag, W)`` on one
+    :class:`AllWindowSum` with the default level schedule, so the estimator
+    is private by post-processing of that tree: one update changes one
+    counter per level by at most 1, and the level budgets sum to epsilon.
 
     The noise-free output F' satisfies (1-beta) F <= F' <= F for the true
     discounted sum F.
@@ -544,75 +544,43 @@ class PolynomialSum:
         rng: RandomSource,
         *,
         noisy: bool = True,
-        retain_all: bool = False,
     ):
-        self.lam = poly_decay_sensitivity(c, beta)
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not c > 1.0:
+            raise ValueError(f"c must exceed 1, got {c}")
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {beta}")
         self.c = c
         self.beta = beta
         self.epsilon = epsilon
-        self.counter_scale = self.lam / epsilon
-        self.noisy = noisy
-        self._rng = rng
-        self._retain_all = retain_all
-        self.step = 0
-        self._buffer: list[float] = []
-        self._children = [
-            _PolyChild(0, 1.0, self._make_window(1, 0))
-        ]  # age 0, weight 1
-        self._next_j = 1
-        self._prev_b = 0  # b(j - 1) of the next band to consider
+        self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
+        self._next_band = poly_bands(c, beta)
+        self._bands = [next(self._next_band)]  # reached so far
+        self._waiting = next(self._next_band)  # first band not reached yet
 
-    def _make_window(self, W: int, child_id: int) -> WindowSum:
-        return WindowSum(
-            W,
-            self.epsilon,
-            self._rng.child(child_id),
-            counter_scale=self.counter_scale,
-            noisy=self.noisy,
-            retain_all=self._retain_all,
-        )
+    @property
+    def step(self) -> int:
+        return self._aw.step
 
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"update must lie in [0, 1], got {x}")
-        i = self.step + 1
-        self.step = i
-        self._buffer.append(x)
-        # spawn the estimator for every band whose first lagged input exists
-        while i - (self._prev_b + 1) >= 1:
-            j = self._next_j
-            b = poly_breakpoint(self.c, self.beta, j)
-            self._next_j += 1
-            if b > self._prev_b:
-                self._children.append(
-                    _PolyChild(
-                        self._prev_b + 1,
-                        (1.0 - self.beta) ** j,
-                        self._make_window(b - self._prev_b, j),
-                    )
-                )
-                self._prev_b = b
-        buf = self._buffer
+        aw = self._aw
+        aw.push(x)
+        i = aw.step
+        while self._waiting[0] < i:  # its youngest age now has an update
+            self._bands.append(self._waiting)
+            self._waiting = next(self._next_band)
         est = 0.0
-        for child in self._children:
-            t = i - child.lag
-            if t >= 1:
-                est += child.win.push(child.scale * buf[t - 1])
+        for lag, W, weight in self._bands:
+            est += weight * aw.query(i - lag, W)
         return est
 
     def child_windows(self) -> list[int]:
-        return [ch.win.W for ch in self._children]
+        """Window sizes of the bands reached so far, age 0 first."""
+        return [W for _, W, _ in self._bands]
 
-    def counters(self) -> dict[tuple[int, int, int], float]:
-        """Every child's counters, keyed (child, level, index)."""
-        return {
-            (ci,) + key: c
-            for ci, ch in enumerate(self._children)
-            for key, c in ch.win.counters().items()
-        }
+    def counters(self) -> dict[tuple[int, int], float]:
+        """The all-window tree's noiseless accumulators, keyed (level, index)."""
+        return self._aw.counters()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from decaystream.mechanisms import (
     RunningSum,
     WindowSum,
     exp_decay_sensitivity,
-    poly_decay_sensitivity,
 )
 from decaystream.noise import RandomSource, level_epsilons, zeta
 
@@ -123,10 +122,17 @@ def _counter_l1(a, b):
 
 
 def _run_counters(factory, xs):
+    """Every counter the run created, at its final value.
+
+    Merging the live counters after every push keeps the evicted ones: a
+    node is evicted only after its interval has ended, so its value is final.
+    """
     mech = factory()
+    seen = {}
     for x in xs:
         mech.push(x)
-    return mech.counters()
+        seen.update(mech.counters())
+    return seen
 
 
 def test_criterion_02_sensitivity_brute_force():
@@ -146,42 +152,39 @@ def test_criterion_02_sensitivity_brute_force():
                 ok &= abs(l1 - bound) <= 1e-9
 
     W = 16
-    win_factory = lambda: WindowSum(
-        W, 1.0, RandomSource(0), noisy=False, retain_all=True
-    )
+    win_factory = lambda: WindowSum(W, 1.0, RandomSource(0), noisy=False)
     flips(_run_counters(win_factory, xs), win_factory,
           math.log2(W) + 1.0, require_equality=True)
 
     for alpha in (0.7, 0.9, 0.99):
-        exp_factory = lambda a=alpha: ExponentialSum(
-            a, 1.0, RandomSource(0), noisy=False, evict=False
-        )
+        exp_factory = lambda a=alpha: ExponentialSum(a, 1.0, RandomSource(0), noisy=False)
         flips(_run_counters(exp_factory, xs), exp_factory,
               exp_decay_sensitivity(alpha))
 
-    for c in (1.5, 2.0, 4.0):
-        for beta in (0.25, 0.5):
-            poly_factory = lambda cc=c, bb=beta: PolynomialSum(
-                cc, bb, 1.0, RandomSource(0), noisy=False, retain_all=True
-            )
-            flips(_run_counters(poly_factory, xs), poly_factory,
-                  poly_decay_sensitivity(c, beta))
-
-    # level-scheduled tree: one touched node per level, so the per-level
-    # change is 1 and the total is bounded by the tree height
-    aw_factory = lambda: AllWindowSum(1.0, RandomSource(0), noisy=False)
-    base = _run_counters(aw_factory, xs)
+    # level-scheduled tree, alone and under the polynomial bands: one touched
+    # node per level, so the per-level change is 1 and the total is bounded
+    # by the tree height
     height = (1 << (T - 1).bit_length()).bit_length()
-    for pos in range(T):
-        flipped = list(xs)
-        flipped[pos] = 1.0 - flipped[pos]
-        other = _run_counters(aw_factory, flipped)
-        per_level = {}
-        for key in set(base) | set(other):
-            d = abs(base.get(key, 0.0) - other.get(key, 0.0))
-            per_level[key[0]] = per_level.get(key[0], 0.0) + d
-        ok &= all(v <= 1.0 + 1e-9 for v in per_level.values())
-        ok &= sum(per_level.values()) <= height + 1e-9
+
+    def per_level_flips(factory):
+        nonlocal ok
+        base = _run_counters(factory, xs)
+        for pos in range(T):
+            flipped = list(xs)
+            flipped[pos] = 1.0 - flipped[pos]
+            other = _run_counters(factory, flipped)
+            per_level = {}
+            for key in set(base) | set(other):
+                d = abs(base.get(key, 0.0) - other.get(key, 0.0))
+                per_level[key[0]] = per_level.get(key[0], 0.0) + d
+            ok &= all(v <= 1.0 + 1e-9 for v in per_level.values())
+            ok &= sum(per_level.values()) <= height + 1e-9
+
+    per_level_flips(lambda: AllWindowSum(1.0, RandomSource(0), noisy=False))
+    for c, beta in ((1.5, 0.25), (4.0, 0.5)):
+        per_level_flips(
+            lambda cc=c, bb=beta: PolynomialSum(cc, bb, 1.0, RandomSource(0), noisy=False)
+        )
     report(2, "counter sensitivity brute force", ok)
 
 
@@ -214,11 +217,6 @@ def test_criterion_03_noise_calibration():
     W = 512
     w = WindowSum(W, 1.0, RandomSource(31))
     check(block_noise(w, 98, 1.0), w.counter_scale)
-
-    # window blocks with the overridden uniform scale used by the band bank
-    scale_p = poly_decay_sensitivity(2.0, 0.5) / 1.0
-    w2 = WindowSum(16, 1.0, RandomSource(32), counter_scale=scale_p)
-    check(block_noise(w2, 3300, 0.0), scale_p)
 
     # store nodes at the exponential-decay scale
     scale_e = exp_decay_sensitivity(0.9) / 1.0

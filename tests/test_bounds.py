@@ -15,7 +15,7 @@ from decaystream.bounds import (
     utility_delta,
     worst_noise_profile,
 )
-from decaystream.mechanisms import DecaySpec
+from decaystream.mechanisms import DecaySpec, PolynomialSum
 
 
 def test_noise_profile_sigma():
@@ -203,8 +203,45 @@ def test_worst_noise_profiles():
     assert e.scales[1] == pytest.approx(e.scales[0] * 0.9, rel=1e-12)
     r = worst_noise_profile(DecaySpec.running(), 1.0, horizon=1024)
     assert len(r.scales) == 11
+    # polynomial: the age-0 band's leaf at the level-1 scale zeta(2) / eps is
+    # the first and largest term, and more bands add terms
     p = worst_noise_profile(DecaySpec.polynomial(2.0, 0.5), 1.0, horizon=256)
-    assert all(s == 4.0 for s in p.scales)
+    assert p.scales[0] == p.max_scale == pytest.approx(math.pi**2 / 6, rel=1e-12)
+    assert p.sigma < worst_noise_profile(DecaySpec.polynomial(2.0, 0.5), 1.0, 1 << 20).sigma
+
+
+class UnitVectors:
+    """Stand-in random source: the n-th unit Laplace draw is the n-th unit
+    vector, so a store's published values, and any estimate read from them
+    on an all-zero stream, are vectors of per-node noise coefficients times
+    the node scales."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.n = 0
+
+    def laplace_vector(self, scale, n):
+        out = np.empty(n, dtype=object)
+        for q in range(n):
+            out[q] = np.zeros(self.dim)
+            out[q][self.n] = 1.0
+            self.n += 1
+        return out
+
+
+def test_poly_profile_dominates_every_step():
+    # the laplace_tail bound uses only the sum of squared scales and the
+    # largest scale; the profile must dominate both, at every step, for the
+    # exact merged coefficient of every node the estimate reads
+    T = 256
+    for c, beta in [(1.1, 0.9), (1.5, 0.25), (2.0, 0.5), (4.0, 0.25), (8.0, 0.05)]:
+        profile = worst_noise_profile(DecaySpec.polynomial(c, beta), 1.0, T)
+        bound2 = sum(b * b for b in profile.scales)
+        m = PolynomialSum(c, beta, 1.0, UnitVectors(4 * T))  # draws come 256 at a time
+        for i in range(1, T + 1):
+            a = m.push(0.0)
+            assert a @ a <= bound2 * (1 + 1e-12), (c, beta, i)
+            assert np.abs(a).max() <= profile.max_scale * (1 + 1e-12), (c, beta, i)
 
 
 def test_allwindow_query_profile_triples_per_level():

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from decaystream.bench import ExperimentConfig, checkpoints, run_bench
+from decaystream.bounds import utility_delta, worst_noise_profile
 from decaystream.cli import main
+from decaystream.mechanisms import DecaySpec
+from decaystream.noise import level_epsilons
 
 
 def run_cli(capsys, argv):
@@ -173,6 +177,17 @@ def test_bench_allwindow_bound_dominates(capsys):
             assert float(r[5]) <= float(r[6])
 
 
+def test_bench_poly_bound_dominates():
+    cfg = ExperimentConfig(
+        mech="poly", c=2.0, beta=0.25, epsilon=1.0, T=512, trials=30, seed=5,
+        source="bernoulli:0.5",
+    )
+    rows = [r for r in run_bench(cfg) if r.series == "poly"]
+    assert [r.j for r in rows] == checkpoints(512)
+    for r in rows:
+        assert r.q_err <= r.delta_theory, r
+
+
 def test_bench_deterministic_and_parallel_invariant(capsys):
     argv = ["bench", "--mech", "exp", "--alpha", "0.9", "--seed", "11",
             "--T", "32", "--trials", "32"]
@@ -209,10 +224,22 @@ def test_bound_exponential_and_poly(capsys):
     assert float(table["sensitivity"]) == pytest.approx(6.545858, abs=1e-5)
 
     code, out, _ = run_cli(capsys, [
-        "bound", "--mech", "poly", "--c", "2", "--beta", "0.5",
+        "bound", "--mech", "poly", "--c", "2", "--beta", "0.5", "--T", "1024",
     ])
+    assert code == 0
     table = dict(line.split(",", 1) for line in out.strip().splitlines())
-    assert float(table["sensitivity"]) == pytest.approx(4.0)
+    # the all-window tree's default schedule, not the band slack --beta
+    assert float(table["sensitivity_per_level"]) == 1.0
+    eps_k = level_epsilons(1.0, 2.0, 11)
+    assert [float(table[f"level_{k}_scale"]) for k in range(1, 12)] == pytest.approx(
+        [1.0 / e for e in eps_k], rel=1e-12
+    )
+    assert "level_12_scale" not in table
+    profile = worst_noise_profile(DecaySpec.polynomial(2.0, 0.5), 1.0, 1024)
+    assert float(table["sigma_worst"]) == pytest.approx(profile.sigma, rel=1e-12)
+    assert float(table["delta_gamma"]) == pytest.approx(
+        utility_delta(profile, 0.05), rel=1e-12
+    )
 
 
 def test_bound_rejects_bad_window(capsys):

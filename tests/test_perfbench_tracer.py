@@ -1,8 +1,9 @@
-"""The benchmark's tracer must still find every entry point it wraps.
+"""The benchmark's hooks must still run against the package.
 
 ``perfbench/tracing.py`` wraps the package's public functions and methods by
-name at run time; renaming one of them would otherwise fail only the traced
-benchmark run.
+name at run time, and ``perfbench/workloads.py`` drives the estimators
+through their public API; renaming or reshaping one of them would otherwise
+fail only the benchmark run.
 """
 
 import importlib.util
@@ -11,18 +12,18 @@ from pathlib import Path
 
 from decaystream import dyadic
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_uninstalls_against_the_package():
-    tracing = load_tracing()
+    tracing = load("tracing")
     before = dict(vars(dyadic.DyadicTree))
     tracer = tracing.Tracer().install()  # raises if a traced name is gone
     try:
@@ -36,3 +37,16 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     finally:
         tracer.uninstall()
     assert dict(vars(dyadic.DyadicTree)) == before
+
+
+def test_poly_hooks_run_against_the_package():
+    # the (1 - beta) F <= F' <= F gate and the PolynomialSum layer figures
+    workloads = load("workloads")
+    checks = workloads.Checks()
+    poly = workloads.PolyPass()
+    poly.gate(1, checks)
+    figures = poly.figures(1, checks)
+    assert checks.attempted > 0
+    assert checks.failed == 0
+    assert figures["mechanisms.PolynomialSum.children"] > 1
+    assert figures["mechanisms.PolynomialSum.bytes"] > 0
