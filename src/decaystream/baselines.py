@@ -111,9 +111,8 @@ class RandomizedResponse:
         if x not in (0, 1):
             raise ValueError(f"randomized response takes bits, got {x}")
         self.step += 1
-        y = float(x)
-        if self._rng.uniform() < self._flip_p:
-            y = 1.0 - y
+        # flips a float bit, or one bit per lane of noise.RandomLanes
+        y = abs(float(x) - (self._rng.uniform() < self._flip_p))
         s = self._stored.push(y)
         g = self._ones.push(1.0)
         return (s - self._flip_p * g) / self.f
@@ -166,5 +165,5 @@ class RunningDiffBaseline:
         self._tree.add_path(i, x, self._h)
         est = self._now.advance()
         if i > self.W:
-            est -= self._lag.advance()
+            est = est - self._lag.advance()  # not -=: est is the cursor's memo
         return est

@@ -1,15 +1,18 @@
 """Seeded Monte-Carlo benchmark of the private estimators against baselines.
 
-A benchmark run fixes one input stream and replays it through freshly seeded
-copies of the chosen mechanism (plus the randomized-response baseline and,
-for window mode, the running-difference baseline) for a number of trials.
-Errors against the exact oracle are collected at power-of-two checkpoints and
-summarised with nearest-rank quantiles next to the theoretical utility curve
-and the lower-bound reference.
+A benchmark run fixes one input stream and measures, over a number of
+trials, the chosen mechanism (plus the randomized-response baseline and,
+for window mode, the running-difference baseline), each trial with its own
+noise.  Errors against the exact oracle are collected at power-of-two
+checkpoints and summarised with nearest-rank quantiles next to the
+theoretical utility curve and the lower-bound reference.
 
-Trial t always uses the sub-stream ``child(1).child(t)`` of the base seed and
-results are assembled in trial order, so output is bit-identical for a fixed
-seed regardless of how many worker processes are used.
+Trials run in lockstep: each series is built once per batch of trials on
+:class:`~decaystream.noise.RandomLanes`, one lane per trial, and the stream
+is pushed through it once.  Trial t always uses the sub-stream
+``child(1).child(t)`` of the base seed, and lane t repeats the arithmetic of
+trial t run alone bit for bit, so output is bit-identical for a fixed seed
+regardless of how many worker processes are used or how trials are batched.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from .bounds import (
     worst_noise_profile,
 )
 from .mechanisms import DecaySpec, make_mechanism
-from .noise import RandomSource
+from .noise import RandomLanes, RandomSource
 
 _STREAM_CHILD = 0
 _TRIAL_CHILD = 1
+_LANES = 256  # trials per lockstep batch; bounds the memory of lane arrays
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,15 @@ def _series_names(cfg: ExperimentConfig, binary_stream: bool) -> list[str]:
 
 
 def _run_chunk(cfg_dict: dict, t0: int, t1: int) -> np.ndarray:
-    """Errors for trials [t0, t1): shape (series, checkpoints, trials)."""
+    """Errors for trials [t0, t1): shape (series, checkpoints, trials).
+
+    Trials run in batches of at most ``_LANES``.  Each series of a batch is
+    one estimator on lanes of the trials' sub-streams (``trial.child(0..3)``
+    for the mechanism, the two randomized responses and the running
+    difference), and the stream is pushed through it once; each estimate is
+    an array with one lane per trial (a float when the series draws no
+    noise).
+    """
     cfg = ExperimentConfig.from_dict(cfg_dict)
     stream = make_stream(cfg)
     T = len(stream)
@@ -202,28 +214,31 @@ def _run_chunk(cfg_dict: dict, t0: int, t1: int) -> np.ndarray:
             exact[i] = v
     base = RandomSource(cfg.seed).child(_TRIAL_CHILD)
     out = np.empty((len(names), len(marks), t1 - t0), dtype=np.float64)
-    for t in range(t0, t1):
-        trial = base.child(t)
-        runners = {cfg.mech: build_mechanism(cfg, trial.child(0))}
+    for b0 in range(t0, t1, _LANES):
+        b1 = min(b0 + _LANES, t1)
+        trials = [base.child(t) for t in range(b0, b1)]
+
+        def lanes(k: int) -> RandomLanes:
+            return RandomLanes([trial.child(k) for trial in trials])
+
+        runners = [build_mechanism(cfg, lanes(0))]
         if "rr_matched" in names:
-            runners["rr_matched"] = RandomizedResponse(
-                cfg.decay(), rr_flip_parameter(cfg.epsilon), trial.child(1)
+            runners.append(
+                RandomizedResponse(cfg.decay(), rr_flip_parameter(cfg.epsilon), lanes(1))
             )
         if "rr_raw" in names:
-            runners["rr_raw"] = RandomizedResponse(
-                cfg.decay(), cfg.epsilon, trial.child(2)
-            )
+            runners.append(RandomizedResponse(cfg.decay(), cfg.epsilon, lanes(2)))
         if "running_diff" in names:
-            runners["running_diff"] = RunningDiffBaseline(
-                cfg.W, T, cfg.epsilon, trial.child(3), noisy=cfg.noisy
+            runners.append(
+                RunningDiffBaseline(cfg.W, T, cfg.epsilon, lanes(3), noisy=cfg.noisy)
             )
-        col = t - t0
+        cols = slice(b0 - t0, b1 - t0)
         for i, x in enumerate(stream, 1):
             idx = mark_set.get(i)
-            for s, name in enumerate(names):
-                est = runners[name].push(x)
+            for s, runner in enumerate(runners):
+                est = runner.push(x)
                 if idx is not None:
-                    out[s, idx, col] = est - exact[i]
+                    out[s, idx, cols] = est - exact[i]
     return out
 
 
@@ -267,18 +282,19 @@ def run_bench(cfg: ExperimentConfig) -> list[ErrorSummary]:
     """Execute the benchmark and return summary rows in deterministic order."""
     if cfg.trials < 30:
         raise ValueError(f"need at least 30 trials, got {cfg.trials}")
+    if cfg.jobs < 1:
+        raise ValueError(f"need at least 1 job, got {cfg.jobs}")
     stream = make_stream(cfg)
     T = len(stream)
     marks = checkpoints(T)
     binary = all(x in (0.0, 1.0) for x in stream)
     names = _series_names(cfg, binary)
-    jobs = max(1, cfg.jobs)
-    if jobs == 1:
+    if cfg.jobs == 1:
         errors = _run_chunk(cfg.to_dict(), 0, cfg.trials)
     else:
-        bounds_ = np.linspace(0, cfg.trials, jobs + 1, dtype=int)
+        bounds_ = np.linspace(0, cfg.trials, cfg.jobs + 1, dtype=int)
         chunks = [(int(a), int(b)) for a, b in zip(bounds_[:-1], bounds_[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             parts = list(
                 pool.map(_run_chunk, [cfg.to_dict()] * len(chunks),
                          [a for a, _ in chunks], [b for _, b in chunks])

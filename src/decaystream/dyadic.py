@@ -43,7 +43,10 @@ class DyadicTree:
     is first reached.  It must not refer to the store's owner: that cycle
     would keep a discarded owner's counters alive until a full garbage
     collection.  With ``noisy=False`` every ``z`` is pinned to zero (test
-    mode, not private).  Single-owner mutable structure.
+    mode, not private).  With a :class:`~decaystream.noise.RandomLanes`
+    source every ``z``, and so every published value, is an array with one
+    lane per trial, while ``c0`` stays a float.  Single-owner mutable
+    structure.
     """
 
     def __init__(
@@ -85,7 +88,9 @@ class DyadicTree:
             return
         units = self._units
         if len(units) < n:
-            units[:0] = self._rng.laplace_vector(1.0, max(n, _DRAWS)).tolist()
+            draws = self._rng.laplace_vector(1.0, max(n, _DRAWS))
+            # lanes (noise.RandomLanes) give one row of per-trial draws per node
+            units[:0] = draws.tolist() if draws.ndim == 1 else list(draws)
         scale = self._scale[k]
         self._z[k].extend([scale * u for u in units[-n:]])
         del units[-n:]
@@ -234,7 +239,8 @@ class PrefixCursor:
     its last node makes every step read one node, and every value equals
     :meth:`DyadicTree.prefix_value` bit for bit (same summation order).
     ``base - 1`` must be aligned as for :meth:`DyadicTree.prefix_value` over
-    every prefix the cursor reaches.
+    every prefix the cursor reaches.  The value returned is the cursor's own
+    memo: callers must not update it in place (on lanes it is an array).
     """
 
     __slots__ = ("_tree", "_a", "p", "_memo")

@@ -205,7 +205,8 @@ class WindowSum:
         # current-block prefix plus the previous block's suffix p+1..W
         est = self._cur.advance()
         if blk and p < W:
-            est += self._prev_total - self._prev.advance()
+            # not +=: est is the cursor's memo, an array on lanes
+            est = est + (self._prev_total - self._prev.advance())
         return est
 
     def counters(self) -> dict[tuple[int, int], float]:

@@ -3,7 +3,9 @@
 All randomness in the library flows through :class:`RandomSource`, a splittable
 counter-based generator (Philox) so that any experiment is reproducible from a
 single 64-bit seed and independent sub-streams can be handed to parallel
-trials, tree nodes or histogram keys.
+trials, tree nodes or histogram keys.  :class:`RandomLanes` draws from many
+fresh sources in lockstep, one numpy lane per source, so one estimator can
+run many Monte-Carlo trials at once.
 
 This generator is NOT cryptographically secure and the Laplace sampler works
 in plain IEEE double precision (no snapping / discretisation).  The library
@@ -90,6 +92,42 @@ class RandomSource:
         v = u - 0.5
         v[u == 0.0] = 0.0
         return laplace_from_uniform(v, b)
+
+
+class RandomLanes:
+    """Fresh random sources drawn in lockstep, one lane per source.
+
+    Each draw is a numpy array whose lane t holds exactly what source t
+    would have drawn alone, so an estimator built on lanes runs one trial
+    per lane: the estimators create noise nodes in an order that does not
+    depend on the data, and a scalar counter plus a lane array of noise
+    repeats each trial's IEEE operations in the scalar order.  Every lane's
+    Laplace draws come from its own source's :meth:`RandomSource.laplace_vector`,
+    never from one call over all lanes, whose vectorised ``log`` could round
+    some elements differently.
+    """
+
+    def __init__(self, sources):
+        self._sources = list(sources)
+        if not self._sources:
+            raise ValueError("need at least one lane")
+        if any(s._buf for s in self._sources):
+            raise ValueError("lanes need sources with no buffered uniform draws")
+        self._buf = np.empty((0, len(self._sources)))
+        self._pos = 0
+
+    def uniform(self) -> np.ndarray:
+        """One double in [0, 1) per lane, refilled as RandomSource.uniform is."""
+        if self._pos >= len(self._buf):
+            self._buf = np.stack([s._gen.random(_BUFFER) for s in self._sources], axis=1)
+            self._pos = 0
+        u = self._buf[self._pos]
+        self._pos += 1
+        return u
+
+    def laplace_vector(self, b: float, n: int) -> np.ndarray:
+        """n Laplace(b) draws per lane, shape (n, lanes)."""
+        return np.stack([s.laplace_vector(b, n) for s in self._sources], axis=1)
 
 
 @dataclass(frozen=True)

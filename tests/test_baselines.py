@@ -12,7 +12,7 @@ from decaystream.baselines import (
     rr_flip_parameter,
 )
 from decaystream.mechanisms import DecaySpec
-from decaystream.noise import RandomSource
+from decaystream.noise import RandomLanes, RandomSource
 
 
 def random_bits(seed, T):
@@ -80,11 +80,12 @@ def test_rr_unbiased_at_fixed_step():
     exact = decayed_sum(DecaySpec.window(W), xs, j_star)
     base = RandomSource(12)
     errs = np.empty(trials)
-    for t in range(trials):
-        rr = RandomizedResponse(DecaySpec.window(W), f, base.child(t))
+    for t0 in range(0, trials, 1000):  # lanes buffer 4096 uniforms each
+        lanes = RandomLanes(base.child(t) for t in range(t0, t0 + 1000))
+        rr = RandomizedResponse(DecaySpec.window(W), f, lanes)
         for x in xs:
             est = rr.push(x)
-        errs[t] = est - exact
+        errs[t0 : t0 + 1000] = est - exact
     per_bit_var = (1 - f * f) / (4 * f * f)
     se = math.sqrt(W * per_bit_var / trials)
     assert abs(errs.mean()) < 5.0 * se
@@ -94,12 +95,10 @@ def test_rr_standard_deviation_matches_theory():
     # sd of the window estimator at j = W is sqrt(W (1/f^2 - 1)) / 2
     W, f, trials = 4096, 0.5, 800
     base = RandomSource(21)
-    vals = np.empty(trials)
-    for t in range(trials):
-        rr = RandomizedResponse(DecaySpec.window(W), f, base.child(t))
-        for _ in range(W):
-            est = rr.push(1)
-        vals[t] = est
+    lanes = RandomLanes(base.child(t) for t in range(trials))
+    rr = RandomizedResponse(DecaySpec.window(W), f, lanes)
+    for _ in range(W):
+        vals = rr.push(1)
     theory = math.sqrt(W * (1 / f**2 - 1)) / 2
     assert abs(vals.std(ddof=1) - theory) < 0.1 * theory
 

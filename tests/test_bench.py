@@ -1,0 +1,106 @@
+"""Lockstep trials must repeat the per-trial engine bit for bit.
+
+``scalar_chunk`` is the per-trial engine ``bench._run_chunk`` replaced: every
+trial builds its own estimators on scalar random sources and replays the
+stream alone.  It stays here as the reference the lane engine is compared
+against with ``==``.
+"""
+
+import numpy as np
+import pytest
+
+from decaystream import bench
+from decaystream.baselines import (
+    ExactOracle,
+    RandomizedResponse,
+    RunningDiffBaseline,
+    rr_flip_parameter,
+)
+from decaystream.bench import (
+    ExperimentConfig,
+    build_mechanism,
+    checkpoints,
+    make_stream,
+    run_bench,
+)
+from decaystream.noise import RandomSource
+
+
+def scalar_chunk(cfg_dict, t0, t1):
+    """Errors for trials [t0, t1), one trial at a time on scalar sources."""
+    cfg = ExperimentConfig.from_dict(cfg_dict)
+    stream = make_stream(cfg)
+    T = len(stream)
+    marks = checkpoints(T)
+    names = bench._series_names(cfg, all(x in (0.0, 1.0) for x in stream))
+    oracle = ExactOracle(cfg.decay())
+    exact = [oracle.push(x) for x in stream]
+    base = RandomSource(cfg.seed).child(bench._TRIAL_CHILD)
+    out = np.empty((len(names), len(marks), t1 - t0))
+    for t in range(t0, t1):
+        trial = base.child(t)
+        runners = {cfg.mech: build_mechanism(cfg, trial.child(0))}
+        if "rr_matched" in names:
+            runners["rr_matched"] = RandomizedResponse(
+                cfg.decay(), rr_flip_parameter(cfg.epsilon), trial.child(1)
+            )
+        if "rr_raw" in names:
+            runners["rr_raw"] = RandomizedResponse(cfg.decay(), cfg.epsilon, trial.child(2))
+        if "running_diff" in names:
+            runners["running_diff"] = RunningDiffBaseline(
+                cfg.W, T, cfg.epsilon, trial.child(3), noisy=cfg.noisy
+            )
+        for s, name in enumerate(names):
+            ests = [runners[name].push(x) for x in stream]
+            for idx, j in enumerate(marks):
+                out[s, idx, t - t0] = ests[j - 1] - exact[j - 1]
+    return out
+
+
+def assert_lockstep_matches_scalar(cfg, monkeypatch, jobs=(1, 2)):
+    ref = scalar_chunk(cfg.to_dict(), 0, cfg.trials)
+    assert np.array_equal(bench._run_chunk(cfg.to_dict(), 0, cfg.trials), ref)
+    rows = {j: run_bench(ExperimentConfig(**{**cfg.to_dict(), "jobs": j})) for j in jobs}
+    with monkeypatch.context() as m:
+        m.setattr(bench, "_run_chunk", scalar_chunk)
+        ref_rows = run_bench(ExperimentConfig(**{**cfg.to_dict(), "jobs": 1}))
+    for j in jobs:
+        assert rows[j] == ref_rows, j
+
+
+MECHS = [
+    ("window", dict(W=8)),
+    ("allwindow", dict(W=12)),
+    ("exp", dict(alpha=0.9)),
+    ("poly", dict(c=2.0, beta=0.25)),
+    ("running", {}),
+]
+
+
+@pytest.mark.parametrize("mech,kw", MECHS, ids=[m for m, _ in MECHS])
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise_off"])
+@pytest.mark.parametrize("epsilon", [1.0, 0.5])
+def test_lockstep_rows_equal_scalar_replay(monkeypatch, mech, kw, noisy, epsilon):
+    # 40 trials in lane batches of 16: each jobs=2 chunk spans two batches
+    # (a forked pool worker inherits the patched batch size)
+    monkeypatch.setattr(bench, "_LANES", 16)
+    cfg = ExperimentConfig(mech=mech, epsilon=epsilon, noisy=noisy, trials=40, T=70,
+                           seed=8, **kw)
+    assert_lockstep_matches_scalar(cfg, monkeypatch)
+
+
+@pytest.mark.parametrize("mech,kw", [MECHS[0], MECHS[2]], ids=["window", "exp"])
+def test_lockstep_rows_equal_scalar_replay_on_a_file_stream(tmp_path, monkeypatch, mech, kw):
+    # values that are not bits: no randomized-response series
+    path = tmp_path / "stream.txt"
+    gen = RandomSource(4)
+    path.write_text("".join(f"{gen.uniform():.6f}\n" for _ in range(50)))
+    monkeypatch.setattr(bench, "_LANES", 16)
+    cfg = ExperimentConfig(mech=mech, trials=40, input_path=str(path), seed=8, **kw)
+    assert_lockstep_matches_scalar(cfg, monkeypatch)
+
+
+def test_lockstep_rows_equal_scalar_replay_over_full_lane_batches(monkeypatch):
+    # the shipped batch size: 600 trials at jobs=2 are chunks of 256 + 44 lanes
+    cfg = ExperimentConfig(mech="window", W=8, trials=600, T=40, seed=9)
+    assert_lockstep_matches_scalar(cfg, monkeypatch)

@@ -204,6 +204,15 @@ def test_bench_rejects_too_few_trials(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_bench_rejects_fewer_than_one_job(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--mech", "window", "--W", "8", "--trials", "30", "--T", "16",
+              "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "job" in capsys.readouterr().err
+
+
 def test_bound_window(capsys):
     code, out, _ = run_cli(capsys, [
         "bound", "--mech", "window", "--W", "4", "--eps", "1", "--gamma", "0.05",

@@ -17,7 +17,7 @@ from decaystream.mechanisms import (
     make_mechanism,
     poly_breakpoint,
 )
-from decaystream.noise import PrivacyBudget, RandomSource
+from decaystream.noise import PrivacyBudget, RandomLanes, RandomSource
 
 
 def brute_window(xs, j, W):
@@ -329,12 +329,10 @@ def test_window_estimates_unbiased():
     xs = random_stream(5, j_star)
     exact = brute_window(xs, j_star, W)
     base = RandomSource(17)
-    errs = np.empty(trials)
-    for t in range(trials):
-        w = WindowSum(W, 1.0, base.child(t))
-        for x in xs:
-            est = w.push(x)
-        errs[t] = est - exact
+    w = WindowSum(W, 1.0, RandomLanes(base.child(t) for t in range(trials)))
+    for x in xs:
+        est = w.push(x)
+    errs = est - exact
     se = _window_sigma_at(j_star, W, 1.0) / math.sqrt(trials)
     assert abs(errs.mean()) < 5.0 * se
 
@@ -353,12 +351,10 @@ def test_exp_estimates_unbiased():
     ]
     sigma = probe.counter_scale * math.sqrt(2.0 * sum(w * w for w in weights))
     base = RandomSource(18)
-    errs = np.empty(trials)
-    for t in range(trials):
-        m = ExponentialSum(alpha, 1.0, base.child(t))
-        for x in xs:
-            est = m.push(x)
-        errs[t] = est - exact
+    m = ExponentialSum(alpha, 1.0, RandomLanes(base.child(t) for t in range(trials)))
+    for x in xs:
+        est = m.push(x)
+    errs = est - exact
     assert abs(errs.mean()) < 5.0 * sigma / math.sqrt(trials)
 
 
@@ -371,12 +367,10 @@ def test_poly_estimates_unbiased_for_band_target():
     # upper bound on the estimate's noise standard deviation
     sigma = worst_noise_profile(DecaySpec.polynomial(c, beta), 1.0, j_star).sigma
     base = RandomSource(19)
-    errs = np.empty(trials)
-    for t in range(trials):
-        m = PolynomialSum(c, beta, 1.0, base.child(t))
-        for x in xs:
-            est = m.push(x)
-        errs[t] = est - target
+    m = PolynomialSum(c, beta, 1.0, RandomLanes(base.child(t) for t in range(trials)))
+    for x in xs:
+        est = m.push(x)
+    errs = est - target
     assert abs(errs.mean()) < 5.0 * sigma / math.sqrt(trials)
 
 
@@ -471,6 +465,33 @@ def test_factory_rejects_schedule_without_levels():
     ):
         with pytest.raises(ValueError, match="level schedule"):
             make_mechanism(decay, budget, RandomSource(0))
+
+
+def _lane_factories():
+    from decaystream.baselines import RandomizedResponse, RunningDiffBaseline
+
+    return {
+        "window": lambda rng: WindowSum(8, 1.0, rng),
+        "fixed view": lambda rng: FixedWindowView(6, 1.0, rng),
+        "running": lambda rng: RunningSum(1.0, rng),
+        "exponential": lambda rng: ExponentialSum(0.9, 1.0, rng),
+        "polynomial": lambda rng: PolynomialSum(2.0, 0.5, 1.0, rng),
+        "running diff": lambda rng: RunningDiffBaseline(8, 300, 1.0, rng),
+        "randomized response": lambda rng: RandomizedResponse(DecaySpec.window(8), 0.5, rng),
+    }
+
+
+@pytest.mark.parametrize("name", list(_lane_factories()))
+def test_lanes_repeat_scalar_trials_at_every_step(name):
+    # lane t of an estimator on RandomLanes outputs, at every step, exactly
+    # what the same estimator on source t alone outputs; 300 steps refill
+    # each store's buffer of 256 unit draws
+    make = _lane_factories()[name]
+    xs = random_stream(12, 300)
+    lanes = make(RandomLanes(RandomSource(8).child(t) for t in range(4)))
+    alone = [make(RandomSource(8).child(t)) for t in range(4)]
+    for i, x in enumerate(xs, 1):
+        assert lanes.push(x).tolist() == [m.push(x) for m in alone], (name, i)
 
 
 def test_noise_does_not_depend_on_the_data():

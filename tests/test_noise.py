@@ -9,6 +9,7 @@ from scipy.special import zeta as scipy_zeta
 from decaystream.noise import (
     LaplaceScale,
     PrivacyBudget,
+    RandomLanes,
     RandomSource,
     laplace_from_uniform,
     laplace_sample,
@@ -153,3 +154,26 @@ def test_laplace_from_uniform_is_elementwise():
     assert out.tolist() == [laplace_from_uniform(float(v), 1.5) for v in u]
     with pytest.raises(ValueError):
         laplace_from_uniform(np.array([0.0, 0.5]), 1.0)
+
+
+def test_lanes_repeat_each_source_bit_for_bit():
+    # lane t draws exactly what source t draws alone, across refills of the
+    # 4096-uniform buffer and Laplace blocks longer than a store's 256 units
+    lanes = RandomLanes(RandomSource(31).child(t) for t in range(5))
+    alone = [RandomSource(31).child(t) for t in range(5)]
+    for _ in range(3):
+        u = np.array([lanes.uniform() for _ in range(5000)])
+        lap = lanes.laplace_vector(2.5, 300)
+        assert u.shape == (5000, 5) and lap.shape == (300, 5)
+        for t, src in enumerate(alone):
+            assert u[:, t].tolist() == [src.uniform() for _ in range(5000)]
+            assert lap[:, t].tolist() == src.laplace_vector(2.5, 300).tolist()
+
+
+def test_lanes_need_fresh_sources():
+    with pytest.raises(ValueError):
+        RandomLanes([])
+    used = RandomSource(3)
+    used.uniform()
+    with pytest.raises(ValueError):
+        RandomLanes([RandomSource(2), used])

@@ -10,7 +10,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from decaystream import dyadic
+import numpy as np
+
+from decaystream import bench, dyadic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +52,24 @@ def test_poly_hooks_run_against_the_package():
     assert checks.failed == 0
     assert figures["mechanisms.PolynomialSum.children"] > 1
     assert figures["mechanisms.PolynomialSum.bytes"] > 0
+
+
+def test_bench_window_gate_and_replay_agree_with_run_bench():
+    # bench-window's gate, then its == check of run_bench rows against
+    # trials replayed one at a time on scalar sources (BenchWindow.measure)
+    workloads = load("workloads")
+    checks = workloads.Checks()
+    bench_window = workloads.BenchWindow()
+    bench_window.gate(1, checks)
+    cfg = bench_window.config(1, T=512, trials=30)
+    replay = workloads.Replay(cfg)
+    replay.run(cfg.trials)
+    errs = np.array(replay.errs)
+    for k, row in enumerate(r for r in bench.run_bench(cfg) if r.series == "window"):
+        checks.check(
+            row.q_err == workloads.nearest_rank(np.abs(errs[:, k]), 0.95)
+            and row.mean_err == float(np.mean(errs[:, k])),
+            f"replayed trials disagree with run_bench at j={row.j}",
+        )
+    assert checks.attempted > len(errs[0])
+    assert checks.failed == 0
