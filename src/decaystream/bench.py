@@ -251,16 +251,16 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(srt[rank - 1])
 
 
-def _delta_theory(cfg: ExperimentConfig, name: str, j: int) -> float | None:
+def _delta_theory(cfg: ExperimentConfig, name: str, j: int, T: int) -> float | None:
     decay = cfg.decay()
     if name == cfg.mech:
         if cfg.mech == "allwindow":
             profile = allwindow_query_profile(
-                cfg.epsilon, cfg.T, schedule_beta=cfg.schedule_beta
+                cfg.epsilon, T, schedule_beta=cfg.schedule_beta
             )
         else:
             profile = worst_noise_profile(
-                decay, cfg.epsilon, cfg.T, schedule_beta=cfg.schedule_beta
+                decay, cfg.epsilon, T, schedule_beta=cfg.schedule_beta
             )
         return utility_delta(profile, cfg.gamma)
     if name.startswith("rr"):
@@ -270,7 +270,7 @@ def _delta_theory(cfg: ExperimentConfig, name: str, j: int) -> float | None:
     if name == "running_diff":
         from .bounds import NoiseProfile
 
-        S = 1 << (cfg.T - 1).bit_length()
+        S = 1 << (T - 1).bit_length()
         h = S.bit_length()
         scale = h / cfg.epsilon
         terms = max(1, 2 * (h - 1))
@@ -314,7 +314,7 @@ def run_bench(cfg: ExperimentConfig) -> list[ErrorSummary]:
                     mean_err=float(np.mean(errs)),
                     sd_err=float(np.std(errs, ddof=1)),
                     q_err=nearest_rank_quantile(np.abs(errs), 1.0 - cfg.gamma),
-                    delta_theory=_delta_theory(cfg, name, j),
+                    delta_theory=_delta_theory(cfg, name, j, T),
                     delta_lb_ref=lb,
                 )
             )

@@ -111,18 +111,19 @@ def worst_noise_profile(
     per level with effective scale (lam/eps) * alpha**(2**m - 1).  running:
     one node per level with the per-level schedule scales.
 
-    polynomial: the estimate at step i is ``sum_t w_t * query(e_t, W_t)`` on
-    one all-window tree (default schedule, level-k scale s_k = 1/eps_k), over
-    the bands t reached by the horizon, with ``e_t = i - lag_t``, so
-    ``e_{t+1} = e_t - W_t``.  Every tiling in a query starts at a position
-    aligned to a multiple of its block ``W_t' = 2**ceil(log2 W_t)``, so its
+    polynomial: the estimate at step i is ``sum_t w_t * S_t(e_t)`` on one
+    all-window tree (default schedule, level-k scale s_k = 1/eps_k), over
+    the bands t reached by the horizon, S_t(e) being band t's W_t-window sum
+    ending at e as its window cursor reads it, with ``e_t = i - lag_t``, so
+    ``e_{t+1} = e_t - W_t``.  Every block prefix a cursor sums starts at a
+    position aligned to a multiple of ``W_t' = 2**ceil(log2 W_t)``, so its
     level-k node, if any, is the aligned node N_k(e) of length L = 2**(k-1)
-    that ends at ``L * floor(e / L)``, e being the tiling's end.  Query t
-    therefore reads +N_k(e_t) (its current-block tiling, or the previous
+    that ends at ``L * floor(e / L)``, e being the prefix's end.  Band t
+    therefore reads +N_k(e_t) (its current-block prefix, or the previous
     block's total, which is N_k(e_t) at the block level) and -N_k(e_{t+1})
-    (its second tiling), at most once each per level, and only at levels
-    with L <= W_t', i.e. 2 W_t > L; the oldest band's running prefix ends at
-    e_t <= W_t and obeys the same level limit.  Grouping the reads by end,
+    (its other prefix), at most once each per level, and only at levels
+    with L <= W_t', i.e. 2 W_t > L; the oldest band's prefix of [1, e_t] ends
+    at e_t <= W_t and obeys the same level limit.  Grouping the reads by end,
     the noise is ``sum_k sum_t c_tk z(N_k(e_t))`` with
     ``|c_tk| <= v_tk = max(w_t [2 W_t > L], w_{t-1} [2 W_{t-1} > L])``, as the
     two weights enter with opposite signs.  Several ends can share one node:
@@ -187,11 +188,11 @@ def worst_noise_profile(
 def allwindow_query_profile(
     epsilon: float, horizon: int | None = None, *, schedule_beta: float = 2.0
 ) -> NoiseProfile:
-    """Over-bound of one window query on the level-scheduled tree.
+    """Over-bound of one window estimate on the level-scheduled tree.
 
-    A query reads two block-prefix tilings (at most one node per level each)
-    plus the previous-block total, so three nodes per level is a rigorous
-    upper bound whatever the window size.
+    A window cursor sums two block prefixes (at most one node per level
+    each) and the previous block's total, so three nodes per level is a
+    rigorous upper bound whatever the window size.
     """
     base = worst_noise_profile(
         DecaySpec.running(), epsilon, horizon, schedule_beta=schedule_beta

@@ -243,9 +243,9 @@ def cmd_bound(args) -> int:
         if poly:
             branch += "; bands are post-processing of the all-window tree"
     if args.mech == "allwindow":
-        profile = allwindow_query_profile(eps, args.T)
+        profile = allwindow_query_profile(eps, args.T, schedule_beta=sched_beta)
     elif args.mech == "running":
-        profile = worst_noise_profile(DecaySpec.running(), eps, args.T)
+        profile = worst_noise_profile(DecaySpec.running(), eps, args.T, schedule_beta=sched_beta)
     else:
         profile = worst_noise_profile(decay, eps, args.T)
     rows.append(("sigma_worst", profile.sigma))

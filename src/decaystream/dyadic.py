@@ -23,7 +23,8 @@ unit Laplace draws, so which draw a node gets depends only on the order in
 which callers touch nodes; callers keep that order independent of the data.
 Eviction drops a prefix of a level; reading an evicted or uncreated node
 raises ``ValueError``.  A :class:`PrefixCursor` walks the prefix sums of one
-block position by position, reading one node per step.
+block, and a :class:`WindowCursor` the window sums, reading one node per walk
+per step; no other code in the package splits a window.
 """
 
 from __future__ import annotations
@@ -180,26 +181,6 @@ class DyadicTree:
             a += s
             p -= s
 
-    def prefix_value(self, u: int, base: int = 1) -> float:
-        """Sum of the published nodes tiling [base, u]; 0 for the empty prefix."""
-        a, p = _checked_prefix(u, base)
-        c0s = self._c0
-        zs = self._z
-        lo = self._lo
-        total = 0.0
-        try:
-            while p:
-                k = p.bit_length() - 1
-                j = (a >> k) - lo[k]
-                if j < 0:
-                    raise IndexError
-                total += c0s[k][j] + zs[k][j]
-                a += 1 << k
-                p -= 1 << k
-        except IndexError:
-            raise ValueError(f"[{base}, {u}] reads a node that is not live") from None
-        return total
-
     # -- eviction and inspection ----------------------------------------------
 
     def evict_covered(self, level: int, index: int) -> None:
@@ -218,9 +199,6 @@ class DyadicTree:
             del self._z[k][:n]
             self._lo[k] = index
 
-    def live_nodes(self) -> set[tuple[int, int]]:
-        return set(self.counters())
-
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless accumulators of all live nodes, keyed (level, index)."""
         return {
@@ -236,11 +214,11 @@ class PrefixCursor:
     The tiling of the first p positions is the tiling of the first
     ``p - low`` positions plus the node of length ``low = p & -p`` ending at
     position ``base + p - 1``.  Memoising each prefix sum under the level of
-    its last node makes every step read one node, and every value equals
-    :meth:`DyadicTree.prefix_value` bit for bit (same summation order).
-    ``base - 1`` must be aligned as for :meth:`DyadicTree.prefix_value` over
-    every prefix the cursor reaches.  The value returned is the cursor's own
-    memo: callers must not update it in place (on lanes it is an array).
+    its last node makes every step read one node, adding the tiles of
+    :meth:`DyadicTree.decompose_nodes` to 0.0 largest first.  ``base - 1``
+    must be aligned as :meth:`DyadicTree.decompose_nodes` requires over every
+    prefix reached.  The value returned is the cursor's own memo: callers
+    must not update it in place (on lanes it is an array).
     """
 
     __slots__ = ("_tree", "_a", "p", "_memo")
@@ -266,6 +244,65 @@ class PrefixCursor:
         )
         self._memo[level] = total
         return total
+
+
+class WindowCursor:
+    """Published window sums over [j - W + 1, j] for j = 1, 2, 3, ... in turn.
+
+    Two prefix walks over aligned blocks of ``W' = 2**ceil(log2 W)``, one
+    for j and one for m = j - W, each read one node per step as a
+    :class:`PrefixCursor` does.  The window is j's block prefix when m <= 0
+    or m ends a block, minus m's prefix when m is in j's block, else plus
+    the previous block's total (the j walk's last value in it) minus m's
+    prefix.  Reads stay in those two blocks, on nodes ending by step j.  The
+    value returned may be a memo: do not update it in place (lanes).
+    """
+
+    __slots__ = ("_tree", "W", "_mask", "_top", "j", "_now", "_lag", "_total")
+
+    def __init__(self, tree: DyadicTree, W: int):
+        if W < 1:
+            raise ValueError(f"window size must be >= 1, got {W}")
+        self._tree = tree
+        self.W = W
+        Wp = 1 << (W - 1).bit_length()
+        self._mask = Wp - 1
+        self._top = top = Wp.bit_length()  # level of a whole block's node
+        self.j = 0
+        self._now = [0.0] * (top + 1)  # prefix sums by level, as in PrefixCursor
+        self._lag = [0.0] * (top + 1)
+        self._total = 0.0
+
+    def advance(self) -> float:
+        """Move to the next step j and return the window sum ending at j."""
+        j = self.j + 1
+        self.j = j
+        published = self._tree.published
+        mask = self._mask
+        memo = self._now
+        p = ((j - 1) & mask) + 1  # j's place in its block
+        if p == 1:
+            self._total = memo[self._top]  # the block just ended
+        low = p & -p
+        level = low.bit_length()
+        rest = p - low
+        cur = memo[(rest & -rest).bit_length()] + published(level, j // low - 1)
+        memo[level] = cur
+        m = j - self.W
+        if m <= 0:
+            return cur
+        q = ((m - 1) & mask) + 1  # m's place in its block
+        if q > mask:
+            return cur  # m ends the block before j's
+        memo = self._lag
+        low = q & -q
+        level = low.bit_length()
+        rest = q - low
+        lag = memo[(rest & -rest).bit_length()] + published(level, m // low - 1)
+        memo[level] = lag
+        if q < p:  # m lies in j's block
+            return cur - lag
+        return (self._total - lag) + cur
 
 
 def _checked_prefix(u: int, base: int) -> tuple[int, int]:

@@ -8,30 +8,31 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
   counter store; a window spanning two blocks is a block suffix plus a block
   prefix, so each update touches exactly ``log2(W) + 1`` counters and each
   estimate reads ``O(log W)`` of them.
-* :class:`AllWindowSum` -- one growing tree answering window queries for
+* :class:`AllWindowSum` -- one growing tree serving window estimates for
   every W simultaneously, with per-level budgets ``eps_k`` that sum to the
-  total budget.
+  total budget; :class:`FixedWindowView` streams one window size from it.
 * :class:`ExponentialSum` -- geometrically discounted sum on a growing tree;
   each node holds the discounted sum of its interval, only left nodes and the
   current root are updated, and stale nodes are evicted to keep one node per
   level.
 * :class:`PolynomialSum` -- power-law discounted sum approximated by
-  geometrically weighted window queries over age bands, all answered by one
+  geometrically weighted window sums over age bands, all read from one
   :class:`AllWindowSum` (post-processing of its tree); the noise-free output
   F' satisfies (1 - beta) * F <= F' <= F.
 
-``RunningSum`` (undiscounted prefix sum) is the degenerate window query on
-the growing tree.  Estimates at step j read only counters whose intervals end
-at or before j, so the whole output sequence is a deterministic function of
-the noisy counter vector.
+Window estimates are read by :class:`~decaystream.dyadic.WindowCursor`;
+``RunningSum`` (undiscounted prefix sum) walks the growing tree's prefixes.
+Estimates at step j read only counters whose intervals end at or before j,
+so the whole output sequence is a deterministic function of the noisy
+counter vector.
 
 With ``noisy=False`` all initialisation noise is pinned to zero; outputs are
 then exact (window/exponential/running) or within the deterministic band
 (polynomial) and NOT private.
 
-Mechanism states are single-owner and mutable: push/query are not reentrant
-and must never run concurrently on one state.  Parallel experiments give
-every trial its own state and its own child random source.
+Mechanism states are single-owner and mutable: push is not reentrant and
+must never run concurrently on one state.  Parallel experiments give every
+trial its own state and its own child random source.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dyadic import DyadicTree, PrefixCursor
+from .dyadic import DyadicTree, PrefixCursor, WindowCursor
 from .noise import PrivacyBudget, RandomSource, zeta
 
 _TINY_WEIGHT = 1e-300  # discount weights below this clamp to zero
@@ -150,8 +151,9 @@ class WindowSum:
 
     W must be a power of two; every counter carries Laplace noise of scale
     ``(log2 W + 1) / epsilon``.  Block b holds positions ``b*W + 1 ..
-    (b+1)*W`` as one aligned subtree of the store.  Only the current and the
-    previous block are retained.
+    (b+1)*W`` as one aligned subtree of the store, and a
+    :class:`~decaystream.dyadic.WindowCursor` reads each window from the
+    current and the previous block; older blocks are evicted.
     """
 
     def __init__(
@@ -168,18 +170,15 @@ class WindowSum:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         if W & (W - 1):
             raise ValueError(
-                f"window size {W} is not a power of two; use AllWindowSum "
-                "for arbitrary window sizes"
+                f"window size {W} is not a power of two; for other sizes use "
+                "FixedWindowView (mech allwindow) or make_mechanism"
             )
         self.W = W
         self.epsilon = epsilon
         self.counter_scale = scale = (math.log2(W) + 1.0) / epsilon
-        self.noisy = noisy
         self._h = W.bit_length()  # levels of one block subtree
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
-        self._prev_total = 0.0  # published sum of the previous (complete) block
-        self._cur = PrefixCursor(self._tree)  # current-block prefixes
-        self._prev: PrefixCursor | None = None  # previous-block prefixes
+        self._window = WindowCursor(self._tree, W)
         self.i = 0
 
     def push(self, x: float) -> float:
@@ -188,30 +187,21 @@ class WindowSum:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.i + 1
         self.i = i
-        W = self.W
-        tree = self._tree
-        blk, off = divmod(i - 1, W)
-        start = blk * W  # store position just before the block's first leaf
-        if off == 0 and blk:
-            prev = start - W
-            self._prev_total = tree.prefix_value(start, prev + 1)
-            if blk > 1:
-                for level in range(1, self._h + 1):
-                    tree.evict_covered(level, prev >> (level - 1))
-            self._prev = PrefixCursor(tree, prev + 1)
-            self._cur = PrefixCursor(tree, start + 1)
-        p = off + 1
-        tree.add_path(i, x, self._h)
-        # current-block prefix plus the previous block's suffix p+1..W
-        est = self._cur.advance()
-        if blk and p < W:
-            # not +=: est is the cursor's memo, an array on lanes
-            est = est + (self._prev_total - self._prev.advance())
-        return est
+        off = i - 1
+        if off >= 2 * self.W and not off % self.W:  # a block starts
+            _evict_through(self._tree, off - self.W)
+        self._tree.add_path(i, x, self._h)
+        return self._window.advance()
 
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless accumulators of the retained blocks, keyed (level, index)."""
         return self._tree.counters()
+
+
+def _evict_through(tree: DyadicTree, end: int) -> None:
+    """Drop every node that ends at or before position ``end``."""
+    for level in range(1, tree.height + 1):
+        tree.evict_covered(level, end >> (level - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +220,13 @@ def _level_epsilon(epsilon, schedule_beta, explicit, k):
 
 
 class AllWindowSum:
-    """One growing tree answering window queries for every window size.
+    """One growing tree serving window estimates for every window size.
 
     Level k counters carry noise of scale ``1 / eps_k`` with
     ``eps_k = epsilon / (zeta(schedule_beta) * k**schedule_beta)``, so the
     per-level budgets sum to ``epsilon`` over the infinite tree.  ``push``
-    produces no output; ``query`` and ``running_sum`` may be asked for any
-    past step.
+    produces no output; each :meth:`cursor` streams the estimates of one
+    window size, and all of them are post-processing of the one tree.
     """
 
     def __init__(
@@ -266,7 +256,7 @@ class AllWindowSum:
         return _level_epsilon(self.epsilon, self.schedule_beta, self._explicit, k)
 
     def push(self, x: float) -> None:
-        """Feed one update (queries are separate)."""
+        """Feed one update (cursors read the estimates)."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.step + 1
@@ -277,42 +267,9 @@ class AllWindowSum:
             self._tree.carry(height, 1.0)  # the tree doubles
         self._tree.add_path(i, x, height)
 
-    def query(self, j: int, W: int) -> float:
-        """Window estimate for the W most recent updates as of step j <= now.
-
-        W is internally aligned up to a power of two W' that only controls
-        block boundaries; the estimate still targets the exact W-window.
-        W > j degenerates to the running prefix.
-        """
-        if W < 1:
-            raise ValueError(f"window size must be >= 1, got {W}")
-        if not 0 <= j <= self.step:
-            raise ValueError(f"step {j} outside [0, {self.step}]")
-        if j == 0:
-            return 0.0
-        if W >= j:
-            return self._tree.prefix_value(j)
-        Wp = 1 << (W - 1).bit_length()
-        k = -(-j // Wp)  # ceil
-        tree = self._tree
-        block_k = (k - 1) * Wp + 1
-        if j - W >= block_k - 1:
-            # window inside block k
-            return tree.prefix_value(j, base=block_k) - tree.prefix_value(
-                j - W, base=block_k
-            )
-        block_prev = (k - 2) * Wp + 1
-        return (
-            tree.prefix_value(block_k - 1, base=block_prev)
-            - tree.prefix_value(j - W, base=block_prev)
-            + tree.prefix_value(j, base=block_k)
-        )
-
-    def running_sum(self, j: int) -> float:
-        """Private prefix-sum estimate at step j <= now (0 for j = 0)."""
-        if not 0 <= j <= self.step:
-            raise ValueError(f"step {j} outside [0, {self.step}]")
-        return self._tree.prefix_value(j) if j else 0.0
+    def cursor(self, W: int) -> WindowCursor:
+        """W-window estimates at steps 1, 2, 3, ...: advance at most once per push."""
+        return WindowCursor(self._tree, W)
 
     def counters(self) -> dict[tuple[int, int], float]:
         return self._tree.counters()
@@ -346,20 +303,17 @@ class RunningSum:
 
     def push(self, x: float) -> float:
         self._aw.push(x)
-        return self._prefix.advance()  # running_sum(step), one node read
-
-    def query(self, j: int) -> float:
-        return self._aw.running_sum(j)
+        return self._prefix.advance()  # one node read
 
     def counters(self):
         return self._aw.counters()
 
 
 class FixedWindowView:
-    """Streaming adapter: AllWindowSum queried at one window size per step.
+    """Streaming adapter: one window size read from an AllWindowSum.
 
-    This is the route for window sizes that are not powers of two.  A query
-    at step i reads only nodes inside the aligned block of ``W' =
+    This is the route for window sizes that are not powers of two.  Its
+    cursor reads, at step i, only nodes inside the aligned block of ``W' =
     2**ceil(log2 W)`` positions holding i and the block before it, so when a
     block starts, every node that ended before the previous block is
     evicted: about ``2 * (2 W' - 1)`` counters stay live, plus at most two
@@ -388,25 +342,18 @@ class FixedWindowView:
             level_schedule=level_schedule,
             noisy=noisy,
         )
+        self._window = self._aw.cursor(W)
 
     @property
     def step(self) -> int:
         return self._aw.step
 
     def push(self, x: float) -> float:
-        aw = self._aw
-        aw.push(x)  # a doubling reads the old root, which ends at step - 1
-        i = aw.step
-        Wp = self._Wp
-        off = i - 1
-        if off >= 2 * Wp and not off % Wp:
-            # a block starts: drop the nodes ending at or before the position
-            # just before the previous block
-            drop = off - Wp
-            tree = aw._tree
-            for level in range(1, tree.height + 1):
-                tree.evict_covered(level, drop >> (level - 1))
-        return aw.query(i, self.W)
+        self._aw.push(x)  # a doubling reads the old root, which ends at step - 1
+        off = self._aw.step - 1
+        if off >= 2 * self._Wp and not off % self._Wp:  # a block starts
+            _evict_through(self._aw._tree, off - self._Wp)
+        return self._window.advance()
 
     def counters(self):
         return self._aw.counters()
@@ -479,15 +426,6 @@ class ExponentialSum:
             k += 1
         return est
 
-    def live_node_count(self) -> int:
-        return len(self._tree.live_nodes())
-
-    def nodes_per_level(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for level, _ in self._tree.live_nodes():
-            out[level] = out.get(level, 0) + 1
-        return out
-
     def counters(self) -> dict[tuple[int, int], float]:
         return self._tree.counters()
 
@@ -528,10 +466,12 @@ class PolynomialSum:
     Ages are grouped into bands (b(j-1), b(j)] on which the weight
     (age + 1)**-c is within a (1-beta) factor of (1-beta)**j
     (:func:`poly_bands`).  At step i the estimate is the sum over the bands
-    reached so far of ``weight * query(i - lag, W)`` on one
-    :class:`AllWindowSum` with the default level schedule, so the estimator
-    is private by post-processing of that tree: one update changes one
-    counter per level by at most 1, and the level budgets sum to epsilon.
+    reached so far of ``weight`` times the W-window sum ending at
+    ``i - lag``, read by the band's cursor (created when the band is
+    reached, so ``lag`` steps behind) on one :class:`AllWindowSum` with the
+    default level schedule.  The estimator is private by post-processing of
+    that tree: one update changes one counter per level by at most 1, and
+    the level budgets sum to epsilon.
 
     The noise-free output F' satisfies (1-beta) F <= F' <= F for the true
     discounted sum F.
@@ -554,8 +494,8 @@ class PolynomialSum:
         self.beta = beta
         self.epsilon = epsilon
         self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
+        self._bands = []  # (weight, cursor) of the bands reached so far
         self._next_band = poly_bands(c, beta)
-        self._bands = [next(self._next_band)]  # reached so far
         self._waiting = next(self._next_band)  # first band not reached yet
 
     @property
@@ -566,18 +506,18 @@ class PolynomialSum:
         """Feed one update, return the discounted-sum estimate."""
         aw = self._aw
         aw.push(x)
-        i = aw.step
-        while self._waiting[0] < i:  # its youngest age now has an update
-            self._bands.append(self._waiting)
+        while self._waiting[0] < aw.step:  # its youngest age now has an update
+            _, W, weight = self._waiting
+            self._bands.append((weight, aw.cursor(W)))
             self._waiting = next(self._next_band)
         est = 0.0
-        for lag, W, weight in self._bands:
-            est += weight * aw.query(i - lag, W)
+        for weight, window in self._bands:
+            est += weight * window.advance()
         return est
 
     def child_windows(self) -> list[int]:
         """Window sizes of the bands reached so far, age 0 first."""
-        return [W for _, W, _ in self._bands]
+        return [window.W for _, window in self._bands]
 
     def counters(self) -> dict[tuple[int, int], float]:
         """The all-window tree's noiseless accumulators, keyed (level, index)."""

@@ -1,4 +1,4 @@
-"""Reference helpers for inspecting a dyadic counter store in tests.
+"""Reference helpers for inspecting and reading a dyadic counter store in tests.
 
 Node intervals are 1-based inclusive position ranges ``[l, u]`` whose length
 is a power of two; the node at level ``k`` with index ``j`` covers
@@ -7,6 +7,8 @@ complete tree over ``[1, 2**(height-1)]``, whose root reports as no left node.
 """
 
 from typing import NamedTuple
+
+from decaystream.dyadic import _checked_prefix
 
 
 class Interval(NamedTuple):
@@ -82,3 +84,60 @@ def node(tree, iv):
     level, index = node_of(iv)
     tree.published(level, index)  # raises unless the node is live
     return TreeNode(iv, c0_at(tree, level, index), frozen_noise(tree)[(level, index)])
+
+
+# ---------------------------------------------------------------------------
+# random-access reads: the bit-exact references of the package's cursors
+
+
+def prefix_value(tree, u, base=1):
+    """Sum of the published nodes tiling [base, u]; 0 for the empty prefix.
+
+    Tiles are added largest first, to 0.0, so every value equals
+    ``PrefixCursor`` bit for bit.
+    """
+    a, p = _checked_prefix(u, base)
+    c0s = tree._c0
+    zs = tree._z
+    lo = tree._lo
+    total = 0.0
+    try:
+        while p:
+            k = p.bit_length() - 1
+            j = (a >> k) - lo[k]
+            if j < 0:
+                raise IndexError
+            total += c0s[k][j] + zs[k][j]
+            a += 1 << k
+            p -= 1 << k
+    except IndexError:
+        raise ValueError(f"[{base}, {u}] reads a node that is not live") from None
+    return total
+
+
+def window_query(tree, j, W):
+    """Published estimate of the W most recent updates as of step j.
+
+    W is aligned up to a power of two W' that only sets block boundaries;
+    the estimate still targets the exact W-window.  W >= j degenerates to
+    the prefix [1, j].  ``WindowCursor(tree, W)`` returns these values bit
+    for bit at j = 1, 2, 3, ...
+    """
+    if W < 1:
+        raise ValueError(f"window size must be >= 1, got {W}")
+    if j == 0:
+        return 0.0
+    if W >= j:
+        return prefix_value(tree, j)
+    Wp = 1 << (W - 1).bit_length()
+    k = -(-j // Wp)  # ceil
+    block_k = (k - 1) * Wp + 1
+    if j - W >= block_k - 1:
+        # window inside block k
+        return prefix_value(tree, j, base=block_k) - prefix_value(tree, j - W, base=block_k)
+    block_prev = (k - 2) * Wp + 1
+    return (
+        prefix_value(tree, block_k - 1, base=block_prev)
+        - prefix_value(tree, j - W, base=block_prev)
+        + prefix_value(tree, j, base=block_k)
+    )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decaystream.bench import ExperimentConfig, checkpoints, run_bench
-from decaystream.bounds import utility_delta, worst_noise_profile
+from decaystream.bounds import allwindow_query_profile, utility_delta, worst_noise_profile
 from decaystream.cli import main
 from decaystream.mechanisms import DecaySpec
 from decaystream.noise import level_epsilons
@@ -198,6 +198,23 @@ def test_bench_deterministic_and_parallel_invariant(capsys):
     assert out1 == out2 == out3
 
 
+@pytest.mark.parametrize("mech", [["running"], ["window", "--W", "8"]])
+def test_bench_theory_rows_follow_the_input_length(capsys, tmp_path, mech):
+    # with --input the stream length, not --T, is the horizon of every
+    # theory row (the mechanism's and the running difference's)
+    path = tmp_path / "bits.txt"
+    gen = np.random.default_rng(8)
+    path.write_text("".join(f"{int(b)}\n" for b in gen.random(2000) < 0.5))
+    argv = ["bench", "--mech", *mech, "--input", str(path), "--trials", "30", "--seed", "2"]
+    outs = [run_cli(capsys, argv + T)[1] for T in ([], ["--T", "2000"], ["--T", "16"])]
+    assert outs[0] == outs[1] == outs[2]
+    rows = [line.split(",") for line in outs[0].strip().splitlines()[1:]]
+    last = {r[0]: float(r[6]) for r in rows if r[1] == "1024"}
+    if mech[0] == "running":
+        profile = worst_noise_profile(DecaySpec.running(), 1.0, 2000)
+        assert last["running"] == utility_delta(profile, 0.05)
+
+
 def test_bench_rejects_too_few_trials(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--mech", "window", "--W", "8", "--trials", "0"])
@@ -245,6 +262,27 @@ def test_bound_exponential_and_poly(capsys):
     )
     assert "level_12_scale" not in table
     profile = worst_noise_profile(DecaySpec.polynomial(2.0, 0.5), 1.0, 1024)
+    assert float(table["sigma_worst"]) == pytest.approx(profile.sigma, rel=1e-12)
+    assert float(table["delta_gamma"]) == pytest.approx(
+        utility_delta(profile, 0.05), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("mech", ["running", "allwindow"])
+def test_bound_profile_uses_the_schedule_exponent(capsys, mech):
+    argv = ["bound", "--mech", mech, "--beta", "1.5", "--T", "1024"]
+    if mech == "allwindow":
+        argv += ["--W", "5"]
+        profile = allwindow_query_profile(1.0, 1024, schedule_beta=1.5)
+    else:
+        profile = worst_noise_profile(DecaySpec.running(), 1.0, 1024, schedule_beta=1.5)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    table = dict(line.split(",", 1) for line in out.strip().splitlines())
+    eps_k = level_epsilons(1.0, 1.5, 11)
+    assert [float(table[f"level_{k}_scale"]) for k in range(1, 12)] == pytest.approx(
+        [1.0 / e for e in eps_k], rel=1e-12
+    )
     assert float(table["sigma_worst"]) == pytest.approx(profile.sigma, rel=1e-12)
     assert float(table["delta_gamma"]) == pytest.approx(
         utility_delta(profile, 0.05), rel=1e-12

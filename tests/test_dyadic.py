@@ -8,12 +8,15 @@ from dyadic_reference import (
     node,
     node_of,
     path_intervals,
+    prefix_value,
+    window_query,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaystream.dyadic import DyadicTree, PrefixCursor
-from decaystream.noise import RandomSource
+from decaystream.dyadic import DyadicTree, PrefixCursor, WindowCursor
+from decaystream.mechanisms import AllWindowSum
+from decaystream.noise import RandomLanes, RandomSource
 
 
 def make_tree(noisy=False, seed=0, scale=1.0):
@@ -50,7 +53,7 @@ def test_prefix_decomposition_empty_prefix():
     tree = make_tree()
     assert decompose_prefix(tree, 0) == []
     assert decompose_prefix(tree, 4, base=5) == []
-    assert filled_tree(8).prefix_value(4, base=5) == 0.0
+    assert prefix_value(filled_tree(8), 4, base=5) == 0.0
 
 
 def test_prefix_decomposition_range_errors():
@@ -60,9 +63,9 @@ def test_prefix_decomposition_range_errors():
     with pytest.raises(ValueError):
         decompose_prefix(tree, 8, base=3)  # [3, 8] is not in an aligned block
     with pytest.raises(ValueError):
-        tree.prefix_value(8, base=3)
+        prefix_value(tree, 8, base=3)
     with pytest.raises(ValueError):
-        tree.prefix_value(9)  # leaf 9 was never created
+        prefix_value(tree, 9)  # leaf 9 was never created
 
 
 def test_path_intervals_examples():
@@ -185,7 +188,7 @@ def test_prefix_value_sums_published_tiles():
                 want = 0.0
                 for level, index, _ in tree.decompose_nodes(u, base):
                     want += tree.published(level, index)
-                assert tree.prefix_value(u, base) == want
+                assert prefix_value(tree, u, base) == want
 
 
 def test_prefix_cursor_matches_prefix_value_bit_for_bit():
@@ -193,15 +196,54 @@ def test_prefix_cursor_matches_prefix_value_bit_for_bit():
     for base, size in ((1, 64), (17, 16), (33, 32), (49, 8)):
         cursor = PrefixCursor(tree, base)
         for u in range(base, base + size):
-            assert cursor.advance() == tree.prefix_value(u, base)
+            assert cursor.advance() == prefix_value(tree, u, base)
     cursor = PrefixCursor(tree, 3)
     assert [cursor.advance() for _ in range(3)] == [
-        tree.prefix_value(3, 3),
-        tree.prefix_value(4, 3),
+        prefix_value(tree, 3, 3),
+        prefix_value(tree, 4, 3),
         tree.published(2, 1) + tree.published(1, 4),  # [3, 4] + [5, 5]
     ]
     with pytest.raises(ValueError):
         cursor.advance()  # [3, 6] would need a length-4 node ending at 6
+
+
+CURSOR_WINDOWS = (1, 2, 3, 5, 8, 12, 100, 128, 1000)
+
+
+def _source(kind, seed):
+    if kind == "lanes":
+        return RandomLanes(RandomSource(seed).child(t) for t in range(3))
+    return RandomSource(seed)
+
+
+def _same(a, b):
+    return a.tolist() == b.tolist() if hasattr(a, "tolist") else a == b
+
+
+@pytest.mark.parametrize("kind", ["scalar", "lanes"])
+def test_window_cursor_matches_window_query_on_a_growing_tree(kind):
+    # every window size streams from one all-window tree at once
+    gen = RandomSource(21)
+    xs = [gen.uniform() for _ in range(2200)]
+    aw = AllWindowSum(1.0, _source(kind, 22))
+    cursors = [aw.cursor(W) for W in CURSOR_WINDOWS]
+    for j, x in enumerate(xs, 1):
+        aw.push(x)
+        for cursor in cursors:
+            assert _same(cursor.advance(), window_query(aw._tree, j, cursor.W)), (j, cursor.W)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "lanes"])
+@pytest.mark.parametrize("W", CURSOR_WINDOWS)
+def test_window_cursor_matches_window_query_on_block_trees(kind, W):
+    # aligned blocks of W' leaves, each a subtree of fixed height (as WindowSum)
+    height = (W - 1).bit_length() + 1
+    tree = DyadicTree(_source(kind, W), lambda level: 2.0)
+    cursor = WindowCursor(tree, W)
+    gen = RandomSource(23)
+    for j in range(1, max(4 * W, 40) + 1):
+        tree.add_path(j, gen.uniform(), height)
+        assert _same(cursor.advance(), window_query(tree, j, W)), j
 
 
 def test_noise_frozen_under_updates():
@@ -247,7 +289,7 @@ def test_eviction_drops_covered_nodes_only():
     # i.e. below index 2 * (4 >> k)
     for level in range(1, tree.height):
         tree.evict_covered(level, 2 * (4 >> level))
-    live = tree.live_nodes()
+    live = set(tree.counters())
     # everything strictly below [1,4] is covered and gone; [1,4] itself, the
     # right half and the root survive
     assert {(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)}.isdisjoint(live)
@@ -261,7 +303,7 @@ def test_evicted_and_uncreated_nodes_raise():
         with pytest.raises(ValueError):
             tree.published(level, index)
     with pytest.raises(ValueError):
-        tree.prefix_value(3)  # tiles [1, 2] and [3, 3]; leaf 3 is gone
+        prefix_value(tree, 3)  # tiles [1, 2] and [3, 3]; leaf 3 is gone
     with pytest.raises(ValueError):
         tree.add_path(2, 1.0, 1)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from dyadic_reference import Interval, node
+from dyadic_reference import Interval, node, prefix_value, window_query
 
 from decaystream.bounds import worst_noise_profile
 from decaystream.mechanisms import (
@@ -49,7 +49,7 @@ def test_window_counter_scale_and_sizes():
 
 
 def test_window_rejects_non_power_of_two():
-    with pytest.raises(ValueError, match="AllWindowSum"):
+    with pytest.raises(ValueError, match="FixedWindowView"):
         WindowSum(6, 1.0, RandomSource(0))
 
 
@@ -134,34 +134,49 @@ def test_allwindow_level_budgets_sum_to_total():
     assert aw.level_epsilon(1) == pytest.approx(6.0 / math.pi**2, rel=1e-12)
 
 
+def walk(cursor, j):
+    """The cursor's value at step j, advancing it from where it stands."""
+    while cursor.j < j:
+        value = cursor.advance()
+    return value
+
+
 def test_allwindow_query_examples():
     aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
     for _ in range(8):
         aw.push(1.0)
-    assert aw.query(8, 3) == pytest.approx(3.0, abs=1e-12)
-    assert aw.query(8, 8) == pytest.approx(aw.running_sum(8), abs=1e-12)
-    assert aw.query(5, 9) == pytest.approx(aw.running_sum(5), abs=1e-12)
+    tree = aw._tree
+    assert walk(aw.cursor(3), 8) == pytest.approx(3.0, abs=1e-12)
+    assert walk(aw.cursor(8), 8) == pytest.approx(prefix_value(tree, 8), abs=1e-12)
+    assert walk(aw.cursor(9), 5) == pytest.approx(prefix_value(tree, 5), abs=1e-12)
 
 
 def test_allwindow_query_matches_brute_force_all_windows():
+    # fixed sizes stream along with the tree; a random size per step is read
+    # by a fresh cursor walked up to that step
     xs = random_stream(3, 128, binary=False)
     aw = AllWindowSum(1.0, RandomSource(3), noisy=False)
+    fixed = {W: aw.cursor(W) for W in (1, 2, 5, 8, 13)}
     gen = RandomSource(77)
     for j, x in enumerate(xs, 1):
         aw.push(x)
-        for W in (1, 2, 5, 8, 13, int(gen.uniform() * j) + 1):
-            assert aw.query(j, W) == pytest.approx(
-                brute_window(xs, j, W), abs=1e-9
-            ), (j, W)
+        for W, cursor in fixed.items():
+            assert cursor.advance() == pytest.approx(brute_window(xs, j, W), abs=1e-9), (j, W)
+        W = int(gen.uniform() * j) + 1
+        assert walk(aw.cursor(W), j) == pytest.approx(
+            brute_window(xs, j, W), abs=1e-9
+        ), (j, W)
 
 
 def test_allwindow_query_validation():
     aw = AllWindowSum(1.0, RandomSource(0))
     aw.push(1.0)
+    cursor = aw.cursor(1)
+    cursor.advance()
     with pytest.raises(ValueError):
-        aw.query(2, 1)  # beyond current step
+        cursor.advance()  # beyond current step: leaf 2 was never created
     with pytest.raises(ValueError):
-        aw.query(1, 0)
+        aw.cursor(0)
     with pytest.raises(ValueError):
         aw.push(2.0)
 
@@ -169,7 +184,7 @@ def test_allwindow_query_validation():
 def test_running_sum_examples():
     r = RunningSum(1.0, RandomSource(0), noisy=False)
     assert [r.push(x) for x in (1.0, 0.0, 1.0)] == [1.0, 1.0, 2.0]
-    assert r.query(0) == 0.0
+    assert prefix_value(r._aw._tree, 0) == 0.0
 
 
 def test_running_sum_matches_prefix_oracle():
@@ -198,7 +213,7 @@ def test_fixed_window_view_evicts_before_its_previous_block():
     for step in range(1, 20_001):
         x = gen.uniform()
         aw.push(x)
-        assert v.push(x) == aw.query(step, W)
+        assert v.push(x) == window_query(aw._tree, step, W)
         if step % 256 == 0:  # block ends, where the most nodes are live
             assert len(v.counters()) <= 2 * (2 * Wp - 1) + v._aw._tree.height
     assert len(aw.counters()) > 2 * 20_000 - 100  # the bare tree keeps them all
@@ -249,8 +264,9 @@ def test_exp_eviction_keeps_one_node_per_level():
     m = ExponentialSum(0.9, 1.0, RandomSource(0))
     for i in range(1, 3000):
         m.push(1.0)
-        assert all(n <= 1 for n in m.nodes_per_level().values())
-    assert m.live_node_count() <= m._tree.height
+        levels = [level for level, _ in m.counters()]
+        assert len(levels) == len(set(levels))  # at most one node per level
+    assert len(m.counters()) <= m._tree.height
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,16 @@ def test_poly_hooks_run_against_the_package():
     assert figures["mechanisms.PolynomialSum.bytes"] > 0
 
 
+def test_stream_tree_gate_passes():
+    # noise-off window, fixed-window, running and exponential outputs against
+    # ExactOracle over the workload's 1e4 updates, then the poly band gate
+    workloads = load("workloads")
+    checks = workloads.Checks()
+    workloads.StreamTree().gate(1, checks)
+    assert checks.attempted > 0
+    assert checks.failed == 0
+
+
 def test_bench_window_gate_and_replay_agree_with_run_bench():
     # bench-window's gate, then its == check of run_bench rows against
     # trials replayed one at a time on scalar sources (BenchWindow.measure)
