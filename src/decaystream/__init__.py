@@ -37,7 +37,6 @@ from .extensions import (
     DistinctCount,
     KSensitiveStream,
     PredicateStream,
-    first_occurrence_bits,
 )
 from .mechanisms import (
     AllWindowSum,
@@ -49,7 +48,6 @@ from .mechanisms import (
     WindowSum,
     exp_decay_sensitivity,
     make_mechanism,
-    poly_breakpoint,
 )
 from .noise import (
     LaplaceScale,
@@ -90,7 +88,6 @@ __all__ = [
     "check_independence",
     "decayed_sum",
     "exp_decay_sensitivity",
-    "first_occurrence_bits",
     "framework_threshold",
     "hoeffding_delta",
     "laplace_from_uniform",
@@ -98,7 +95,6 @@ __all__ = [
     "laplace_tail",
     "level_epsilons",
     "make_mechanism",
-    "poly_breakpoint",
     "reference_delta",
     "rr_epsilon_of_flip",
     "rr_flip_parameter",

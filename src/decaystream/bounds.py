@@ -11,16 +11,17 @@ orientation only, never asserted.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .baselines import decayed_sum
 from .mechanisms import (
     _TINY_WEIGHT,
     DecaySpec,
     exp_decay_sensitivity,
-    poly_bands,
+    poly_read_ages,
 )
 from .noise import level_epsilons
 
@@ -111,30 +112,16 @@ def worst_noise_profile(
     per level with effective scale (lam/eps) * alpha**(2**m - 1).  running:
     one node per level with the per-level schedule scales.
 
-    polynomial: the estimate at step i is ``sum_t w_t * S_t(e_t)`` on one
-    all-window tree (default schedule, level-k scale s_k = 1/eps_k), over
-    the bands t reached by the horizon, S_t(e) being band t's W_t-window sum
-    ending at e as its window cursor reads it, with ``e_t = i - lag_t``, so
-    ``e_{t+1} = e_t - W_t``.  Every block prefix a cursor sums starts at a
-    position aligned to a multiple of ``W_t' = 2**ceil(log2 W_t)``, so its
-    level-k node, if any, is the aligned node N_k(e) of length L = 2**(k-1)
-    that ends at ``L * floor(e / L)``, e being the prefix's end.  Band t
-    therefore reads +N_k(e_t) (its current-block prefix, or the previous
-    block's total, which is N_k(e_t) at the block level) and -N_k(e_{t+1})
-    (its other prefix), at most once each per level, and only at levels
-    with L <= W_t', i.e. 2 W_t > L; the oldest band's prefix of [1, e_t] ends
-    at e_t <= W_t and obeys the same level limit.  Grouping the reads by end,
-    the noise is ``sum_k sum_t c_tk z(N_k(e_t))`` with
-    ``|c_tk| <= v_tk = max(w_t [2 W_t > L], w_{t-1} [2 W_{t-1} > L])``, as the
-    two weights enter with opposite signs.  Several ends can share one node:
-    the node's coefficient is the sum of theirs, and treating them as
-    independent terms would understate the variance.  The ends sharing a
-    node lie within L - 1 positions, so charging each node to its youngest
-    end t bounds its coefficient by ``G_tk = sum v_uk`` over the bands u with
-    ``0 <= lag_u - lag_t < L``.  One term of scale ``G_tk * s_k`` per (t, k)
-    with ``v_tk > 0`` then bounds both the sum of squared node scales and
-    the largest one, which is all :func:`laplace_tail` uses, at every step up
-    to the horizon.
+    polynomial: the estimate at step i < T reads each node of one tiling of
+    the all-window tree (default schedule, level-k scale s_k = 1/eps_k)
+    once, weighted by the decay weight w of its oldest age.  A level-k node
+    (length L) is read only at newest ages a >= A_k (:func:`poly_read_ages`),
+    and its weight is at most w(a') for each of its L ages a', so the
+    disjoint level-k nodes have squared weights summing to at most
+    ``sum_{A_k <= a < T} w(a)**2 / L``, each at most ``w(A_k)**2``.  One
+    term per level of scale ``s_k * max(sqrt(that sum), w(A_k))`` then
+    bounds both the sum of squared node scales and the largest one, which is
+    all :func:`laplace_tail` uses, at every step up to the horizon.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -156,27 +143,19 @@ def worst_noise_profile(
         return NoiseProfile(tuple(scales) or (base,))
     if decay.kind == "polynomial":
         T = horizon or 1 << 20
-        bands = list(itertools.takewhile(lambda band: band[0] < T, poly_bands(decay.c, decay.beta)))
-        lags = [lag for lag, _, _ in bands]
-        height = (max(W for _, W, _ in bands) - 1).bit_length() + 1
+        # tail[a] = sum of w(a')**2 over a <= a' < T, summed oldest first so
+        # that a small weight is not lost next to a large one
+        tail = np.cumsum(np.arange(T, 0, -1, dtype=np.float64) ** (-2.0 * decay.c))[::-1]
         scales = []
-        for k, eps_k in enumerate(level_epsilons(epsilon, 2.0, height), 1):
-            L = 1 << (k - 1)
-            v = []
-            prev = 0.0  # weight of the next younger band if it reads level k
-            for _, W, w in bands:
-                own = w if 2 * W > L else 0.0
-                v.append(max(own, prev))
-                prev = own
-            # mass of v from band t on, summed oldest first so that a small
-            # weight is not lost next to a large one
-            mass = list(itertools.accumulate(reversed(v), initial=0.0))[::-1]
-            end = 0
-            for t, lag in enumerate(lags):
-                while end < len(lags) and lags[end] - lag < L:
-                    end += 1
-                if v[t]:
-                    scales.append((mass[t] - mass[end]) / eps_k)
+        for k, eps_k in enumerate(level_epsilons(epsilon, 2.0, T.bit_length()), 1):
+            A = poly_read_ages(decay.c, decay.beta, k)[0]
+            if A >= T:
+                break
+            energy = float(tail[A]) / (1 << (k - 1))
+            scale = max(math.sqrt(energy), decay.weight(A)) / eps_k
+            if not scale:
+                break  # the weights left underflow to zero
+            scales.append(scale)
         return NoiseProfile(tuple(scales))
     # running sum: one node per level of the grown tree
     T = horizon or 1 << 20

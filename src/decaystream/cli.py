@@ -80,6 +80,14 @@ def _decay_from_args(args) -> DecaySpec:
     return DecaySpec.running()
 
 
+def _schedule_beta(args) -> float:
+    """Level-schedule exponent: --beta on the growing-tree routes (running,
+    allwindow), else the default (poly's --beta is its slack)."""
+    if args.mech in ("running", "allwindow") and args.beta is not None:
+        return args.beta
+    return 2.0
+
+
 def _emit(records, header, fmt, out):
     if fmt == "csv":
         out.write(",".join(header) + "\n")
@@ -128,7 +136,8 @@ def _build_runner(args, decay, noisy):
         return RandomizedResponse(decay, flip, rng)
     cfg = ExperimentConfig(
         mech=mech, epsilon=args.eps, gamma=args.gamma, T=args.T, seed=args.seed,
-        W=args.W, alpha=args.alpha, c=args.c, beta=args.beta, noisy=noisy,
+        W=args.W, alpha=args.alpha, c=args.c, beta=args.beta,
+        schedule_beta=_schedule_beta(args), noisy=noisy,
     )
     # same noise stream as bench trial 0 of the same seed
     return build_mechanism(cfg, rng.child(1).child(0).child(0))
@@ -189,7 +198,7 @@ def cmd_bench(args) -> int:
         mech=args.mech, epsilon=args.eps, gamma=args.gamma, trials=args.trials,
         T=args.T, seed=args.seed, source=args.source, input_path=args.input,
         W=args.W, alpha=args.alpha, c=args.c, beta=args.beta,
-        noisy=not args.no_noise, jobs=args.jobs,
+        schedule_beta=_schedule_beta(args), noisy=not args.no_noise, jobs=args.jobs,
     )
     cfg.decay()  # validate parameters before spending any work
     if cfg.input_path is not None:
@@ -212,6 +221,7 @@ def cmd_bench(args) -> int:
 def cmd_bound(args) -> int:
     decay = _decay_from_args(args)
     eps, gamma = args.eps, args.gamma
+    sched_beta = _schedule_beta(args)
     rows = []
     if decay.kind == "window" and args.mech == "window":
         if decay.W & (decay.W - 1):
@@ -230,24 +240,19 @@ def cmd_bound(args) -> int:
         branch = "log2(range) >= log2(1/gamma)" if math.log2(r) >= math.log2(1.0 / gamma) \
             else "log2(range) < log2(1/gamma)"
     else:
-        # allwindow / running / poly: per-level schedule (poly's all-window
-        # tree has the default one; its --beta is the band slack)
-        poly = decay.kind == "polynomial"
-        sched_beta = 2.0 if poly or args.beta is None else args.beta
+        # allwindow / running / poly: per-level schedule
         h = (1 << max(args.T - 1, 1).bit_length()).bit_length()
         eps_k = level_epsilons(eps, sched_beta, h)
         rows.append(("sensitivity_per_level", 1.0))
         for k, e in enumerate(eps_k, 1):
             rows.append((f"level_{k}_scale", 1.0 / e))
         branch = "per-level budgets eps_k = eps / (zeta(beta) k**beta)"
-        if poly:
-            branch += "; bands are post-processing of the all-window tree"
+        if decay.kind == "polynomial":
+            branch += "; the age tiling is post-processing of the all-window tree"
     if args.mech == "allwindow":
         profile = allwindow_query_profile(eps, args.T, schedule_beta=sched_beta)
-    elif args.mech == "running":
-        profile = worst_noise_profile(DecaySpec.running(), eps, args.T, schedule_beta=sched_beta)
     else:
-        profile = worst_noise_profile(decay, eps, args.T)
+        profile = worst_noise_profile(decay, eps, args.T, schedule_beta=sched_beta)
     rows.append(("sigma_worst", profile.sigma))
     rows.append(("delta_gamma", utility_delta(profile, gamma)))
     rows.append(("delta_lb_ref", reference_delta(decay, gamma, eps)))

@@ -24,7 +24,9 @@ which callers touch nodes; callers keep that order independent of the data.
 Eviction drops a prefix of a level; reading an evicted or uncreated node
 raises ``ValueError``.  A :class:`PrefixCursor` walks the prefix sums of one
 block, and a :class:`WindowCursor` the window sums, reading one node per walk
-per step; no other code in the package splits a window.
+per step; no other code in the package splits a window.  Both raise past
+the furthest position :meth:`DyadicTree.add_path` has received.  The
+polynomial estimator reads the growing tree by its own age tiling.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class DyadicTree:
         self._lo: list[int] = []  # node index held in slot 0
         self._scale: list[float] = []
         self._units: list[float] = []
+        self.received = 0  # furthest position add_path has reached
 
     @property
     def height(self) -> int:
@@ -111,6 +114,8 @@ class DyadicTree:
         """Add ``x`` to the nodes at levels 1..height that contain position i."""
         if height > len(self._c0):
             self._reach(height)
+        if i > self.received:
+            self.received = i
         off = i - 1
         c0s = self._c0
         lo = self._lo
@@ -232,10 +237,12 @@ class PrefixCursor:
     def advance(self) -> float:
         """Move to the next position and return the prefix sum up to it."""
         p = self.p + 1
+        end = self._a + p
+        if end > self._tree.received:
+            raise ValueError(f"position {end} has not reached the store")
         self.p = p
         low = p & -p
         level = low.bit_length()
-        end = self._a + p
         if end & (low - 1):
             raise ValueError(f"prefix from {self._a + 1} to {end} is not block-aligned")
         rest = p - low
@@ -276,6 +283,8 @@ class WindowCursor:
     def advance(self) -> float:
         """Move to the next step j and return the window sum ending at j."""
         j = self.j + 1
+        if j > self._tree.received:
+            raise ValueError(f"position {j} has not reached the store")
         self.j = j
         published = self._tree.published
         mask = self._mask

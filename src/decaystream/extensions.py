@@ -69,16 +69,6 @@ class KSensitiveStream:
         return self.inner.push(p)
 
 
-def first_occurrence_bits(stream) -> list[int]:
-    """1 at each element's first appearance, else 0 (reference predicate)."""
-    seen = set()
-    out = []
-    for u in stream:
-        out.append(0 if u in seen else 1)
-        seen.add(u)
-    return out
-
-
 class DistinctCount:
     """Private running count of distinct elements seen so far.
 

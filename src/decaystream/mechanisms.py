@@ -15,10 +15,10 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
   each node holds the discounted sum of its interval, only left nodes and the
   current root are updated, and stale nodes are evicted to keep one node per
   level.
-* :class:`PolynomialSum` -- power-law discounted sum approximated by
-  geometrically weighted window sums over age bands, all read from one
-  :class:`AllWindowSum` (post-processing of its tree); the noise-free output
-  F' satisfies (1 - beta) * F <= F' <= F.
+* :class:`PolynomialSum` -- power-law discounted sum read from one
+  :class:`AllWindowSum` (post-processing of its tree) as a weighted tiling
+  whose node lengths grow in proportion to age, each node weighted by its
+  oldest age; the noise-free output F' satisfies (1 - beta) * F <= F' <= F.
 
 Window estimates are read by :class:`~decaystream.dyadic.WindowCursor`;
 ``RunningSum`` (undiscounted prefix sum) walks the growing tree's prefixes.
@@ -27,7 +27,7 @@ so the whole output sequence is a deterministic function of the noisy
 counter vector.
 
 With ``noisy=False`` all initialisation noise is pinned to zero; outputs are
-then exact (window/exponential/running) or within the deterministic band
+then exact (window/exponential/running) or within the (1 - beta) factor
 (polynomial) and NOT private.
 
 Mechanism states are single-owner and mutable: push is not reentrant and
@@ -434,47 +434,36 @@ class ExponentialSum:
 # polynomial decay
 
 
-def poly_breakpoint(c: float, beta: float, j: int) -> int:
-    """Largest age whose weight is at least (1-beta)**j (0 for j = 0)."""
-    if j == 0:
-        return 0
-    return math.floor((1.0 - beta) ** (-j / c)) - 1
+def poly_read_ages(c: float, beta: float, level: int) -> tuple[int, int]:
+    """Newest ages ``[lo, hi)`` at which :class:`PolynomialSum` reads ``level``.
 
-
-def poly_bands(c: float, beta: float):
-    """Yield the bands ``(lag, W, weight)`` of the polynomial estimator.
-
-    Age 0 comes first as ``(0, 1, 1.0)``; band j covers the ages
-    ``(b(j-1), b(j)]`` with weight ``(1-beta)**j``, where b is
-    :func:`poly_breakpoint`.  Empty bands (b(j) = b(j-1)) are skipped, so lags
-    increase and the bands tile every age.  The sequence is infinite.
+    A node of length ``L = 2**(level - 1)`` and newest age a is admitted when
+    ``L = 1`` or ``L <= rho * (a + 1)``, ``rho = (1 - beta)**(-1/c) - 1`` (its
+    ages' weights are then within a factor 1 - beta), i.e. from
+    ``lo = ceil(L / rho) - 1`` on.  From the next level's ``lo'`` on, nodes
+    of length 2L are admitted, so the walk takes this level only at the
+    first multiple of L at or below ``e - L_e``, (e, L_e) being the last node
+    it took below age ``lo'``; as ``L_e <= L`` divides e, that end is within
+    L of e, so reads stop below ``hi = lo' + L``.
     """
-    yield 0, 1, 1.0
-    prev = 0
-    j = 1
-    while True:
-        b = poly_breakpoint(c, beta, j)
-        if b > prev:
-            yield prev + 1, b - prev, (1.0 - beta) ** j
-            prev = b
-        j += 1
+    rho = (1.0 - beta) ** (-1.0 / c) - 1.0
+    L = 1 << (level - 1)
+    lo = 0 if level == 1 else math.ceil(L / rho) - 1
+    return lo, math.ceil(2 * L / rho) - 1 + L
 
 
 class PolynomialSum:
     """Private power-law discounted sum as post-processing of one tree.
 
-    Ages are grouped into bands (b(j-1), b(j)] on which the weight
-    (age + 1)**-c is within a (1-beta) factor of (1-beta)**j
-    (:func:`poly_bands`).  At step i the estimate is the sum over the bands
-    reached so far of ``weight`` times the W-window sum ending at
-    ``i - lag``, read by the band's cursor (created when the band is
-    reached, so ``lag`` steps behind) on one :class:`AllWindowSum` with the
-    default level schedule.  The estimator is private by post-processing of
-    that tree: one update changes one counter per level by at most 1, and
-    the level budgets sum to epsilon.
-
-    The noise-free output F' satisfies (1-beta) F <= F' <= F for the true
-    discounted sum F.
+    At step i the estimate walks the ends e = i, i - L, ... down to 0 of one
+    :class:`AllWindowSum` (default level schedule), taking at each the
+    largest aligned node ending there that its newest age i - e admits
+    (:func:`poly_read_ages`), weighted by the decay weight
+    ``(i - e + L)**-c`` of its oldest age.  Each node is read once, and the
+    noise-free output F' satisfies (1 - beta) F <= F' <= F for the true sum
+    F.  One update changes one counter per level by at most 1, and the level
+    budgets sum to epsilon.  Nodes older than their level's reads are
+    evicted, so O(log T) counters stay live.
     """
 
     def __init__(
@@ -494,33 +483,62 @@ class PolynomialSum:
         self.beta = beta
         self.epsilon = epsilon
         self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
-        self._bands = []  # (weight, cursor) of the bands reached so far
-        self._next_band = poly_bands(c, beta)
-        self._waiting = next(self._next_band)  # first band not reached yet
+        # read ranges [lo, hi) of levels 1, 2, ..., grown in push until one
+        # level is not yet admitted at any age
+        self._los: list[int] = []
+        self._his: list[int] = []
 
     @property
     def step(self) -> int:
         return self._aw.step
 
+    def _tiling(self):
+        """(level, index, weight) of the nodes tiling [1, step], youngest first."""
+        i = self._aw.step
+        negc = -self.c
+        los = self._los
+        cap = 1  # longest node the current age admits
+        e = i
+        while e:
+            a = i - e
+            while a >= los[cap.bit_length()]:
+                cap <<= 1
+            low = e & -e
+            L = low if low < cap else cap
+            level = L.bit_length()
+            yield level, (e >> (level - 1)) - 1, (a + L) ** negc
+            e -= L
+
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
-        aw = self._aw
-        aw.push(x)
-        while self._waiting[0] < aw.step:  # its youngest age now has an update
-            _, W, weight = self._waiting
-            self._bands.append((weight, aw.cursor(W)))
-            self._waiting = next(self._next_band)
+        self._aw.push(x)
+        i = self._aw.step
+        los, his = self._los, self._his
+        while not los or los[-1] < i:
+            lo, hi = poly_read_ages(self.c, self.beta, len(los) + 1)
+            los.append(lo)
+            his.append(hi)
+        tree = self._aw._tree
+        published = tree.published
         est = 0.0
-        for weight, window in self._bands:
-            est += weight * window.advance()
+        for level, index, weight in self._tiling():
+            est += published(level, index) * weight
+        # a level-k node is dead once its newest age reaches hi_k; that
+        # bound moves only when 2**(k-1) divides i - hi_k
+        for k, hi in enumerate(his):
+            m = i - hi
+            if m < 0:
+                break
+            if not m & ((1 << k) - 1):
+                tree.evict_covered(k + 1, m >> k)
         return est
 
     def child_windows(self) -> list[int]:
-        """Window sizes of the bands reached so far, age 0 first."""
-        return [window.W for _, window in self._bands]
+        """Node lengths of the current step's tiling, youngest first."""
+        return [1 << (level - 1) for level, _, _ in self._tiling()]
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """The all-window tree's noiseless accumulators, keyed (level, index)."""
+        """The all-window tree's live noiseless accumulators, keyed (level, index)."""
         return self._aw.counters()
 
 

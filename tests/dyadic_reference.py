@@ -141,3 +141,26 @@ def window_query(tree, j, W):
         - prefix_value(tree, j - W, base=block_prev)
         + prefix_value(tree, j, base=block_k)
     )
+
+
+# ---------------------------------------------------------------------------
+# the polynomial estimator's tiling, straight from its rule
+
+
+def age_tiling(i, c, beta):
+    """The nodes ``(interval, weight)`` tiling [1, i] at step i, youngest first.
+
+    At each end e, from e = i down, the largest aligned node [e - L + 1, e]
+    with L = 1 or L <= rho * (i - e + 1), rho = (1 - beta)**(-1/c) - 1,
+    weighted by the decay weight (i - e + L)**-c of its oldest age.
+    """
+    rho = (1.0 - beta) ** (-1.0 / c) - 1.0
+    tiles = []
+    e = i
+    while e:
+        L = 1 << (e.bit_length() - 1)
+        while e % L or (L > 1 and L > rho * (i - e + 1)):
+            L //= 2
+        tiles.append((Interval(e - L + 1, e), (i - e + L) ** -c))
+        e -= L
+    return tiles

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from dyadic_reference import Interval, decompose_prefix, frozen_noise, node
+from test_extensions import first_occurrence, first_occurrence_bits
 
 from decaystream.baselines import decayed_sum
 from decaystream.bench import ExperimentConfig, run_bench
@@ -26,7 +27,7 @@ from decaystream.bounds import (
     worst_noise_profile,
 )
 from decaystream.dyadic import DyadicTree
-from decaystream.extensions import first_occurrence_bits
+from decaystream.extensions import DecayedHistogram, DistinctCount, KSensitiveStream
 from decaystream.mechanisms import (
     AllWindowSum,
     DecaySpec,
@@ -165,31 +166,80 @@ def test_criterion_02_sensitivity_brute_force():
         flips(_run_counters(exp_factory, xs), exp_factory,
               exp_decay_sensitivity(alpha))
 
-    # level-scheduled tree, alone and under the polynomial bands: one touched
+    # level-scheduled tree, alone and under the polynomial tiling: one touched
     # node per level, so the per-level change is 1 and the total is bounded
     # by the tree height
     height = (1 << (T - 1).bit_length()).bit_length()
 
-    def per_level_flips(factory):
+    def per_level_flips(factory, stream=xs, substitutes=lambda x: [1.0 - x], k=1):
+        # counters are keyed (..., level, index): the change per level of
+        # each tree is at most k, and at most k * height in total
         nonlocal ok
-        base = _run_counters(factory, xs)
-        for pos in range(T):
-            flipped = list(xs)
-            flipped[pos] = 1.0 - flipped[pos]
-            other = _run_counters(factory, flipped)
-            per_level = {}
-            for key in set(base) | set(other):
-                d = abs(base.get(key, 0.0) - other.get(key, 0.0))
-                per_level[key[0]] = per_level.get(key[0], 0.0) + d
-            ok &= all(v <= 1.0 + 1e-9 for v in per_level.values())
-            ok &= sum(per_level.values()) <= height + 1e-9
+        base = _run_counters(factory, stream)
+        for pos in range(len(stream)):
+            for sub in substitutes(stream[pos]):
+                other = _run_counters(factory, stream[:pos] + [sub] + stream[pos + 1:])
+                per_level = {}
+                for key in set(base) | set(other):
+                    d = abs(base.get(key, 0.0) - other.get(key, 0.0))
+                    per_level[key[:-1]] = per_level.get(key[:-1], 0.0) + d
+                ok &= all(v <= k + 1e-9 for v in per_level.values())
+                ok &= sum(per_level.values()) <= k * height + 1e-9
 
     per_level_flips(lambda: AllWindowSum(1.0, RandomSource(0), noisy=False))
     for c, beta in ((1.5, 0.25), (4.0, 0.5)):
         per_level_flips(
             lambda cc=c, bb=beta: PolynomialSum(cc, bb, 1.0, RandomSource(0), noisy=False)
         )
+
+    # the wrappers, on a shorter stream: a histogram record changes only its
+    # own key's tree (keys are public), and a substituted element changes at
+    # most k = 2 first-occurrence bits, each one counter per level of a tree
+    # run at budget epsilon / 2
+    n = 64
+    keyed = [(str(int(gen.uniform() * 3)), x) for x in xs[:n]]
+    per_level_flips(
+        lambda: _Keyed(DecayedHistogram(DecaySpec.window(5), 1.0, RandomSource(0), noisy=False)),
+        keyed, lambda r: [(r[0], 1.0 - r[1])],
+    )
+    elements = [int(gen.uniform() * 4) for _ in range(n)]
+    others = lambda u: [v for v in range(4) if v != u]
+    per_level_flips(lambda: _Inner(DistinctCount(1.0, RandomSource(0), noisy=False)),
+                    elements, others, k=2)
+    per_level_flips(
+        lambda: _Inner(KSensitiveStream(first_occurrence(), 2, DecaySpec.running(), 1.0,
+                                        RandomSource(0), noisy=False)),
+        elements, others, k=2,
+    )
     report(2, "counter sensitivity brute force", ok)
+
+
+class _Inner:
+    """A wrapper whose counters are those of its inner estimator."""
+
+    def __init__(self, outer):
+        self.outer = outer
+        self.push = outer.push
+
+    def counters(self):
+        return self.outer.inner.counters()
+
+
+class _Keyed:
+    """A histogram fed (key, value) records; counters keyed (key, level, index)."""
+
+    def __init__(self, hist):
+        self.hist = hist
+
+    def push(self, record):
+        self.hist.push(*record)
+
+    def counters(self):
+        return {
+            (key, *node): v
+            for key, mech in self.hist._mechs.items()
+            for node, v in mech.counters().items()
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -203,10 +203,13 @@ def test_worst_noise_profiles():
     assert e.scales[1] == pytest.approx(e.scales[0] * 0.9, rel=1e-12)
     r = worst_noise_profile(DecaySpec.running(), 1.0, horizon=1024)
     assert len(r.scales) == 11
-    # polynomial: the age-0 band's leaf at the level-1 scale zeta(2) / eps is
-    # the first and largest term, and more bands add terms
+    # polynomial: leaves are read from age 0 on, so the first and largest
+    # term is the level-1 scale zeta(2) / eps times the root energy of every
+    # weight up to the horizon, and a longer horizon adds terms
     p = worst_noise_profile(DecaySpec.polynomial(2.0, 0.5), 1.0, horizon=256)
-    assert p.scales[0] == p.max_scale == pytest.approx(math.pi**2 / 6, rel=1e-12)
+    energy = math.fsum((a + 1.0) ** -4 for a in range(256))
+    assert p.scales[0] == p.max_scale
+    assert p.scales[0] == pytest.approx(math.pi**2 / 6 * math.sqrt(energy), rel=1e-12)
     assert p.sigma < worst_noise_profile(DecaySpec.polynomial(2.0, 0.5), 1.0, 1 << 20).sigma
 
 

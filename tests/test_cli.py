@@ -4,11 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from decaystream.bench import ExperimentConfig, checkpoints, run_bench
+from decaystream.bench import (
+    ExperimentConfig,
+    build_mechanism,
+    checkpoints,
+    make_stream,
+    run_bench,
+)
 from decaystream.bounds import allwindow_query_profile, utility_delta, worst_noise_profile
 from decaystream.cli import main
 from decaystream.mechanisms import DecaySpec
-from decaystream.noise import level_epsilons
+from decaystream.noise import RandomSource, level_epsilons
 
 
 def run_cli(capsys, argv):
@@ -39,6 +45,19 @@ def test_run_exponential_ones_matches_geometric_series(capsys):
         t_s, est_s = row.split(",")
         j, est = int(t_s), float(est_s)
         assert est == pytest.approx((1 - 0.9**j) / (1 - 0.9), abs=1e-9)
+
+
+@pytest.mark.parametrize("mech", [["running"], ["allwindow", "--W", "5"]])
+def test_run_beta_is_the_schedule_exponent(capsys, mech):
+    argv = ["run", "--mech", *mech, "--T", "16", "--seed", "1"]
+    _, plain, _ = run_cli(capsys, argv)
+    code, scheduled, _ = run_cli(capsys, argv + ["--beta", "1.5"])
+    assert code == 0 and scheduled != plain
+    # the estimator run builds: bench trial 0's noise, schedule exponent 1.5
+    cfg = ExperimentConfig(mech=mech[0], T=16, seed=1, W=5, schedule_beta=1.5)
+    est = build_mechanism(cfg, RandomSource(1).child(1).child(0).child(0))
+    want = [est.push(x) for x in make_stream(cfg)]
+    assert [float(line.split(",")[1]) for line in scheduled.splitlines()[1:]] == want
 
 
 def test_run_rejects_non_power_of_two_window(capsys):
@@ -215,6 +234,18 @@ def test_bench_theory_rows_follow_the_input_length(capsys, tmp_path, mech):
         assert last["running"] == utility_delta(profile, 0.05)
 
 
+def test_bench_beta_is_the_schedule_exponent(capsys):
+    # the theory row of the mechanism is bound's delta_gamma at the same --beta
+    argv = ["--mech", "running", "--T", "64", "--beta", "1.5"]
+    code, out, _ = run_cli(capsys, ["bench", *argv, "--trials", "30"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    (theory,) = [float(r[6]) for r in rows if r[0] == "running" and r[1] == "64"]
+    _, out, _ = run_cli(capsys, ["bound", *argv])
+    table = dict(line.split(",", 1) for line in out.strip().splitlines())
+    assert theory == float(table["delta_gamma"])
+
+
 def test_bench_rejects_too_few_trials(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--mech", "window", "--W", "8", "--trials", "0"])
@@ -254,7 +285,7 @@ def test_bound_exponential_and_poly(capsys):
     ])
     assert code == 0
     table = dict(line.split(",", 1) for line in out.strip().splitlines())
-    # the all-window tree's default schedule, not the band slack --beta
+    # the all-window tree's default schedule, not the tiling slack --beta
     assert float(table["sensitivity_per_level"]) == 1.0
     eps_k = level_epsilons(1.0, 2.0, 11)
     assert [float(table[f"level_{k}_scale"]) for k in range(1, 12)] == pytest.approx(
@@ -287,6 +318,14 @@ def test_bound_profile_uses_the_schedule_exponent(capsys, mech):
     assert float(table["delta_gamma"]) == pytest.approx(
         utility_delta(profile, 0.05), rel=1e-12
     )
+
+
+def test_bound_oracle_ignores_the_schedule_exponent(capsys):
+    # oracle and rr read no level schedule: --beta moves neither the level
+    # scales bound prints for them nor their profile
+    _, out, _ = run_cli(capsys, ["bound", "--mech", "oracle", "--T", "64", "--beta", "1.5"])
+    _, want, _ = run_cli(capsys, ["bound", "--mech", "oracle", "--T", "64"])
+    assert out == want
 
 
 def test_bound_rejects_bad_window(capsys):

@@ -246,6 +246,22 @@ def test_window_cursor_matches_window_query_on_block_trees(kind, W):
         assert _same(cursor.advance(), window_query(tree, j, W)), j
 
 
+def test_cursors_refuse_positions_the_store_has_not_received():
+    aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
+    window = aw.cursor(4)
+    prefix = PrefixCursor(aw._tree)
+    for _ in range(3):
+        aw.push(1.0)
+    assert [window.advance() for _ in range(3)] == [1.0, 2.0, 3.0]
+    assert [prefix.advance() for _ in range(3)] == [1.0, 2.0, 3.0]
+    # step 4 would read the live node [1, 4], which holds a partial sum
+    for cursor in (window, prefix):
+        with pytest.raises(ValueError, match="position 4"):
+            cursor.advance()
+    aw.push(1.0)
+    assert window.advance() == prefix.advance() == 4.0
+
+
 def test_noise_frozen_under_updates():
     tree = filled_tree(64, noisy=True, seed=11, scale=2.0, x=0.0)
     stamped = frozen_noise(tree)

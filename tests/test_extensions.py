@@ -8,10 +8,26 @@ from decaystream.extensions import (
     DistinctCount,
     KSensitiveStream,
     PredicateStream,
-    first_occurrence_bits,
 )
 from decaystream.mechanisms import DecaySpec, WindowSum, make_mechanism
 from decaystream.noise import RandomSource
+
+
+def first_occurrence():
+    """A fresh stateful predicate: 1.0 at each element's first appearance,
+    else 0.0 (DistinctCount's predicate)."""
+    seen = set()
+
+    def bit(u):
+        new = u not in seen
+        seen.add(u)
+        return float(new)
+
+    return bit
+
+
+def first_occurrence_bits(stream) -> list[float]:
+    return list(map(first_occurrence(), stream))
 
 
 def test_constant_predicate_saturates_window():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from dyadic_reference import Interval, node, prefix_value, window_query
+from dyadic_reference import Interval, age_tiling, node, prefix_value, window_query
 
 from decaystream.bounds import worst_noise_profile
 from decaystream.mechanisms import (
@@ -15,7 +15,7 @@ from decaystream.mechanisms import (
     WindowSum,
     exp_decay_sensitivity,
     make_mechanism,
-    poly_breakpoint,
+    poly_read_ages,
 )
 from decaystream.noise import PrivacyBudget, RandomLanes, RandomSource
 
@@ -273,17 +273,13 @@ def test_exp_eviction_keeps_one_node_per_level():
 # polynomial decay
 
 
-def test_poly_breakpoints_power_case():
-    # c=2, beta=0.75: thresholds (1-beta)^j = 4^-j give b(j) = 2^j - 1
-    assert [poly_breakpoint(2.0, 0.75, j) for j in range(4)] == [0, 1, 3, 7]
-
-
 def test_poly_child_windows():
     m = PolynomialSum(2.0, 0.75, 1.0, RandomSource(0), noisy=False)
     for _ in range(10):
         m.push(1.0)
-    # age-0 estimator plus one estimator per nonempty band b(j-1) -> b(j)
-    assert m.child_windows()[:4] == [1, 1, 2, 4]
+    # rho = 1: a node of length L is admitted from newest age L - 1 on, so
+    # the ends 10, 9, 8, 6, 4 take [10], [9], [7, 8], [5, 6], [1, 4]
+    assert m.child_windows() == [1, 1, 2, 2, 4]
 
 
 def test_poly_sandwich_on_ones():
@@ -304,25 +300,45 @@ def test_poly_noiseless_output_within_band_everywhere():
             assert (1 - beta) * exact - 1e-9 <= out <= exact + 1e-9, (j, c, beta)
 
 
-def test_poly_band_weights_reproduce_noiseless_output():
-    # independent reconstruction: weight 1 at age 0 and (1-beta)^j on ages
-    # (b(j-1), b(j)]
-    c, beta = 2.0, 0.5
+def test_poly_tiling_weights_reproduce_noiseless_output():
+    # the reference walks the tiling rule on its own; each node's newest age
+    # lies in its level's read range, every age's weight is within
+    # (1 - beta) of its decay weight, and on a binary stream each
+    # node's sum is exact, so the noise-off output is the same float sum of
+    # node sums times weights, youngest node first
+    for c, beta in ((2.0, 0.5), (1.5, 0.25), (2.0, 0.75), (4.0, 0.25)):
+        xs = random_stream(42, 300)
+        m = PolynomialSum(c, beta, 1.0, RandomSource(42), noisy=False)
+        for j, x in enumerate(xs, 1):
+            out = m.push(x)
+            tiles = age_tiling(j, c, beta)
+            assert m.child_windows() == [iv.u - iv.l + 1 for iv, _ in tiles]
+            want = 0.0
+            for iv, weight in tiles:
+                want += sum(xs[iv.l - 1 : iv.u]) * weight
+                lo, hi = poly_read_ages(c, beta, (iv.u - iv.l + 1).bit_length())
+                assert lo <= j - iv.u < hi, (c, beta, j, iv)
+                for age in range(j - iv.u, j - iv.l + 1):
+                    exact = (age + 1.0) ** -c
+                    assert (1 - beta) * exact <= weight <= exact, (c, beta, j, age)
+            assert out == want, (c, beta, j)
 
-    def weight(age):
-        if age == 0:
-            return 1.0
-        j = 1
-        while poly_breakpoint(c, beta, j) < age:
-            j += 1
-        return (1.0 - beta) ** j
 
-    xs = random_stream(42, 120)
-    m = PolynomialSum(c, beta, 1.0, RandomSource(42), noisy=False)
-    for j, x in enumerate(xs, 1):
-        out = m.push(x)
-        recon = sum(xs[i] * weight(j - 1 - i) for i in range(j))
-        assert out == pytest.approx(recon, abs=1e-9)
+def test_poly_live_counters_grow_by_a_bounded_number_per_doubling():
+    # a level-k node (length L) is evicted once its newest age reaches
+    # hi_k <= L (1 + 2 / rho), so each level keeps fewer than 2 / rho + 3
+    # nodes; the all-window tree alone would keep 2T
+    c, beta = 2.0, 0.25
+    rho = (1.0 - beta) ** (-1.0 / c) - 1.0
+    per_level = 2.0 / rho + 3.0
+    m = PolynomialSum(c, beta, 1.0, RandomSource(0), noisy=False)
+    live = {}
+    for i in range(1, 2**15 + 1):
+        m.push(1.0)
+        if i in (2**12, 2**15):
+            live[i] = len(m.counters())
+            assert live[i] < i.bit_length() * per_level, i
+    assert live[2**15] - live[2**12] < 3 * per_level
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +395,7 @@ def test_poly_estimates_unbiased_for_band_target():
     xs = random_stream(7, j_star)
     ref = PolynomialSum(c, beta, 1.0, RandomSource(0), noisy=False)
     for x in xs:
-        target = ref.push(x)  # the banded approximant F'
+        target = ref.push(x)  # the tiled approximant F'
     # upper bound on the estimate's noise standard deviation
     sigma = worst_noise_profile(DecaySpec.polynomial(c, beta), 1.0, j_star).sigma
     base = RandomSource(19)

@@ -56,7 +56,7 @@ def test_poly_hooks_run_against_the_package():
 
 def test_stream_tree_gate_passes():
     # noise-off window, fixed-window, running and exponential outputs against
-    # ExactOracle over the workload's 1e4 updates, then the poly band gate
+    # ExactOracle over the workload's 1e4 updates, then the poly (1 - beta) gate
     workloads = load("workloads")
     checks = workloads.Checks()
     workloads.StreamTree().gate(1, checks)
