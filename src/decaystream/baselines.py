@@ -131,6 +131,12 @@ class RunningDiffBaseline:
     window estimate at step i is prefix(i) - prefix(i - W).  Error at step i
     grows with the number of tiling nodes of the two prefixes, i.e. with
     log i, and for large i dwarfs the window range.
+
+    Each prefix walk reads a node once, at the step where it ends, so a node
+    ending at or before m = i - W is never read again.  Whenever m is a
+    multiple of ``W' = 2**ceil(log2 W)`` those nodes are evicted, which
+    keeps O(W + log horizon) nodes live: at most 2(2W' - 1) + 2 h, where h
+    is the number of levels of the horizon tree.
     """
 
     def __init__(
@@ -153,6 +159,7 @@ class RunningDiffBaseline:
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         self._now = PrefixCursor(self._tree)  # prefix(i)
         self._lag = PrefixCursor(self._tree)  # prefix(i - W)
+        self._Wp = 1 << (W - 1).bit_length()
         self.i = 0
 
     def push(self, x: float) -> float:
@@ -164,6 +171,13 @@ class RunningDiffBaseline:
         self.i = i
         self._tree.add_path(i, x, self._h)
         est = self._now.advance()
-        if i > self.W:
+        m = i - self.W
+        if m > 0:
             est = est - self._lag.advance()  # not -=: est is the cursor's memo
+            if not m % self._Wp:  # both walks have passed every node ending by m
+                self._tree.evict_through(m)
         return est
+
+    def counters(self) -> dict[tuple[int, int], float]:
+        """Noiseless accumulators of the live nodes, keyed (level, index)."""
+        return self._tree.counters()

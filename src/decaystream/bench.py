@@ -7,12 +7,16 @@ noise.  Errors against the exact oracle are collected at power-of-two
 checkpoints and summarised with nearest-rank quantiles next to the
 theoretical utility curve and the lower-bound reference.
 
-Trials run in lockstep: each series is built once per batch of trials on
-:class:`~decaystream.noise.RandomLanes`, one lane per trial, and the stream
-is pushed through it once.  Trial t always uses the sub-stream
-``child(1).child(t)`` of the base seed, and lane t repeats the arithmetic of
-trial t run alone bit for bit, so output is bit-identical for a fixed seed
-regardless of how many worker processes are used or how trials are batched.
+Trials run in lockstep: each series is built once per batch of at most
+``_LANES`` trials on :class:`~decaystream.noise.RandomLanes`, one lane per
+trial, and the stream is pushed through it once.  With ``jobs`` > 1 the unit
+of work is one series on one lane batch: the units go, in series order, to a
+pool of at most ``jobs`` worker processes (never more than there are units),
+an idle worker takes the next unit, and the errors are put back together by
+unit.  Trial t always uses the sub-stream ``child(1).child(t)`` of the base
+seed, and lane t repeats the arithmetic of trial t run alone bit for bit, so
+output is bit-identical for a fixed seed regardless of how many worker
+processes are used or how trials are batched.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .noise import RandomLanes, RandomSource
 _STREAM_CHILD = 0
 _TRIAL_CHILD = 1
 _LANES = 256  # trials per lockstep batch; bounds the memory of lane arrays
+# sub-stream of a trial that each baseline series draws from; the mechanism's is 0
+_SERIES_CHILD = {"rr_matched": 1, "rr_raw": 2, "running_diff": 3}
 
 
 @dataclass(frozen=True)
@@ -189,57 +195,74 @@ def _series_names(cfg: ExperimentConfig, binary_stream: bool) -> list[str]:
     return names
 
 
+def _exact_at_checkpoints(cfg: ExperimentConfig, stream) -> list[float]:
+    """The exact oracle's values at the checkpoints of ``stream``."""
+    marks = set(checkpoints(len(stream)))
+    oracle = ExactOracle(cfg.decay())
+    exact = []
+    for i, x in enumerate(stream, 1):
+        v = oracle.push(x)
+        if i in marks:
+            exact.append(v)
+    return exact
+
+
+def _is_binary(stream) -> bool:
+    return all(x in (0.0, 1.0) for x in stream)
+
+
+def _run_series(cfg_dict: dict, s: int, t0: int, t1: int, data=None) -> np.ndarray:
+    """Errors of series ``s`` for trials [t0, t1): shape (checkpoints, trials).
+
+    Trials run in batches of at most ``_LANES``.  Each batch is one estimator
+    of the series on lanes of the trials' sub-streams (``trial.child(k)``,
+    k from ``_SERIES_CHILD``), and the stream is pushed through it once; each
+    estimate is an array with one lane per trial (a float when the series
+    draws no noise).  ``data`` is the pair (stream,
+    :func:`_exact_at_checkpoints`), computed here when not given.
+    """
+    cfg = ExperimentConfig.from_dict(cfg_dict)
+    if data is None:
+        stream = make_stream(cfg)
+        data = stream, _exact_at_checkpoints(cfg, stream)
+    stream, exact = data
+    T = len(stream)
+    name = _series_names(cfg, _is_binary(stream))[s]
+    mark_index = {j: idx for idx, j in enumerate(checkpoints(T))}
+    base = RandomSource(cfg.seed).child(_TRIAL_CHILD)
+    out = np.empty((len(exact), t1 - t0), dtype=np.float64)
+    k = _SERIES_CHILD.get(name, 0)
+    for b0 in range(t0, t1, _LANES):
+        b1 = min(b0 + _LANES, t1)
+        rng = RandomLanes([base.child(t).child(k) for t in range(b0, b1)])
+        if name == "rr_matched":
+            runner = RandomizedResponse(cfg.decay(), rr_flip_parameter(cfg.epsilon), rng)
+        elif name == "rr_raw":
+            runner = RandomizedResponse(cfg.decay(), cfg.epsilon, rng)
+        elif name == "running_diff":
+            runner = RunningDiffBaseline(cfg.W, T, cfg.epsilon, rng, noisy=cfg.noisy)
+        else:
+            runner = build_mechanism(cfg, rng)
+        cols = slice(b0 - t0, b1 - t0)
+        for i, x in enumerate(stream, 1):
+            est = runner.push(x)
+            idx = mark_index.get(i)
+            if idx is not None:
+                out[idx, cols] = est - exact[idx]
+    return out
+
+
 def _run_chunk(cfg_dict: dict, t0: int, t1: int) -> np.ndarray:
     """Errors for trials [t0, t1): shape (series, checkpoints, trials).
 
-    Trials run in batches of at most ``_LANES``.  Each series of a batch is
-    one estimator on lanes of the trials' sub-streams (``trial.child(0..3)``
-    for the mechanism, the two randomized responses and the running
-    difference), and the stream is pushed through it once; each estimate is
-    an array with one lane per trial (a float when the series draws no
-    noise).
+    The stack of :func:`_run_series` over the series, on one copy of the
+    stream and its exact values.
     """
     cfg = ExperimentConfig.from_dict(cfg_dict)
     stream = make_stream(cfg)
-    T = len(stream)
-    marks = checkpoints(T)
-    mark_set = {j: idx for idx, j in enumerate(marks)}
-    binary = all(x in (0.0, 1.0) for x in stream)
-    names = _series_names(cfg, binary)
-    oracle = ExactOracle(cfg.decay())
-    exact = {}
-    for i, x in enumerate(stream, 1):
-        v = oracle.push(x)
-        if i in mark_set:
-            exact[i] = v
-    base = RandomSource(cfg.seed).child(_TRIAL_CHILD)
-    out = np.empty((len(names), len(marks), t1 - t0), dtype=np.float64)
-    for b0 in range(t0, t1, _LANES):
-        b1 = min(b0 + _LANES, t1)
-        trials = [base.child(t) for t in range(b0, b1)]
-
-        def lanes(k: int) -> RandomLanes:
-            return RandomLanes([trial.child(k) for trial in trials])
-
-        runners = [build_mechanism(cfg, lanes(0))]
-        if "rr_matched" in names:
-            runners.append(
-                RandomizedResponse(cfg.decay(), rr_flip_parameter(cfg.epsilon), lanes(1))
-            )
-        if "rr_raw" in names:
-            runners.append(RandomizedResponse(cfg.decay(), cfg.epsilon, lanes(2)))
-        if "running_diff" in names:
-            runners.append(
-                RunningDiffBaseline(cfg.W, T, cfg.epsilon, lanes(3), noisy=cfg.noisy)
-            )
-        cols = slice(b0 - t0, b1 - t0)
-        for i, x in enumerate(stream, 1):
-            idx = mark_set.get(i)
-            for s, runner in enumerate(runners):
-                est = runner.push(x)
-                if idx is not None:
-                    out[s, idx, cols] = est - exact[i]
-    return out
+    data = stream, _exact_at_checkpoints(cfg, stream)
+    names = _series_names(cfg, _is_binary(stream))
+    return np.stack([_run_series(cfg_dict, s, t0, t1, data) for s in range(len(names))])
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -284,22 +307,24 @@ def run_bench(cfg: ExperimentConfig) -> list[ErrorSummary]:
         raise ValueError(f"need at least 30 trials, got {cfg.trials}")
     if cfg.jobs < 1:
         raise ValueError(f"need at least 1 job, got {cfg.jobs}")
+    build_mechanism(cfg, RandomSource(cfg.seed))  # refuses a bad config in O(1)
     stream = make_stream(cfg)
     T = len(stream)
     marks = checkpoints(T)
-    binary = all(x in (0.0, 1.0) for x in stream)
-    names = _series_names(cfg, binary)
+    names = _series_names(cfg, _is_binary(stream))
     if cfg.jobs == 1:
         errors = _run_chunk(cfg.to_dict(), 0, cfg.trials)
     else:
-        bounds_ = np.linspace(0, cfg.trials, cfg.jobs + 1, dtype=int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds_[:-1], bounds_[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            parts = list(
-                pool.map(_run_chunk, [cfg.to_dict()] * len(chunks),
-                         [a for a, _ in chunks], [b for _, b in chunks])
-            )
-        errors = np.concatenate(parts, axis=2)
+        # one unit per series and lane batch; an idle worker takes the next
+        units = [(s, b0, min(b0 + _LANES, cfg.trials))
+                 for s in range(len(names)) for b0 in range(0, cfg.trials, _LANES)]
+        n = len(units)
+        data = stream, _exact_at_checkpoints(cfg, stream)
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, n)) as pool:
+            parts = pool.map(_run_series, [cfg.to_dict()] * n, *zip(*units), [data] * n)
+            errors = np.empty((len(names), len(marks), cfg.trials))
+            for (s, b0, b1), part in zip(units, parts):
+                errors[s, :, b0:b1] = part
     decay = cfg.decay()
     lb = reference_delta(decay, cfg.gamma, cfg.epsilon)
     rows = []

@@ -192,8 +192,9 @@ class DyadicTree:
         """Drop the nodes of ``level`` whose index is below ``index``.
 
         Callers drop nodes no later tiling can read: those whose parent
-        interval has ended (exponential sums) or whose block has left the
-        window (window sums).
+        interval has ended (exponential sums), whose block has left the
+        window (window sums) or that both prefix walks of the
+        prefix-difference baseline have passed.
         """
         k = level - 1
         if not 0 <= k < len(self._c0):
@@ -203,6 +204,11 @@ class DyadicTree:
             del self._c0[k][:n]
             del self._z[k][:n]
             self._lo[k] = index
+
+    def evict_through(self, end: int) -> None:
+        """Drop every node that ends at or before position ``end``."""
+        for level in range(1, len(self._c0) + 1):
+            self.evict_covered(level, end >> (level - 1))
 
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless accumulators of all live nodes, keyed (level, index)."""

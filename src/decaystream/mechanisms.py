@@ -189,19 +189,13 @@ class WindowSum:
         self.i = i
         off = i - 1
         if off >= 2 * self.W and not off % self.W:  # a block starts
-            _evict_through(self._tree, off - self.W)
+            self._tree.evict_through(off - self.W)
         self._tree.add_path(i, x, self._h)
         return self._window.advance()
 
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless accumulators of the retained blocks, keyed (level, index)."""
         return self._tree.counters()
-
-
-def _evict_through(tree: DyadicTree, end: int) -> None:
-    """Drop every node that ends at or before position ``end``."""
-    for level in range(1, tree.height + 1):
-        tree.evict_covered(level, end >> (level - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +346,7 @@ class FixedWindowView:
         self._aw.push(x)  # a doubling reads the old root, which ends at step - 1
         off = self._aw.step - 1
         if off >= 2 * self._Wp and not off % self._Wp:  # a block starts
-            _evict_through(self._aw._tree, off - self._Wp)
+            self._aw._tree.evict_through(off - self._Wp)
         return self._window.advance()
 
     def counters(self):

@@ -59,11 +59,21 @@ def scalar_chunk(cfg_dict, t0, t1):
 
 def assert_lockstep_matches_scalar(cfg, monkeypatch, jobs=(1, 2)):
     ref = scalar_chunk(cfg.to_dict(), 0, cfg.trials)
-    assert np.array_equal(bench._run_chunk(cfg.to_dict(), 0, cfg.trials), ref)
+    chunk = bench._run_chunk(cfg.to_dict(), 0, cfg.trials)
+    assert np.array_equal(chunk, ref)
+    series = [bench._run_series(cfg.to_dict(), s, 0, cfg.trials) for s in range(len(ref))]
+    assert np.array_equal(chunk, np.stack(series))
     rows = {j: run_bench(ExperimentConfig(**{**cfg.to_dict(), "jobs": j})) for j in jobs}
+    calls = []
+
+    def recorded_scalar_chunk(*args):
+        calls.append(args)
+        return scalar_chunk(*args)
+
     with monkeypatch.context() as m:
-        m.setattr(bench, "_run_chunk", scalar_chunk)
+        m.setattr(bench, "_run_chunk", recorded_scalar_chunk)
         ref_rows = run_bench(ExperimentConfig(**{**cfg.to_dict(), "jobs": 1}))
+    assert calls == [(cfg.to_dict(), 0, cfg.trials)]  # jobs=1 ran the per-trial engine
     for j in jobs:
         assert rows[j] == ref_rows, j
 
@@ -81,8 +91,8 @@ MECHS = [
 @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise_off"])
 @pytest.mark.parametrize("epsilon", [1.0, 0.5])
 def test_lockstep_rows_equal_scalar_replay(monkeypatch, mech, kw, noisy, epsilon):
-    # 40 trials in lane batches of 16: each jobs=2 chunk spans two batches
-    # (a forked pool worker inherits the patched batch size)
+    # 40 trials in lane batches of 16, 16 and 8: at jobs=2 each series is
+    # three units, and _run_chunk runs three batches per series
     monkeypatch.setattr(bench, "_LANES", 16)
     cfg = ExperimentConfig(mech=mech, epsilon=epsilon, noisy=noisy, trials=40, T=70,
                            seed=8, **kw)
@@ -101,6 +111,41 @@ def test_lockstep_rows_equal_scalar_replay_on_a_file_stream(tmp_path, monkeypatc
 
 
 def test_lockstep_rows_equal_scalar_replay_over_full_lane_batches(monkeypatch):
-    # the shipped batch size: 600 trials at jobs=2 are chunks of 256 + 44 lanes
+    # the shipped batch size: 600 trials are lane batches of 256, 256 and 88
     cfg = ExperimentConfig(mech="window", W=8, trials=600, T=40, seed=9)
     assert_lockstep_matches_scalar(cfg, monkeypatch)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.5])
+def test_rows_are_equal_for_any_number_of_jobs(monkeypatch, epsilon):
+    # 3 lane batches of 3 or 4 series: 9 or 12 units over 2, 3 or 4 workers
+    monkeypatch.setattr(bench, "_LANES", 16)
+    cfg = ExperimentConfig(mech="window", W=8, epsilon=epsilon, trials=40, T=70, seed=3)
+    assert_lockstep_matches_scalar(cfg, monkeypatch, jobs=(1, 2, 3, 4))
+
+
+def test_pool_has_no_more_workers_than_units(tmp_path, monkeypatch):
+    # a stream that is not binary has one series, and 30 trials fill one batch
+    path = tmp_path / "stream.txt"
+    path.write_text("0.25\n0.5\n" * 10)
+    sizes = []
+
+    class RecordingPool(bench.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    cfg = dict(mech="exp", alpha=0.9, trials=30, input_path=str(path), seed=2)
+    rows = run_bench(ExperimentConfig(**cfg, jobs=4))
+    assert sizes == [1]
+    assert rows == run_bench(ExperimentConfig(**cfg, jobs=1))
+
+
+def test_bad_config_is_refused_before_the_stream_is_made(monkeypatch):
+    def no_stream(cfg):
+        raise AssertionError("the stream was made before the config was checked")
+
+    monkeypatch.setattr(bench, "make_stream", no_stream)
+    with pytest.raises(ValueError, match="schedule exponent must exceed 1"):
+        run_bench(ExperimentConfig(mech="running", schedule_beta=1.0, trials=30))
