@@ -51,7 +51,6 @@ from .mechanisms import (
 )
 from .noise import (
     LaplaceScale,
-    PrivacyBudget,
     RandomSource,
     laplace_from_uniform,
     laplace_sample,
@@ -77,7 +76,6 @@ __all__ = [
     "NoiseProfile",
     "PolynomialSum",
     "PredicateStream",
-    "PrivacyBudget",
     "RandomizedResponse",
     "RandomSource",
     "RunningDiffBaseline",

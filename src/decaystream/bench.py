@@ -9,14 +9,16 @@ theoretical utility curve and the lower-bound reference.
 
 Trials run in lockstep: each series is built once per batch of at most
 ``_LANES`` trials on :class:`~decaystream.noise.RandomLanes`, one lane per
-trial, and the stream is pushed through it once.  With ``jobs`` > 1 the unit
-of work is one series on one lane batch: the units go, in series order, to a
-pool of at most ``jobs`` worker processes (never more than there are units),
-an idle worker takes the next unit, and the errors are put back together by
-unit.  Trial t always uses the sub-stream ``child(1).child(t)`` of the base
-seed, and lane t repeats the arithmetic of trial t run alone bit for bit, so
-output is bit-identical for a fixed seed regardless of how many worker
-processes are used or how trials are batched.
+trial, and the stream is pushed through it once.  The unit of work is one
+series on one lane batch.  With ``jobs`` = 1 the units run in turn in the
+calling process; with ``jobs`` > 1 they go, in series order, to a pool of at
+most ``jobs`` worker processes (never more than there are units) and an idle
+worker takes the next unit.  Either way the stream and its exact values are
+computed once, and the errors are put back together by unit.  Trial t
+always uses the sub-stream ``child(1).child(t)`` of the base seed, and lane t
+repeats the arithmetic of trial t run alone bit for bit, so output is
+bit-identical for a fixed seed regardless of how many worker processes are
+used or how trials are batched.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .bounds import (
     worst_noise_profile,
 )
 from .mechanisms import DecaySpec, make_mechanism
-from .noise import RandomLanes, RandomSource
+from .noise import DEFAULT_SCHEDULE_BETA, RandomLanes, RandomSource
 
 _STREAM_CHILD = 0
 _TRIAL_CHILD = 1
@@ -66,7 +68,7 @@ class ExperimentConfig:
     alpha: float | None = None
     c: float | None = None
     beta: float | None = None
-    schedule_beta: float = 2.0
+    schedule_beta: float = DEFAULT_SCHEDULE_BETA
     noisy: bool = True
     jobs: int = 1
 
@@ -142,7 +144,10 @@ def make_stream(cfg: ExperimentConfig) -> list[float]:
     """Materialise the input stream for a config (deterministic in the seed)."""
     if cfg.input_path is not None:
         with open(cfg.input_path) as fh:
-            return parse_stream(fh)
+            stream = parse_stream(fh)
+        if not stream:
+            raise ValueError(f"stream file {cfg.input_path!r} holds no values")
+        return stream
     if cfg.T < 1:
         raise ValueError(f"stream length must be >= 1, got {cfg.T}")
     name, _, arg = cfg.source.partition(":")
@@ -211,58 +216,39 @@ def _is_binary(stream) -> bool:
     return all(x in (0.0, 1.0) for x in stream)
 
 
-def _run_series(cfg_dict: dict, s: int, t0: int, t1: int, data=None) -> np.ndarray:
-    """Errors of series ``s`` for trials [t0, t1): shape (checkpoints, trials).
+def _run_series(cfg_dict: dict, s: int, t0: int, t1: int, data) -> np.ndarray:
+    """Errors of series ``s`` for one lane batch of trials [t0, t1): shape
+    (checkpoints, trials).
 
-    Trials run in batches of at most ``_LANES``.  Each batch is one estimator
-    of the series on lanes of the trials' sub-streams (``trial.child(k)``,
-    k from ``_SERIES_CHILD``), and the stream is pushed through it once; each
-    estimate is an array with one lane per trial (a float when the series
-    draws no noise).  ``data`` is the pair (stream,
-    :func:`_exact_at_checkpoints`), computed here when not given.
+    The batch is one estimator of the series on lanes of the trials'
+    sub-streams (``trial.child(k)``, k from ``_SERIES_CHILD``), and the
+    stream is pushed through it once; each estimate is an array with one
+    lane per trial (a float when the series draws no noise).  ``data`` is the
+    pair (stream, :func:`_exact_at_checkpoints`).
     """
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    if data is None:
-        stream = make_stream(cfg)
-        data = stream, _exact_at_checkpoints(cfg, stream)
     stream, exact = data
     T = len(stream)
     name = _series_names(cfg, _is_binary(stream))[s]
     mark_index = {j: idx for idx, j in enumerate(checkpoints(T))}
     base = RandomSource(cfg.seed).child(_TRIAL_CHILD)
-    out = np.empty((len(exact), t1 - t0), dtype=np.float64)
     k = _SERIES_CHILD.get(name, 0)
-    for b0 in range(t0, t1, _LANES):
-        b1 = min(b0 + _LANES, t1)
-        rng = RandomLanes([base.child(t).child(k) for t in range(b0, b1)])
-        if name == "rr_matched":
-            runner = RandomizedResponse(cfg.decay(), rr_flip_parameter(cfg.epsilon), rng)
-        elif name == "rr_raw":
-            runner = RandomizedResponse(cfg.decay(), cfg.epsilon, rng)
-        elif name == "running_diff":
-            runner = RunningDiffBaseline(cfg.W, T, cfg.epsilon, rng, noisy=cfg.noisy)
-        else:
-            runner = build_mechanism(cfg, rng)
-        cols = slice(b0 - t0, b1 - t0)
-        for i, x in enumerate(stream, 1):
-            est = runner.push(x)
-            idx = mark_index.get(i)
-            if idx is not None:
-                out[idx, cols] = est - exact[idx]
+    rng = RandomLanes([base.child(t).child(k) for t in range(t0, t1)])
+    if name == "rr_matched":
+        runner = RandomizedResponse(cfg.decay(), rr_flip_parameter(cfg.epsilon), rng)
+    elif name == "rr_raw":
+        runner = RandomizedResponse(cfg.decay(), cfg.epsilon, rng)
+    elif name == "running_diff":
+        runner = RunningDiffBaseline(cfg.W, T, cfg.epsilon, rng, noisy=cfg.noisy)
+    else:
+        runner = build_mechanism(cfg, rng)
+    out = np.empty((len(exact), t1 - t0), dtype=np.float64)
+    for i, x in enumerate(stream, 1):
+        est = runner.push(x)
+        idx = mark_index.get(i)
+        if idx is not None:
+            out[idx] = est - exact[idx]
     return out
-
-
-def _run_chunk(cfg_dict: dict, t0: int, t1: int) -> np.ndarray:
-    """Errors for trials [t0, t1): shape (series, checkpoints, trials).
-
-    The stack of :func:`_run_series` over the series, on one copy of the
-    stream and its exact values.
-    """
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    stream = make_stream(cfg)
-    data = stream, _exact_at_checkpoints(cfg, stream)
-    names = _series_names(cfg, _is_binary(stream))
-    return np.stack([_run_series(cfg_dict, s, t0, t1, data) for s in range(len(names))])
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -312,19 +298,21 @@ def run_bench(cfg: ExperimentConfig) -> list[ErrorSummary]:
     T = len(stream)
     marks = checkpoints(T)
     names = _series_names(cfg, _is_binary(stream))
+    # one unit per series and lane batch
+    units = [(s, b0, min(b0 + _LANES, cfg.trials))
+             for s in range(len(names)) for b0 in range(0, cfg.trials, _LANES)]
+    n = len(units)
+    data = stream, _exact_at_checkpoints(cfg, stream)
+    args = [cfg.to_dict()] * n, *zip(*units), [data] * n
     if cfg.jobs == 1:
-        errors = _run_chunk(cfg.to_dict(), 0, cfg.trials)
+        parts = list(map(_run_series, *args))
     else:
-        # one unit per series and lane batch; an idle worker takes the next
-        units = [(s, b0, min(b0 + _LANES, cfg.trials))
-                 for s in range(len(names)) for b0 in range(0, cfg.trials, _LANES)]
-        n = len(units)
-        data = stream, _exact_at_checkpoints(cfg, stream)
+        # an idle worker takes the next unit
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, n)) as pool:
-            parts = pool.map(_run_series, [cfg.to_dict()] * n, *zip(*units), [data] * n)
-            errors = np.empty((len(names), len(marks), cfg.trials))
-            for (s, b0, b1), part in zip(units, parts):
-                errors[s, :, b0:b1] = part
+            parts = list(pool.map(_run_series, *args))
+    errors = np.empty((len(names), len(marks), cfg.trials))
+    for (s, b0, b1), part in zip(units, parts):
+        errors[s, :, b0:b1] = part
     decay = cfg.decay()
     lb = reference_delta(decay, cfg.gamma, cfg.epsilon)
     rows = []

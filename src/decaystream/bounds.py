@@ -23,7 +23,7 @@ from .mechanisms import (
     exp_decay_sensitivity,
     poly_read_ages,
 )
-from .noise import level_epsilons
+from .noise import DEFAULT_SCHEDULE_BETA, level_epsilons
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def worst_noise_profile(
     epsilon: float,
     horizon: int | None = None,
     *,
-    schedule_beta: float = 2.0,
+    schedule_beta: float = DEFAULT_SCHEDULE_BETA,
 ) -> NoiseProfile:
     """Noise profile of the worst-case single estimate of each mechanism.
 
@@ -147,7 +147,8 @@ def worst_noise_profile(
         # that a small weight is not lost next to a large one
         tail = np.cumsum(np.arange(T, 0, -1, dtype=np.float64) ** (-2.0 * decay.c))[::-1]
         scales = []
-        for k, eps_k in enumerate(level_epsilons(epsilon, 2.0, T.bit_length()), 1):
+        eps = level_epsilons(epsilon, DEFAULT_SCHEDULE_BETA, T.bit_length())
+        for k, eps_k in enumerate(eps, 1):
             A = poly_read_ages(decay.c, decay.beta, k)[0]
             if A >= T:
                 break
@@ -165,7 +166,7 @@ def worst_noise_profile(
 
 
 def allwindow_query_profile(
-    epsilon: float, horizon: int | None = None, *, schedule_beta: float = 2.0
+    epsilon: float, horizon: int | None = None, *, schedule_beta: float = DEFAULT_SCHEDULE_BETA
 ) -> NoiseProfile:
     """Over-bound of one window estimate on the level-scheduled tree.
 

@@ -31,7 +31,7 @@ from .bounds import (
 )
 from .extensions import DecayedHistogram
 from .mechanisms import DecaySpec, exp_decay_sensitivity
-from .noise import RandomSource, level_epsilons
+from .noise import DEFAULT_SCHEDULE_BETA, RandomSource, level_epsilons
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -53,7 +53,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=0.05, help="error probability")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--T", type=int, default=1024, help="generated stream length")
-    p.add_argument("--input", help="stream file, or - for stdin")
+    p.add_argument("--input", help="stream file (run also reads - as stdin)")
     p.add_argument("--source", default="bernoulli:0.5",
                    help="generator: bernoulli:p | ones | blocks:<period>")
     p.add_argument("--no-noise", action="store_true",
@@ -85,7 +85,7 @@ def _schedule_beta(args) -> float:
     allwindow), else the default (poly's --beta is its slack)."""
     if args.mech in ("running", "allwindow") and args.beta is not None:
         return args.beta
-    return 2.0
+    return DEFAULT_SCHEDULE_BETA
 
 
 def _emit(records, header, fmt, out):
@@ -191,6 +191,9 @@ def cmd_bench(args) -> int:
     if args.no_noise:
         print("WARNING: --no-noise disables privacy noise; output is NOT private.",
               file=sys.stderr)
+    if args.input == "-":
+        raise ValueError("bench cannot read its stream from stdin (--input -); "
+                         "give a stream file")
     if args.mech in ("rr", "oracle"):
         raise DataError("bench compares a tree mechanism against baselines; "
                         "pick --mech window|allwindow|exp|poly|running")

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .dyadic import DyadicTree, PrefixCursor, WindowCursor
-from .noise import PrivacyBudget, RandomSource, zeta
+from .noise import DEFAULT_SCHEDULE_BETA, RandomSource, level_epsilons
 
 _TINY_WEIGHT = 1e-300  # discount weights below this clamp to zero
 
@@ -202,22 +202,11 @@ class WindowSum:
 # all-window sum / running sum
 
 
-def _level_epsilon(epsilon, schedule_beta, explicit, k):
-    if explicit is not None:
-        if k > len(explicit):
-            raise ValueError(
-                f"explicit level schedule has {len(explicit)} terms "
-                f"but level {k} was reached"
-            )
-        return explicit[k - 1]
-    return epsilon / (zeta(schedule_beta) * k**schedule_beta)
-
-
 class AllWindowSum:
     """One growing tree serving window estimates for every window size.
 
-    Level k counters carry noise of scale ``1 / eps_k`` with
-    ``eps_k = epsilon / (zeta(schedule_beta) * k**schedule_beta)``, so the
+    Level k counters carry noise of scale ``1 / eps_k``, eps_k the k-th term
+    of :func:`~decaystream.noise.level_epsilons` at ``schedule_beta``, so the
     per-level budgets sum to ``epsilon`` over the infinite tree.  ``push``
     produces no output; each :meth:`cursor` streams the estimates of one
     window size, and all of them are post-processing of the one tree.
@@ -228,8 +217,7 @@ class AllWindowSum:
         epsilon: float,
         rng: RandomSource,
         *,
-        schedule_beta: float = 2.0,
-        level_schedule: tuple[float, ...] | None = None,
+        schedule_beta: float = DEFAULT_SCHEDULE_BETA,
         noisy: bool = True,
     ):
         if not epsilon > 0.0:
@@ -237,17 +225,10 @@ class AllWindowSum:
         if not schedule_beta > 1.0:
             raise ValueError(f"schedule exponent must exceed 1, got {schedule_beta}")
         self.epsilon = epsilon
-        self.schedule_beta = schedule_beta
-        self._explicit = explicit = tuple(level_schedule) if level_schedule else None
         self.step = 0
         self._tree = DyadicTree(
-            rng,
-            lambda k: 1.0 / _level_epsilon(epsilon, schedule_beta, explicit, k),
-            noisy,
+            rng, lambda k: 1.0 / level_epsilons(epsilon, schedule_beta, k)[-1], noisy
         )
-
-    def level_epsilon(self, k: int) -> float:
-        return _level_epsilon(self.epsilon, self.schedule_beta, self._explicit, k)
 
     def push(self, x: float) -> None:
         """Feed one update (cursors read the estimates)."""
@@ -277,18 +258,11 @@ class RunningSum:
         epsilon: float,
         rng: RandomSource,
         *,
-        schedule_beta: float = 2.0,
-        level_schedule: tuple[float, ...] | None = None,
+        schedule_beta: float = DEFAULT_SCHEDULE_BETA,
         noisy: bool = True,
     ):
         self.epsilon = epsilon
-        self._aw = AllWindowSum(
-            epsilon,
-            rng,
-            schedule_beta=schedule_beta,
-            level_schedule=level_schedule,
-            noisy=noisy,
-        )
+        self._aw = AllWindowSum(epsilon, rng, schedule_beta=schedule_beta, noisy=noisy)
         self._prefix = PrefixCursor(self._aw._tree)
 
     @property
@@ -320,8 +294,7 @@ class FixedWindowView:
         epsilon: float,
         rng: RandomSource,
         *,
-        schedule_beta: float = 2.0,
-        level_schedule: tuple[float, ...] | None = None,
+        schedule_beta: float = DEFAULT_SCHEDULE_BETA,
         noisy: bool = True,
     ):
         if W < 1:
@@ -329,13 +302,7 @@ class FixedWindowView:
         self.W = W
         self.epsilon = epsilon
         self._Wp = 1 << (W - 1).bit_length()
-        self._aw = AllWindowSum(
-            epsilon,
-            rng,
-            schedule_beta=schedule_beta,
-            level_schedule=level_schedule,
-            noisy=noisy,
-        )
+        self._aw = AllWindowSum(epsilon, rng, schedule_beta=schedule_beta, noisy=noisy)
         self._window = self._aw.cursor(W)
 
     @property
@@ -542,53 +509,27 @@ class PolynomialSum:
 
 def make_mechanism(
     decay: DecaySpec,
-    budget: PrivacyBudget | float,
+    epsilon: float,
     rng: RandomSource,
     *,
     noisy: bool = True,
-    schedule_beta: float = 2.0,
+    schedule_beta: float = DEFAULT_SCHEDULE_BETA,
 ):
     """Build the streaming estimator for a decay spec and privacy budget.
 
     Window sizes that are not powers of two are routed to the growing-tree
-    estimator (the estimand is unchanged; only block alignment differs).  A
-    budget's level schedule reaches the growing-tree estimators; the other
-    routes have no per-level budgets and reject one.
+    estimator (the estimand is unchanged; only block alignment differs).
+    ``schedule_beta`` sets the level schedule of the growing-tree routes
+    (running sums and those window sizes).
     """
-    if isinstance(budget, PrivacyBudget):
-        epsilon = budget.epsilon
-        level_schedule = budget.level_schedule
-    else:
-        epsilon = float(budget)
-        level_schedule = None
-    growing = decay.kind == "running" or (
-        decay.kind == "window" and decay.W & (decay.W - 1)
-    )
-    if level_schedule is not None and not growing:
-        raise ValueError(
-            "a level schedule applies only to running sums and to window "
-            f"sizes that are not a power of two, not to {decay.kind} decay"
-            + (f" with W={decay.W}" if decay.kind == "window" else "")
-        )
     if decay.kind == "window":
         if decay.W & (decay.W - 1):
             return FixedWindowView(
-                decay.W,
-                epsilon,
-                rng,
-                schedule_beta=schedule_beta,
-                level_schedule=level_schedule,
-                noisy=noisy,
+                decay.W, epsilon, rng, schedule_beta=schedule_beta, noisy=noisy
             )
         return WindowSum(decay.W, epsilon, rng, noisy=noisy)
     if decay.kind == "exponential":
         return ExponentialSum(decay.alpha, epsilon, rng, noisy=noisy)
     if decay.kind == "polynomial":
         return PolynomialSum(decay.c, decay.beta, epsilon, rng, noisy=noisy)
-    return RunningSum(
-        epsilon,
-        rng,
-        schedule_beta=schedule_beta,
-        level_schedule=level_schedule,
-        noisy=noisy,
-    )
+    return RunningSum(epsilon, rng, schedule_beta=schedule_beta, noisy=noisy)

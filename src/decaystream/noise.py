@@ -1,4 +1,4 @@
-"""Seeded randomness, Laplace sampling and per-level privacy budget schedules.
+"""Seeded randomness, Laplace sampling and the per-level privacy budget schedule.
 
 All randomness in the library flows through :class:`RandomSource`, a splittable
 counter-based generator (Philox) so that any experiment is reproducible from a
@@ -17,12 +17,15 @@ artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 _BUFFER = 4096
+
+# exponent beta of the default level schedule eps_k = epsilon / (zeta(beta) * k**beta)
+DEFAULT_SCHEDULE_BETA = 2.0
 
 
 def laplace_from_uniform(u, b: float):
@@ -150,32 +153,6 @@ def laplace_sample(rng: RandomSource, scale: LaplaceScale) -> float:
     return rng.laplace(scale.b)
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Total privacy parameter, optional error probability and level schedule.
-
-    If ``level_schedule`` is given its terms must sum to at most ``epsilon``
-    (1e-9 relative slack for truncated series).
-    """
-
-    epsilon: float
-    gamma: float | None = None
-    level_schedule: tuple[float, ...] | None = field(default=None)
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.level_schedule is not None:
-            sched = tuple(float(e) for e in self.level_schedule)
-            if any(e <= 0.0 for e in sched):
-                raise ValueError("level schedule terms must be positive")
-            if sum(sched) > self.epsilon * (1.0 + 1e-9):
-                raise ValueError("level schedule exceeds the total budget")
-            object.__setattr__(self, "level_schedule", sched)
-
-
 @lru_cache(maxsize=None)
 def zeta(beta: float) -> float:
     """Riemann zeta via truncated series plus Euler-Maclaurin tail.
@@ -202,7 +179,8 @@ def level_epsilons(epsilon: float, beta: float, k_max: int) -> list[float]:
     """Per-level budgets eps_k = epsilon / (zeta(beta) * k**beta), k = 1..k_max.
 
     The infinite series sums to exactly ``epsilon``, so any finite prefix
-    stays strictly below it.
+    stays strictly below it.  The growing trees of
+    :mod:`~decaystream.mechanisms` draw level k's noise at scale ``1 / eps_k``.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")

@@ -1,8 +1,8 @@
 """Lockstep trials must repeat the per-trial engine bit for bit.
 
-``scalar_chunk`` is the per-trial engine ``bench._run_chunk`` replaced: every
-trial builds its own estimators on scalar random sources and replays the
-stream alone.  It stays here as the reference the lane engine is compared
+``scalar_chunk`` is the per-trial engine the lane units of
+``bench._run_series`` replaced: every trial builds its own estimators on
+scalar random sources and replays the stream alone.  It stays here as the reference the lane engine is compared
 against with ``==``.
 """
 
@@ -59,21 +59,26 @@ def scalar_chunk(cfg_dict, t0, t1):
 
 def assert_lockstep_matches_scalar(cfg, monkeypatch, jobs=(1, 2)):
     ref = scalar_chunk(cfg.to_dict(), 0, cfg.trials)
-    chunk = bench._run_chunk(cfg.to_dict(), 0, cfg.trials)
-    assert np.array_equal(chunk, ref)
-    series = [bench._run_series(cfg.to_dict(), s, 0, cfg.trials) for s in range(len(ref))]
-    assert np.array_equal(chunk, np.stack(series))
+    stream = make_stream(cfg)
+    data = stream, bench._exact_at_checkpoints(cfg, stream)
+    # one unit per series and lane batch
+    units = [(s, b0, min(b0 + bench._LANES, cfg.trials))
+             for s in range(len(ref)) for b0 in range(0, cfg.trials, bench._LANES)]
+    stacked = np.full_like(ref, np.nan)
+    for s, t0, t1 in units:
+        stacked[s, :, t0:t1] = bench._run_series(cfg.to_dict(), s, t0, t1, data)
+    assert np.array_equal(stacked, ref)
     rows = {j: run_bench(ExperimentConfig(**{**cfg.to_dict(), "jobs": j})) for j in jobs}
     calls = []
 
-    def recorded_scalar_chunk(*args):
-        calls.append(args)
-        return scalar_chunk(*args)
+    def recorded_scalar_unit(cfg_dict, s, t0, t1, data):
+        calls.append((s, t0, t1))
+        return scalar_chunk(cfg_dict, t0, t1)[s]
 
     with monkeypatch.context() as m:
-        m.setattr(bench, "_run_chunk", recorded_scalar_chunk)
+        m.setattr(bench, "_run_series", recorded_scalar_unit)
         ref_rows = run_bench(ExperimentConfig(**{**cfg.to_dict(), "jobs": 1}))
-    assert calls == [(cfg.to_dict(), 0, cfg.trials)]  # jobs=1 ran the per-trial engine
+    assert calls == units  # jobs=1 ran the per-trial engine once per unit
     for j in jobs:
         assert rows[j] == ref_rows, j
 
@@ -91,8 +96,7 @@ MECHS = [
 @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise_off"])
 @pytest.mark.parametrize("epsilon", [1.0, 0.5])
 def test_lockstep_rows_equal_scalar_replay(monkeypatch, mech, kw, noisy, epsilon):
-    # 40 trials in lane batches of 16, 16 and 8: at jobs=2 each series is
-    # three units, and _run_chunk runs three batches per series
+    # 40 trials in lane batches of 16, 16 and 8: each series is three units
     monkeypatch.setattr(bench, "_LANES", 16)
     cfg = ExperimentConfig(mech=mech, epsilon=epsilon, noisy=noisy, trials=40, T=70,
                            seed=8, **kw)

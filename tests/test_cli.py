@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -259,6 +260,35 @@ def test_bench_rejects_fewer_than_one_job(capsys, jobs):
               "--jobs", jobs])
     assert exc.value.code == 2
     assert "job" in capsys.readouterr().err
+
+
+def test_bench_refuses_stdin_and_run_reads_it(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n0\n" * 20))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--mech", "running", "--trials", "30", "--input", "-"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "stdin" in err
+    code, out, _ = run_cli(capsys, ["run", "--mech", "running", "--no-noise", "--input", "-"])
+    assert code == 0
+    assert out.splitlines()[-1] == "40,20.0"
+
+
+@pytest.mark.parametrize("mech", [
+    ["window", "--W", "8"],
+    ["allwindow", "--W", "6"],
+    ["exp", "--alpha", "0.9"],
+    ["poly", "--c", "2", "--beta", "0.25"],
+    ["running"],
+], ids=lambda m: m[0])
+def test_bench_refuses_a_stream_file_with_no_values(mech, tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("\n  \n")
+    code, out, err = run_cli(
+        capsys, ["bench", "--mech", *mech, "--trials", "30", "--input", str(path)]
+    )
+    assert code == 3
+    assert out == "" and "no values" in err
 
 
 def test_bound_window(capsys):

@@ -17,7 +17,7 @@ from decaystream.mechanisms import (
     make_mechanism,
     poly_read_ages,
 )
-from decaystream.noise import PrivacyBudget, RandomLanes, RandomSource
+from decaystream.noise import DEFAULT_SCHEDULE_BETA, RandomLanes, RandomSource, level_epsilons
 
 
 def brute_window(xs, j, W):
@@ -126,12 +126,27 @@ def test_allwindow_tree_doubles_with_stream():
     assert aw.counters()[(3, 0)] == 3.0  # root accumulator via carry + adds
 
 
-def test_allwindow_level_budgets_sum_to_total():
-    aw = AllWindowSum(1.0, RandomSource(0))
-    sched = [aw.level_epsilon(k) for k in range(1, 60)]
-    assert all(a > b for a, b in zip(sched, sched[1:]))
-    assert sum(sched) < 1.0
-    assert aw.level_epsilon(1) == pytest.approx(6.0 / math.pi**2, rel=1e-12)
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+def test_allwindow_store_draws_each_level_at_its_schedule_scale(beta):
+    aw = AllWindowSum(1.0, RandomSource(0), schedule_beta=beta)
+    for _ in range(4096):
+        aw.push(0.5)
+    tree = aw._tree
+    eps = level_epsilons(1.0, beta, tree.height)
+    assert tree.height == 13
+    assert tree._scale == [1.0 / e for e in eps]
+    assert sum(eps) < 1.0
+
+
+def test_polynomial_tree_draws_each_level_at_the_default_schedule_scale():
+    # the exponent worst_noise_profile assumes for polynomial decay
+    poly = PolynomialSum(2.0, 0.5, 1.0, RandomSource(0))
+    for _ in range(4096):
+        poly.push(0.5)
+    tree = poly._aw._tree
+    eps = level_epsilons(1.0, DEFAULT_SCHEDULE_BETA, tree.height)
+    assert tree._scale == [1.0 / e for e in eps]
+    assert sum(eps) < 1.0
 
 
 def walk(cursor, j):
@@ -448,18 +463,6 @@ def test_factory_routes_window_sizes():
     )
 
 
-def test_factory_accepts_budget_with_schedule():
-    from decaystream.noise import level_epsilons
-
-    budget = PrivacyBudget(
-        1.0, gamma=0.05, level_schedule=tuple(level_epsilons(1.0, 2.0, 32))
-    )
-    mech = make_mechanism(DecaySpec.running(), budget, RandomSource(0), noisy=False)
-    for x in (1.0, 0.0, 1.0):
-        out = mech.push(x)
-    assert out == 2.0
-
-
 def test_decay_spec_validation_and_weights():
     with pytest.raises(ValueError):
         DecaySpec.window(0)
@@ -475,28 +478,6 @@ def test_decay_spec_validation_and_weights():
     assert DecaySpec.polynomial(2.0, 0.5).weight(2) == pytest.approx(1 / 9)
     assert DecaySpec.running().cumulative(7) == 7.0
     assert DecaySpec.window(3).cumulative(10) == 3.0
-
-
-def test_factory_passes_schedule_to_fixed_window_view():
-    # a two-level schedule is exhausted once the tree needs a third level
-    short = PrivacyBudget(1.0, level_schedule=(0.5, 0.25))
-    for decay in (DecaySpec.window(6), DecaySpec.running()):
-        mech = make_mechanism(decay, short, RandomSource(0))
-        mech.push(1.0)
-        mech.push(1.0)
-        with pytest.raises(ValueError, match="level schedule"):
-            mech.push(1.0)
-
-
-def test_factory_rejects_schedule_without_levels():
-    budget = PrivacyBudget(1.0, level_schedule=(0.5, 0.25))
-    for decay in (
-        DecaySpec.window(8),
-        DecaySpec.exponential(0.9),
-        DecaySpec.polynomial(2.0, 0.5),
-    ):
-        with pytest.raises(ValueError, match="level schedule"):
-            make_mechanism(decay, budget, RandomSource(0))
 
 
 def _lane_factories():

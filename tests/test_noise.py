@@ -8,7 +8,6 @@ from scipy.special import zeta as scipy_zeta
 
 from decaystream.noise import (
     LaplaceScale,
-    PrivacyBudget,
     RandomLanes,
     RandomSource,
     laplace_from_uniform,
@@ -118,16 +117,6 @@ def test_level_epsilons_decreasing_partial_sums_below_total(eps, beta, k_max):
         assert e > 0.0
         partial += e
         assert partial < eps
-
-
-def test_privacy_budget_schedule_validation():
-    PrivacyBudget(1.0, gamma=0.05, level_schedule=tuple(level_epsilons(1.0, 2.0, 64)))
-    with pytest.raises(ValueError):
-        PrivacyBudget(1.0, level_schedule=(0.6, 0.6))
-    with pytest.raises(ValueError):
-        PrivacyBudget(0.0)
-    with pytest.raises(ValueError):
-        PrivacyBudget(1.0, gamma=1.5)
 
 
 class _ZeroFirstGenerator:
