@@ -111,13 +111,18 @@ class ErrorSummary:
     delta_lb_ref: float
 
 
+class DataError(ValueError):
+    """Input data that cannot be used, such as a bad stream line or a stream
+    file with no values (exit code 3 on the command line)."""
+
+
 def parse_stream(lines, keyed: bool = False) -> list:
     """Validate a stream file: one value in [0, 1] per line, or ``key,value``.
 
     Surrounding whitespace (CRLF endings included) is stripped and blank
     lines are skipped.  The key is everything before the first comma, so a
     key containing a comma leaves a value that is not a number.  Returns the
-    values, or (key, value) pairs when ``keyed``; raises ``ValueError``
+    values, or (key, value) pairs when ``keyed``; raises :class:`DataError`
     ``line N: ...`` at the first bad line.
     """
     out = []
@@ -129,13 +134,13 @@ def parse_stream(lines, keyed: bool = False) -> list:
         if keyed:
             key, sep, text = line.partition(",")
             if not sep:
-                raise ValueError(f"line {lineno}: expected key,value: {line!r}")
+                raise DataError(f"line {lineno}: expected key,value: {line!r}")
         try:
             x = float(text)
         except ValueError:
-            raise ValueError(f"line {lineno}: not a number: {text!r}") from None
+            raise DataError(f"line {lineno}: not a number: {text!r}") from None
         if not 0.0 <= x <= 1.0:
-            raise ValueError(f"line {lineno}: value {x} outside [0, 1]")
+            raise DataError(f"line {lineno}: value {x} outside [0, 1]")
         out.append((key, x) if keyed else x)
     return out
 
@@ -146,7 +151,7 @@ def make_stream(cfg: ExperimentConfig) -> list[float]:
         with open(cfg.input_path) as fh:
             stream = parse_stream(fh)
         if not stream:
-            raise ValueError(f"stream file {cfg.input_path!r} holds no values")
+            raise DataError(f"stream file {cfg.input_path!r} holds no values")
         return stream
     if cfg.T < 1:
         raise ValueError(f"stream length must be >= 1, got {cfg.T}")

@@ -18,7 +18,14 @@ import math
 import sys
 
 from .baselines import ExactOracle, RandomizedResponse, rr_flip_parameter
-from .bench import ExperimentConfig, build_mechanism, make_stream, parse_stream, run_bench
+from .bench import (
+    DataError,
+    ExperimentConfig,
+    build_mechanism,
+    make_stream,
+    parse_stream,
+    run_bench,
+)
 from .bounds import (
     LowerBoundFamily,
     allwindow_query_profile,
@@ -37,11 +44,8 @@ USAGE_EXIT = 2
 DATA_EXIT = 3
 
 
-class DataError(Exception):
-    pass
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_decay(p: argparse.ArgumentParser) -> None:
+    """The mechanism and its decay parameters (every command)."""
     p.add_argument("--mech", required=True,
                    choices=["window", "allwindow", "exp", "poly", "running", "rr", "oracle"])
     p.add_argument("--W", type=int, help="window size")
@@ -49,10 +53,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, help="polynomial decay exponent")
     p.add_argument("--beta", type=float,
                    help="polynomial multiplicative slack / level schedule exponent")
+
+
+def _add_budget(p: argparse.ArgumentParser) -> None:
+    """Privacy budget, error probability and horizon (run, bench, bound)."""
     p.add_argument("--eps", type=float, default=1.0, help="privacy budget")
     p.add_argument("--gamma", type=float, default=0.05, help="error probability")
+    p.add_argument("--T", type=int, default=1024,
+                   help="generated stream length (bound: the horizon)")
+
+
+def _add_stream(p: argparse.ArgumentParser) -> None:
+    """The input stream, the noise and the output format (run, bench)."""
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--T", type=int, default=1024, help="generated stream length")
     p.add_argument("--input", help="stream file (run also reads - as stdin)")
     p.add_argument("--source", default="bernoulli:0.5",
                    help="generator: bernoulli:p | ones | blocks:<period>")
@@ -102,12 +115,13 @@ def _emit(records, header, fmt, out):
 def _read_input(args, keyed):
     fh = sys.stdin if args.input == "-" else open(args.input)
     try:
-        return parse_stream(fh, keyed)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+        rows = parse_stream(fh, keyed)
     finally:
         if fh is not sys.stdin:
             fh.close()
+    if not rows:
+        raise DataError(f"stream file {args.input!r} holds no values")
+    return rows
 
 
 def _read_stream(args):
@@ -204,12 +218,7 @@ def cmd_bench(args) -> int:
         schedule_beta=_schedule_beta(args), noisy=not args.no_noise, jobs=args.jobs,
     )
     cfg.decay()  # validate parameters before spending any work
-    if cfg.input_path is not None:
-        try:
-            make_stream(cfg)
-        except ValueError as exc:
-            raise DataError(str(exc))
-    rows = run_bench(cfg)
+    rows = run_bench(cfg)  # refuses a bad config before it reads the stream
     header = ["series", "j", "trials", "mean_err", "sd_err",
               f"q{100 * (1 - cfg.gamma):g}_abs_err", "delta_theory", "delta_lb_ref"]
     records = [
@@ -290,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="stream through one estimator")
-    _add_common(p_run)
+    for add in (_add_decay, _add_budget, _add_stream):
+        add(p_run)
     p_run.add_argument("--with-exact", action="store_true",
                        help="also print the exact value and absolute error")
     p_run.add_argument("--histogram", action="store_true",
@@ -298,18 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="Monte-Carlo benchmark")
-    _add_common(p_bench)
+    for add in (_add_decay, _add_budget, _add_stream):
+        add(p_bench)
     p_bench.add_argument("--trials", type=int, default=100)
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="worker processes (output identical for any value)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_bound = sub.add_parser("bound", help="print theory numbers")
-    _add_common(p_bound)
+    _add_decay(p_bound)
+    _add_budget(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
-    p_lb = sub.add_parser("lbverify", help="verify the lower-bound family")
-    _add_common(p_lb)
+    # without abbreviations, --eps is refused instead of read as --eps-grid
+    p_lb = sub.add_parser("lbverify", help="verify the lower-bound family",
+                          allow_abbrev=False)
+    _add_decay(p_lb)
     p_lb.add_argument("--q", type=int, required=True, help="number of probe blocks")
     p_lb.add_argument("--D", type=int, required=True, help="block length")
     p_lb.add_argument("--delta", type=float, required=True,

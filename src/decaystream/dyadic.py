@@ -10,8 +10,9 @@ separately, so noise cannot drift.
 Every tree is a view of this store, chosen by its caller:
 
 * growing trees (running, all-window and exponential sums) use the subtree
-  rooted at ``[1, 2**(h-1)]`` and, when it fills up, seed the next root with
-  the old one (:meth:`DyadicTree.carry`);
+  rooted at ``[1, 2**(h-1)]``; when it fills up, the all-window tree seeds
+  the next root with the old one (:meth:`DyadicTree.carry`), while the
+  exponential sum writes each node once, when it closes;
 * window trees use aligned subtrees of ``W`` leaves as blocks;
 * the prefix-difference baseline uses one subtree spanning its horizon.
 
@@ -26,7 +27,8 @@ raises ``ValueError``.  A :class:`PrefixCursor` walks the prefix sums of one
 block, and a :class:`WindowCursor` the window sums, reading one node per walk
 per step; no other code in the package splits a window.  Both raise past
 the furthest position :meth:`DyadicTree.add_path` has received.  The
-polynomial estimator reads the growing tree by its own age tiling.
+polynomial estimator reads the growing tree by its own age tiling, and the
+exponential sum by its own discounted prefix walk.
 """
 
 from __future__ import annotations
@@ -149,13 +151,11 @@ class DyadicTree:
             raise ValueError(f"node (level {level}, index {index}) was evicted")
         c[j] += w
 
-    def carry(self, level: int, weight: float) -> None:
-        """Seed the root of ``level`` with ``weight`` times the noiseless root
-        one level below: the doubling step of a growing tree."""
-        if weight < 0.0:
-            raise ValueError(f"carry weight must be >= 0, got {weight}")
+    def carry(self, level: int) -> None:
+        """Seed the root of ``level`` with the noiseless root one level below:
+        the doubling step of a growing tree."""
         k, j = self._slot(level - 1, 0)
-        self.add(level, 0, weight * self._c0[k][j])
+        self.add(level, 0, self._c0[k][j])
 
     # -- reads -----------------------------------------------------------------
 
@@ -169,22 +169,6 @@ class DyadicTree:
             return self._c0[k][j] + self._z[k][j]
         except IndexError:
             raise ValueError(f"node (level {level}, index {index}) is not live") from None
-
-    def decompose_nodes(self, u: int, base: int = 1):
-        """Tile [base, u] with maximal nodes, as (level, index, right_end).
-
-        ``base - 1`` must be a multiple of a power of two at least
-        ``u - base + 1`` (the start of an aligned block holding the prefix).
-        The tiles are disjoint, sorted, of distinct power-of-two lengths, at
-        most ceil(log2(u - base + 1)) of them; ``u = base - 1`` yields none.
-        """
-        a, p = _checked_prefix(u, base)
-        while p:
-            k = p.bit_length() - 1
-            s = 1 << k
-            yield k + 1, a >> k, a + s
-            a += s
-            p -= s
 
     # -- eviction and inspection ----------------------------------------------
 
@@ -225,11 +209,11 @@ class PrefixCursor:
     The tiling of the first p positions is the tiling of the first
     ``p - low`` positions plus the node of length ``low = p & -p`` ending at
     position ``base + p - 1``.  Memoising each prefix sum under the level of
-    its last node makes every step read one node, adding the tiles of
-    :meth:`DyadicTree.decompose_nodes` to 0.0 largest first.  ``base - 1``
-    must be aligned as :meth:`DyadicTree.decompose_nodes` requires over every
-    prefix reached.  The value returned is the cursor's own memo: callers
-    must not update it in place (on lanes it is an array).
+    its last node makes every step read one node; the tiles, of distinct
+    power-of-two lengths, are added to 0.0 largest first.  ``base - 1`` must
+    be a multiple of a power of two at least as long as every prefix
+    reached.  The value returned is the cursor's own memo: callers must not
+    update it in place (on lanes it is an array).
     """
 
     __slots__ = ("_tree", "_a", "p", "_memo")
@@ -319,13 +303,3 @@ class WindowCursor:
             return cur - lag
         return (self._total - lag) + cur
 
-
-def _checked_prefix(u: int, base: int) -> tuple[int, int]:
-    """(block offset, prefix length) of [base, u], checking the alignment."""
-    a = base - 1
-    p = u - a
-    if a < 0 or p < 0:
-        raise ValueError(f"prefix [{base}, {u}] is not a range of positions >= 1")
-    if p and a & ((1 << (p - 1).bit_length()) - 1):
-        raise ValueError(f"prefix [{base}, {u}] does not start an aligned block")
-    return a, p

@@ -12,9 +12,10 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
   every W simultaneously, with per-level budgets ``eps_k`` that sum to the
   total budget; :class:`FixedWindowView` streams one window size from it.
 * :class:`ExponentialSum` -- geometrically discounted sum on a growing tree;
-  each node holds the discounted sum of its interval, only left nodes and the
-  current root are updated, and stale nodes are evicted to keep one node per
-  level.
+  each left node holds the discounted sum of its interval, written once when
+  it closes (a binary counter's carry chain), each estimate discounts the
+  previous prefix estimate and adds one node, and stale nodes are evicted to
+  keep one node per level.
 * :class:`PolynomialSum` -- power-law discounted sum read from one
   :class:`AllWindowSum` (post-processing of its tree) as a weighted tiling
   whose node lengths grow in proportion to age, each node weighted by its
@@ -239,7 +240,7 @@ class AllWindowSum:
         off = i - 1
         height = off.bit_length() + 1  # the tree [1, 2**(height-1)] holds i
         if off and not off & (off - 1):
-            self._tree.carry(height, 1.0)  # the tree doubles
+            self._tree.carry(height)  # the tree doubles
         self._tree.add_path(i, x, height)
 
     def cursor(self, W: int) -> WindowCursor:
@@ -327,13 +328,26 @@ class FixedWindowView:
 class ExponentialSum:
     """Private geometrically discounted sum on a growing tree.
 
-    Node [l, u] accumulates ``sum_i x_i * alpha**(u - i)``; on doubling, the
-    old root's noiseless value is carried into the new root with weight
-    ``alpha**span``.  Updates touch left-node ancestors plus the current root
-    (the carry only seeds the pre-growth prefix, so the root must keep
-    receiving updates for the top-level tiling to stay current; the touched
-    chain still has geometrically growing gaps, so the sensitivity constant
-    is unchanged).  Eviction keeps at most one node per level.
+    Node [l, u] holds ``sum_i x_i * alpha**(u - i)``.  As in a binary
+    counter, each node is written once, when it closes at step u: the chain
+    of right nodes ending at u is folded upwards, each step discounting the
+    left sibling's value by ``alpha**len`` and adding it, and the left node
+    the chain reaches takes the sum.  Right nodes are never written or read,
+    and an open left node's :meth:`counters` entry reads 0.0 until it
+    closes.  One update enters the left nodes containing it, whose gaps grow
+    geometrically, so :func:`exp_decay_sensitivity` bounds the change.
+
+    The estimate at step i is the estimate at ``i - low`` (``low = i & -i``)
+    discounted by ``alpha**low``, plus the published node ending at i: one
+    node read per push, on nodes that ended by step i.  Nodes are created,
+    and draw their noise, in an order that does not depend on the data:
+    when the tree doubles, its new root; then, in ascending level order, the
+    left nodes whose first position is this step.  On a level whose nodes
+    are longer than ``n* + 1``, n* the largest age with ``alpha**n`` at
+    least ``_TINY_WEIGHT``, a node is created at position ``u - n*``
+    instead.  This is the order in which adding each update to every open
+    left node it weighs at least ``_TINY_WEIGHT`` in would first touch
+    them.  Eviction keeps at most one node per level.
     """
 
     def __init__(
@@ -352,6 +366,20 @@ class ExponentialSum:
         self.counter_scale = scale = self.lam / epsilon
         self.step = 0
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
+        n = int(math.log(_TINY_WEIGHT) / math.log(alpha))
+        while alpha**n < _TINY_WEIGHT:
+            n -= 1
+        while alpha ** (n + 1) >= _TINY_WEIGHT:
+            n += 1
+        self._reach = n  # n*
+        self._short = (n + 1).bit_length()  # last level of nodes <= n* + 1 long
+        # per level (index = level, 1 = leaves), grown when the tree doubles:
+        # alpha**(2**(level-1)), the last closed left node's noiseless value,
+        # and the estimate memoised under the level of its last node (slot 0
+        # is the empty prefix)
+        self._disc = [1.0, alpha]
+        self._left = [0.0, 0.0]
+        self._memo = [0.0, 0.0]
 
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
@@ -360,34 +388,48 @@ class ExponentialSum:
         i = self.step + 1
         self.step = i
         tree = self._tree
-        alpha = self.alpha
+        add = tree.add
+        disc, left, memo = self._disc, self._left, self._memo
+        reach = self._reach
         off = i - 1
-        height = off.bit_length() + 1  # the tree [1, 2**(height-1)] holds i
-        if off and not off & (off - 1):
-            tree.carry(height, alpha**off)  # the tree doubles
-        # zero updates are added too, so nodes are created (and draw their
-        # noise) in an order that does not depend on the data
-        for level in range(1, height + 1):
-            idx = off >> (level - 1)
-            if level != height and idx & 1:
-                continue  # right node, never updated
-            u = (idx + 1) << (level - 1)
-            w = alpha ** (u - i)
-            if w >= _TINY_WEIGHT:
-                tree.add(level, idx, x * w)
-        est = 0.0
-        for level, idx, right in tree.decompose_nodes(i):
-            w = alpha ** (i - right)
-            est += tree.published(level, idx) * w
-        # a level-k node is dead once its parent has ended, i.e. below
-        # index 2 * (i >> k); that bound moves only when 2**k divides i
-        k = 1
-        while k < height and not i & ((1 << k) - 1):
+        if off and not off & (off - 1):  # the tree doubles: create its root
+            height = off.bit_length() + 1
+            add(height, 0, 0.0)
+            disc.append(self.alpha ** (1 << (height - 1)))
+            left.append(0.0)
+            memo.append(0.0)
+        if i & 1:
+            # left nodes start here at levels 1 .. trailing zeros of off, up
+            # to the last short level; the leaf also closes here
+            add(1, off, x)
+            for k in range(2, min((off & -off).bit_length() - 1, self._short) + 1):
+                add(k, off >> (k - 1), 0.0)
+        # a long left node ending at s = i + n* gets its first weight of at
+        # least _TINY_WEIGHT here
+        s = i + reach
+        span = s & -s
+        if span > reach + 1 and s != span:
+            add(span.bit_length(), s // span - 1, 0.0)
+        low = i & -i
+        level = low.bit_length()
+        index = (i >> (level - 1)) - 1
+        v = x
+        for k in range(1, level):
+            # the level-k node ending at i is a right node: fold it into its
+            # parent, which ends here too, so the level's nodes below index
+            # 2 * (i >> k) are dead
+            v = left[k] * disc[k] + v
             tree.evict_covered(k, 2 * (i >> k))
-            k += 1
+        left[level] = v
+        if level > 1:
+            add(level, index, v)
+        rest = i - low
+        est = memo[(rest & -rest).bit_length()] * disc[level] + tree.published(level, index)
+        memo[level] = est
         return est
 
     def counters(self) -> dict[tuple[int, int], float]:
+        """Noiseless values of the live nodes; an open left node reads 0.0."""
         return self._tree.counters()
 
 

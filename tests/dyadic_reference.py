@@ -1,4 +1,5 @@
-"""Reference helpers for inspecting and reading a dyadic counter store in tests.
+"""Reference helpers for inspecting and reading a dyadic counter store in tests,
+and the eagerly updated exponential sum that ``ExponentialSum`` must match.
 
 Node intervals are 1-based inclusive position ranges ``[l, u]`` whose length
 is a power of two; the node at level ``k`` with index ``j`` covers
@@ -8,7 +9,7 @@ complete tree over ``[1, 2**(height-1)]``, whose root reports as no left node.
 
 from typing import NamedTuple
 
-from decaystream.dyadic import _checked_prefix
+from decaystream.mechanisms import _TINY_WEIGHT, ExponentialSum
 
 
 class Interval(NamedTuple):
@@ -61,9 +62,37 @@ def path_intervals(i, height):
     return [interval_of(k, (i - 1) >> (k - 1)) for k in range(1, height + 1)]
 
 
-def decompose_prefix(tree, u, base=1):
-    """The store's tiling of [base, u] as intervals."""
-    return [interval_of(level, index) for level, index, _ in tree.decompose_nodes(u, base)]
+def checked_prefix(u, base):
+    """(block offset, prefix length) of [base, u], checking the alignment."""
+    a = base - 1
+    p = u - a
+    if a < 0 or p < 0:
+        raise ValueError(f"prefix [{base}, {u}] is not a range of positions >= 1")
+    if p and a & ((1 << (p - 1).bit_length()) - 1):
+        raise ValueError(f"prefix [{base}, {u}] does not start an aligned block")
+    return a, p
+
+
+def decompose_nodes(u, base=1):
+    """Tile [base, u] with maximal nodes, as (level, index, right_end).
+
+    ``base - 1`` must be a multiple of a power of two at least
+    ``u - base + 1`` (the start of an aligned block holding the prefix).
+    The tiles are disjoint, sorted, of distinct power-of-two lengths, at
+    most ceil(log2(u - base + 1)) of them; ``u = base - 1`` yields none.
+    """
+    a, p = checked_prefix(u, base)
+    while p:
+        k = p.bit_length() - 1
+        s = 1 << k
+        yield k + 1, a >> k, a + s
+        a += s
+        p -= s
+
+
+def decompose_prefix(u, base=1):
+    """The tiling of [base, u] as intervals."""
+    return [interval_of(level, index) for level, index, _ in decompose_nodes(u, base)]
 
 
 def frozen_noise(tree):
@@ -96,7 +125,7 @@ def prefix_value(tree, u, base=1):
     Tiles are added largest first, to 0.0, so every value equals
     ``PrefixCursor`` bit for bit.
     """
-    a, p = _checked_prefix(u, base)
+    a, p = checked_prefix(u, base)
     c0s = tree._c0
     zs = tree._z
     lo = tree._lo
@@ -164,3 +193,47 @@ def age_tiling(i, c, beta):
         tiles.append((Interval(e - L + 1, e), (i - e + L) ** -c))
         e -= L
     return tiles
+
+
+# ---------------------------------------------------------------------------
+# the exponential sum, updated eagerly and read by random access
+
+
+class EagerExponentialSum(ExponentialSum):
+    """:class:`ExponentialSum` with every update added to each open left node.
+
+    Each push adds ``x * alpha**(u - i)`` to every left node [l, u] holding
+    position i (skipping weights below ``_TINY_WEIGHT``), seeds a new root
+    with the old root's value discounted by ``alpha**span`` when the tree
+    doubles, and reads the estimate as the tiles of [1, i] each discounted
+    by ``alpha**(i - right)``.  Nodes are created in the same order as by
+    :class:`ExponentialSum`, so both draw the same noise for every node.
+    """
+
+    def push(self, x):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"update must lie in [0, 1], got {x}")
+        i = self.step + 1
+        self.step = i
+        tree = self._tree
+        alpha = self.alpha
+        off = i - 1
+        height = off.bit_length() + 1  # the tree [1, 2**(height-1)] holds i
+        if off and not off & (off - 1):  # the tree doubles
+            tree.add(height, 0, alpha**off * c0_at(tree, height - 1, 0))
+        for level in range(1, height + 1):
+            idx = off >> (level - 1)
+            if idx & 1:
+                continue  # right node, never updated
+            u = (idx + 1) << (level - 1)
+            w = alpha ** (u - i)
+            if w >= _TINY_WEIGHT:
+                tree.add(level, idx, x * w)
+        est = 0.0
+        for level, idx, right in decompose_nodes(i):
+            est += tree.published(level, idx) * alpha ** (i - right)
+        k = 1
+        while k < height and not i & ((1 << k) - 1):
+            tree.evict_covered(k, 2 * (i >> k))
+            k += 1
+        return est

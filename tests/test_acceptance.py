@@ -441,9 +441,8 @@ def test_criterion_09_distinct_count_two_sensitive():
 
 def test_criterion_10_tree_figures():
     ok = True
-    tree = DyadicTree(RandomSource(0), lambda level: 1.0, noisy=False)
-    ok &= decompose_prefix(tree, 6) == [Interval(1, 4), Interval(5, 6)]
-    ok &= decompose_prefix(tree, 14, base=9) == [Interval(9, 12), Interval(13, 14)]
+    ok &= decompose_prefix(6) == [Interval(1, 4), Interval(5, 6)]
+    ok &= decompose_prefix(14, base=9) == [Interval(9, 12), Interval(13, 14)]
 
     w = WindowSum(4, 1.0, RandomSource(1), noisy=True)
     xs = [1, 0, 1, 1, 0, 1, 1]

@@ -291,6 +291,60 @@ def test_bench_refuses_a_stream_file_with_no_values(mech, tmp_path, capsys):
     assert out == "" and "no values" in err
 
 
+def test_bench_parses_its_input_file_once(tmp_path, capsys, monkeypatch):
+    from decaystream import bench
+
+    calls = []
+    parse = bench.parse_stream
+    monkeypatch.setattr(bench, "parse_stream", lambda *a: calls.append(a) or parse(*a))
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("1\n0\n" * 20)
+    bad.write_text("1\nnope\n")
+    argv = ["bench", "--mech", "exp", "--alpha", "0.9", "--trials", "30", "--input"]
+    code, out, _ = run_cli(capsys, argv + [str(good)])
+    assert code == 0 and out.startswith("series,")
+    assert len(calls) == 1
+    code, out, err = run_cli(capsys, argv + [str(bad)])
+    assert (code, out) == (3, "") and "line 2" in err
+    # a bad config is refused before the file is read
+    calls.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--mech", "window", "--W", "6", "--trials", "30", "--input", str(bad)])
+    assert exc.value.code == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("histogram", [False, True], ids=["plain", "histogram"])
+def test_run_refuses_a_stream_file_with_no_values(histogram, tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("\n  \n")
+    argv = ["run", "--mech", "window", "--W", "8", "--input", str(path)]
+    code, out, err = run_cli(capsys, argv + ["--histogram"] * histogram)
+    assert code == 3
+    assert out == "" and "holds no values" in err
+
+
+STREAM_OPTIONS = [["--seed", "1"], ["--input", "/nonexistent"], ["--source", "ones"],
+                  ["--no-noise"], ["--format", "csv"], ["--rr-flip", "0.5"]]
+BUDGET_OPTIONS = [["--eps", "1"], ["--gamma", "0.1"], ["--T", "64"]]
+
+
+@pytest.mark.parametrize("command, option", [
+    *(("bound", o) for o in STREAM_OPTIONS),
+    *(("lbverify", o) for o in STREAM_OPTIONS + BUDGET_OPTIONS),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_bound_and_lbverify_refuse_options_they_do_not_read(command, option, capsys):
+    argv = {
+        "bound": ["bound", "--mech", "running", "--T", "64"],
+        "lbverify": ["lbverify", "--mech", "window", "--W", "8", "--q", "4", "--D", "8",
+                     "--delta", "3.5"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bound_window(capsys):
     code, out, _ = run_cli(capsys, [
         "bound", "--mech", "window", "--W", "4", "--eps", "1", "--gamma", "0.05",

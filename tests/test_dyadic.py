@@ -2,6 +2,7 @@ import pytest
 from dyadic_reference import (
     Interval,
     c0_at,
+    decompose_nodes,
     decompose_prefix,
     frozen_noise,
     is_left_node,
@@ -33,35 +34,33 @@ def filled_tree(size, noisy=False, seed=0, scale=1.0, x=1.0):
 
 def test_prefix_decomposition_two_blocks_of_eight_leaves():
     # u = base + 5 in an 8-leaf block tiles as a 4-block plus a 2-block
-    tree = make_tree()
     for base in (1, 9):
-        assert decompose_prefix(tree, base + 5, base) == [
+        assert decompose_prefix(base + 5, base) == [
             Interval(base, base + 3),
             Interval(base + 4, base + 5),
         ]
 
 
 def test_prefix_decomposition_full_range_is_root():
-    assert decompose_prefix(make_tree(), 16) == [Interval(1, 16)]
+    assert decompose_prefix(16) == [Interval(1, 16)]
 
 
 def test_prefix_decomposition_offset_tree():
-    assert decompose_prefix(make_tree(), 7, base=5) == [Interval(5, 6), Interval(7, 7)]
+    assert decompose_prefix(7, base=5) == [Interval(5, 6), Interval(7, 7)]
 
 
 def test_prefix_decomposition_empty_prefix():
-    tree = make_tree()
-    assert decompose_prefix(tree, 0) == []
-    assert decompose_prefix(tree, 4, base=5) == []
+    assert decompose_prefix(0) == []
+    assert decompose_prefix(4, base=5) == []
     assert prefix_value(filled_tree(8), 4, base=5) == 0.0
 
 
 def test_prefix_decomposition_range_errors():
     tree = filled_tree(8)
     with pytest.raises(ValueError):
-        decompose_prefix(tree, -1)
+        decompose_prefix(-1)
     with pytest.raises(ValueError):
-        decompose_prefix(tree, 8, base=3)  # [3, 8] is not in an aligned block
+        decompose_prefix(8, base=3)  # [3, 8] is not in an aligned block
     with pytest.raises(ValueError):
         prefix_value(tree, 8, base=3)
     with pytest.raises(ValueError):
@@ -107,16 +106,9 @@ def test_is_left_node_examples():
 
 def test_grow_double_unit_carry_copies_prefix_sum():
     tree = filled_tree(4)  # root [1,4] accumulator = 4
-    tree.carry(4, 1.0)
+    tree.carry(4)
     assert tree.height == 4
     assert c0_at(tree, 4, 0) == 4.0
-
-
-def test_grow_double_weighted_carry():
-    tree = make_tree()
-    tree.add(3, 0, 2.0)
-    tree.carry(4, 0.5**4)
-    assert c0_at(tree, 4, 0) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_grow_double_doubling_sequence():
@@ -126,7 +118,7 @@ def test_grow_double_doubling_sequence():
         off = i - 1
         height = off.bit_length() + 1
         if off and not off & (off - 1):
-            tree.carry(height, 1.0)
+            tree.carry(height)
         tree.add_path(i, 1.0, height)
     assert tree.height == 5  # the tree over [1, 16]
     assert c0_at(tree, 5, 0) == 9.0
@@ -136,13 +128,11 @@ def test_grow_double_requires_base_one():
     # a growing tree is based at position 1: the carry reads the root [1, 2]
     # one level below, which must be live
     with pytest.raises(ValueError):
-        make_tree().carry(2, 1.0)
-    with pytest.raises(ValueError):
-        filled_tree(4).carry(4, -1.0)
+        make_tree().carry(2)
 
 
-def _check_tiling(tree, base, u, height):
-    parts = decompose_prefix(tree, u, base)
+def _check_tiling(base, u, height):
+    parts = decompose_prefix(u, base)
     # disjoint, sorted, exact cover
     covered = []
     for iv in parts:
@@ -162,11 +152,10 @@ def _check_tiling(tree, base, u, height):
 
 
 def test_prefix_decomposition_tiling_exhaustive():
-    tree = make_tree()
     for h in range(0, 11):
         size = 1 << h
         for u in range(0, size + 1):
-            _check_tiling(tree, 1, u, h + 1)
+            _check_tiling(1, u, h + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,7 +166,7 @@ def test_prefix_decomposition_tiling_with_block_bases(h, data):
     k = data.draw(st.integers(min_value=0, max_value=size // block - 1))
     base = 1 + k * block
     u = data.draw(st.integers(min_value=base - 1, max_value=base + block - 1))
-    _check_tiling(make_tree(), base, u, h + 1)
+    _check_tiling(base, u, h + 1)
 
 
 def test_prefix_value_sums_published_tiles():
@@ -186,7 +175,7 @@ def test_prefix_value_sums_published_tiles():
         for base in range(1, 65, block):
             for u in range(base - 1, base + block):
                 want = 0.0
-                for level, index, _ in tree.decompose_nodes(u, base):
+                for level, index, _ in decompose_nodes(u, base):
                     want += tree.published(level, index)
                 assert prefix_value(tree, u, base) == want
 

@@ -2,7 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from dyadic_reference import Interval, age_tiling, node, prefix_value, window_query
+from dyadic_reference import (
+    EagerExponentialSum,
+    Interval,
+    age_tiling,
+    decompose_nodes,
+    frozen_noise,
+    node,
+    prefix_value,
+    window_query,
+)
 
 from decaystream.bounds import worst_noise_profile
 from decaystream.mechanisms import (
@@ -284,6 +293,31 @@ def test_exp_eviction_keeps_one_node_per_level():
     assert len(m.counters()) <= m._tree.height
 
 
+@pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
+@pytest.mark.parametrize("alpha, T", [(0.7, 1 << 14), (0.9, 1 << 15)])
+def test_exp_draws_the_noise_of_the_eager_reference(alpha, T, lanes):
+    # both streams pass n*, the largest age weighing at least _TINY_WEIGHT
+    # (1936 at 0.7, 6556 at 0.9), where long levels create their nodes late
+    def source():
+        if lanes:
+            return RandomLanes(RandomSource(21).child(t) for t in range(4))
+        return RandomSource(21)
+
+    xs = random_stream(13, T, binary=False)
+    new, ref = ExponentialSum(alpha, 1.0, source()), EagerExponentialSum(alpha, 1.0, source())
+    off = ExponentialSum(alpha, 1.0, source(), noisy=False)
+    off_ref = EagerExponentialSum(alpha, 1.0, source(), noisy=False)
+    assert new._reach == {0.7: 1936, 0.9: 6556}[alpha]
+    for i, x in enumerate(xs, 1):
+        for a, b in ((new, ref), (off, off_ref)):
+            got, want = a.push(x), b.push(x)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), i
+        if i % 1000 == 0 or i == T:
+            za, zb = frozen_noise(new._tree), frozen_noise(ref._tree)
+            assert za.keys() == zb.keys(), i
+            assert all(np.array_equal(za[key], zb[key]) for key in za), i
+
+
 # ---------------------------------------------------------------------------
 # polynomial decay
 
@@ -394,7 +428,7 @@ def test_exp_estimates_unbiased():
         probe.push(x)
     weights = [
         alpha ** (j_star - right)
-        for _, _, right in probe._tree.decompose_nodes(j_star)
+        for _, _, right in decompose_nodes(j_star)
     ]
     sigma = probe.counter_scale * math.sqrt(2.0 * sum(w * w for w in weights))
     base = RandomSource(18)
@@ -426,16 +460,13 @@ def test_poly_estimates_unbiased_for_band_target():
 
 
 def test_estimate_terms_end_at_or_before_step():
-    aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
     gen = RandomSource(55)
     for j in range(1, 200):
-        aw.push(1.0)
-        tree = aw._tree
-        assert all(right <= j for _, _, right in tree.decompose_nodes(j))
+        assert all(right <= j for _, _, right in decompose_nodes(j))
         W = int(gen.uniform() * j) + 1
         Wp = 1 << (W - 1).bit_length()
         k = -(-j // Wp)
-        for _, _, right in tree.decompose_nodes(j, base=(k - 1) * Wp + 1):
+        for _, _, right in decompose_nodes(j, base=(k - 1) * Wp + 1):
             assert right <= j
 
 
