@@ -7,6 +7,10 @@ noise.  Errors against the exact oracle are collected at power-of-two
 checkpoints and summarised with nearest-rank quantiles next to the
 theoretical utility curve and the lower-bound reference.
 
+:class:`ExperimentConfig` is the one reading of a mech and its options for
+every command: its decay, its tree estimator (:func:`build_mechanism`, which
+also validates it), its stream and its theory profile (:func:`theory_profile`).
+
 Trials run in lockstep: each series is built once per batch of at most
 ``_LANES`` trials on :class:`~decaystream.noise.RandomLanes`, one lane per
 trial, and the stream is pushed through it once.  The unit of work is one
@@ -24,8 +28,9 @@ used or how trials are batched.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +41,14 @@ from .baselines import (
     rr_flip_parameter,
 )
 from .bounds import (
+    NoiseProfile,
     allwindow_query_profile,
     hoeffding_delta,
     reference_delta,
     utility_delta,
     worst_noise_profile,
 )
-from .mechanisms import DecaySpec, make_mechanism
+from .mechanisms import DecaySpec, FixedWindowView, WindowSum, make_mechanism
 from .noise import DEFAULT_SCHEDULE_BETA, RandomLanes, RandomSource
 
 _STREAM_CHILD = 0
@@ -52,11 +58,17 @@ _LANES = 256  # trials per lockstep batch; bounds the memory of lane arrays
 _SERIES_CHILD = {"rr_matched": 1, "rr_raw": 2, "running_diff": 3}
 
 
+# the estimators built on the dyadic tree, and the two baselines `run` also takes
+TREE_MECHS = ("window", "allwindow", "exp", "poly", "running")
+MECHS = TREE_MECHS + ("rr", "oracle")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully serialisable description of one benchmark or run."""
+    """One benchmark or run: the only place that reads what a mech and its
+    options mean.  Worker processes receive it as it is (it pickles)."""
 
-    mech: str  # window | allwindow | exp | poly | running
+    mech: str  # one of MECHS
     epsilon: float = 1.0
     gamma: float = 0.05
     trials: int = 100
@@ -73,28 +85,27 @@ class ExperimentConfig:
     jobs: int = 1
 
     def decay(self) -> DecaySpec:
-        if self.mech in ("window", "allwindow"):
+        """The decay the config estimates; ``rr`` and ``oracle`` read the one whose
+        parameter is given (``W``, then ``alpha``, then ``c``), else the running sum."""
+        mech = self.mech
+        if mech in ("rr", "oracle"):
+            mech = ("window" if self.W is not None else "exp" if self.alpha is not None
+                    else "poly" if self.c is not None else "running")
+        if mech in ("window", "allwindow"):
             if self.W is None:
                 raise ValueError(f"--W is required for mech {self.mech!r}")
             return DecaySpec.window(self.W)
-        if self.mech == "exp":
+        if mech == "exp":
             if self.alpha is None:
-                raise ValueError("--alpha is required for mech 'exp'")
+                raise ValueError(f"--alpha is required for mech {self.mech!r}")
             return DecaySpec.exponential(self.alpha)
-        if self.mech == "poly":
+        if mech == "poly":
             if self.c is None or self.beta is None:
-                raise ValueError("--c and --beta are required for mech 'poly'")
+                raise ValueError(f"--c and --beta are required for mech {self.mech!r}")
             return DecaySpec.polynomial(self.c, self.beta)
-        if self.mech == "running":
+        if mech == "running":
             return DecaySpec.running()
         raise ValueError(f"unknown mechanism {self.mech!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -145,14 +156,23 @@ def parse_stream(lines, keyed: bool = False) -> list:
     return out
 
 
+def read_stream(path: str, keyed: bool = False) -> list:
+    """Parse a stream file, or stdin for ``-``, with :func:`parse_stream`; a
+    file with no values is a :class:`DataError`."""
+    if path == "-":
+        stream = parse_stream(sys.stdin, keyed)
+    else:
+        with open(path) as fh:
+            stream = parse_stream(fh, keyed)
+    if not stream:
+        raise DataError(f"stream file {path!r} holds no values")
+    return stream
+
+
 def make_stream(cfg: ExperimentConfig) -> list[float]:
     """Materialise the input stream for a config (deterministic in the seed)."""
     if cfg.input_path is not None:
-        with open(cfg.input_path) as fh:
-            stream = parse_stream(fh)
-        if not stream:
-            raise DataError(f"stream file {cfg.input_path!r} holds no values")
-        return stream
+        return read_stream(cfg.input_path)
     if cfg.T < 1:
         raise ValueError(f"stream length must be >= 1, got {cfg.T}")
     name, _, arg = cfg.source.partition(":")
@@ -173,21 +193,29 @@ def make_stream(cfg: ExperimentConfig) -> list[float]:
 
 
 def build_mechanism(cfg: ExperimentConfig, rng: RandomSource):
+    """The tree estimator of a config (``rr`` and ``oracle`` have none).  Unlike
+    the library factory, ``window`` refuses a size that is not a power of two
+    instead of silently rerouting it to the all-window view, ``allwindow``."""
+    if cfg.mech not in TREE_MECHS:
+        raise ValueError(f"mech {cfg.mech!r} builds no tree estimator; "
+                         f"pick --mech {'|'.join(TREE_MECHS)}")
+    decay = cfg.decay()  # refuses missing or bad decay options
     if cfg.mech == "window":
-        from .mechanisms import WindowSum
-
-        # unlike the library factory, the explicit window mechanism refuses
-        # non-power-of-two sizes instead of silently rerouting
-        return WindowSum(cfg.W, cfg.epsilon, rng, noisy=cfg.noisy)
+        return WindowSum(decay.W, cfg.epsilon, rng, noisy=cfg.noisy)
     if cfg.mech == "allwindow":
-        from .mechanisms import FixedWindowView
-
         return FixedWindowView(
-            cfg.W, cfg.epsilon, rng, schedule_beta=cfg.schedule_beta, noisy=cfg.noisy
+            decay.W, cfg.epsilon, rng, schedule_beta=cfg.schedule_beta, noisy=cfg.noisy
         )
     return make_mechanism(
-        cfg.decay(), cfg.epsilon, rng, noisy=cfg.noisy, schedule_beta=cfg.schedule_beta
+        decay, cfg.epsilon, rng, noisy=cfg.noisy, schedule_beta=cfg.schedule_beta
     )
+
+
+def theory_profile(cfg: ExperimentConfig, T: int) -> NoiseProfile:
+    """Noise profile of the config's estimator over horizon ``T``."""
+    if cfg.mech == "allwindow":
+        return allwindow_query_profile(cfg.epsilon, T, schedule_beta=cfg.schedule_beta)
+    return worst_noise_profile(cfg.decay(), cfg.epsilon, T, schedule_beta=cfg.schedule_beta)
 
 
 def checkpoints(T: int) -> list[int]:
@@ -221,7 +249,7 @@ def _is_binary(stream) -> bool:
     return all(x in (0.0, 1.0) for x in stream)
 
 
-def _run_series(cfg_dict: dict, s: int, t0: int, t1: int, data) -> np.ndarray:
+def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.ndarray:
     """Errors of series ``s`` for one lane batch of trials [t0, t1): shape
     (checkpoints, trials).
 
@@ -231,7 +259,6 @@ def _run_series(cfg_dict: dict, s: int, t0: int, t1: int, data) -> np.ndarray:
     lane per trial (a float when the series draws no noise).  ``data`` is the
     pair (stream, :func:`_exact_at_checkpoints`).
     """
-    cfg = ExperimentConfig.from_dict(cfg_dict)
     stream, exact = data
     T = len(stream)
     name = _series_names(cfg, _is_binary(stream))[s]
@@ -268,22 +295,12 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
 def _delta_theory(cfg: ExperimentConfig, name: str, j: int, T: int) -> float | None:
     decay = cfg.decay()
     if name == cfg.mech:
-        if cfg.mech == "allwindow":
-            profile = allwindow_query_profile(
-                cfg.epsilon, T, schedule_beta=cfg.schedule_beta
-            )
-        else:
-            profile = worst_noise_profile(
-                decay, cfg.epsilon, T, schedule_beta=cfg.schedule_beta
-            )
-        return utility_delta(profile, cfg.gamma)
+        return utility_delta(theory_profile(cfg, T), cfg.gamma)
     if name.startswith("rr"):
         f = rr_flip_parameter(cfg.epsilon) if name == "rr_matched" else cfg.epsilon
         range2 = decay.energy(j) / (f * f)
         return hoeffding_delta(range2, cfg.gamma)
     if name == "running_diff":
-        from .bounds import NoiseProfile
-
         S = 1 << (T - 1).bit_length()
         h = S.bit_length()
         scale = h / cfg.epsilon
@@ -308,7 +325,7 @@ def run_bench(cfg: ExperimentConfig) -> list[ErrorSummary]:
              for s in range(len(names)) for b0 in range(0, cfg.trials, _LANES)]
     n = len(units)
     data = stream, _exact_at_checkpoints(cfg, stream)
-    args = [cfg.to_dict()] * n, *zip(*units), [data] * n
+    args = [cfg] * n, *zip(*units), [data] * n
     if cfg.jobs == 1:
         parts = list(map(_run_series, *args))
     else:

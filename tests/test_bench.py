@@ -6,6 +6,8 @@ scalar random sources and replays the stream alone.  It stays here as the refere
 against with ``==``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,8 @@ from decaystream.bench import (
 from decaystream.noise import RandomSource
 
 
-def scalar_chunk(cfg_dict, t0, t1):
+def scalar_chunk(cfg, t0, t1):
     """Errors for trials [t0, t1), one trial at a time on scalar sources."""
-    cfg = ExperimentConfig.from_dict(cfg_dict)
     stream = make_stream(cfg)
     T = len(stream)
     marks = checkpoints(T)
@@ -58,7 +59,7 @@ def scalar_chunk(cfg_dict, t0, t1):
 
 
 def assert_lockstep_matches_scalar(cfg, monkeypatch, jobs=(1, 2)):
-    ref = scalar_chunk(cfg.to_dict(), 0, cfg.trials)
+    ref = scalar_chunk(cfg, 0, cfg.trials)
     stream = make_stream(cfg)
     data = stream, bench._exact_at_checkpoints(cfg, stream)
     # one unit per series and lane batch
@@ -66,18 +67,18 @@ def assert_lockstep_matches_scalar(cfg, monkeypatch, jobs=(1, 2)):
              for s in range(len(ref)) for b0 in range(0, cfg.trials, bench._LANES)]
     stacked = np.full_like(ref, np.nan)
     for s, t0, t1 in units:
-        stacked[s, :, t0:t1] = bench._run_series(cfg.to_dict(), s, t0, t1, data)
+        stacked[s, :, t0:t1] = bench._run_series(cfg, s, t0, t1, data)
     assert np.array_equal(stacked, ref)
-    rows = {j: run_bench(ExperimentConfig(**{**cfg.to_dict(), "jobs": j})) for j in jobs}
+    rows = {j: run_bench(replace(cfg, jobs=j)) for j in jobs}
     calls = []
 
-    def recorded_scalar_unit(cfg_dict, s, t0, t1, data):
+    def recorded_scalar_unit(unit_cfg, s, t0, t1, data):
         calls.append((s, t0, t1))
-        return scalar_chunk(cfg_dict, t0, t1)[s]
+        return scalar_chunk(unit_cfg, t0, t1)[s]
 
     with monkeypatch.context() as m:
         m.setattr(bench, "_run_series", recorded_scalar_unit)
-        ref_rows = run_bench(ExperimentConfig(**{**cfg.to_dict(), "jobs": 1}))
+        ref_rows = run_bench(replace(cfg, jobs=1))
     assert calls == units  # jobs=1 ran the per-trial engine once per unit
     for j in jobs:
         assert rows[j] == ref_rows, j
@@ -153,3 +154,11 @@ def test_bad_config_is_refused_before_the_stream_is_made(monkeypatch):
     monkeypatch.setattr(bench, "make_stream", no_stream)
     with pytest.raises(ValueError, match="schedule exponent must exceed 1"):
         run_bench(ExperimentConfig(mech="running", schedule_beta=1.0, trials=30))
+
+
+@pytest.mark.parametrize("mech", ["rr", "oracle"])
+def test_bench_refuses_mechs_without_a_tree(mech):
+    # the config reads a decay for rr and oracle, but they build no tree
+    # estimator to compare against the baselines
+    with pytest.raises(ValueError, match="builds no tree estimator"):
+        run_bench(ExperimentConfig(mech=mech, W=8, trials=30))

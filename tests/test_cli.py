@@ -332,9 +332,12 @@ BUDGET_OPTIONS = [["--eps", "1"], ["--gamma", "0.1"], ["--T", "64"]]
 @pytest.mark.parametrize("command, option", [
     *(("bound", o) for o in STREAM_OPTIONS),
     *(("lbverify", o) for o in STREAM_OPTIONS + BUDGET_OPTIONS),
+    ("bench", ["--rr-flip", "0.5"]),  # the baselines' flip follows --eps
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_bound_and_lbverify_refuse_options_they_do_not_read(command, option, capsys):
+    # and bench refuses --rr-flip, which only run reads
     argv = {
+        "bench": ["bench", "--mech", "running", "--T", "64", "--trials", "30"],
         "bound": ["bound", "--mech", "running", "--T", "64"],
         "lbverify": ["lbverify", "--mech", "window", "--W", "8", "--q", "4", "--D", "8",
                      "--delta", "3.5"],
@@ -404,12 +407,18 @@ def test_bound_profile_uses_the_schedule_exponent(capsys, mech):
     )
 
 
-def test_bound_oracle_ignores_the_schedule_exponent(capsys):
-    # oracle and rr read no level schedule: --beta moves neither the level
-    # scales bound prints for them nor their profile
-    _, out, _ = run_cli(capsys, ["bound", "--mech", "oracle", "--T", "64", "--beta", "1.5"])
-    _, want, _ = run_cli(capsys, ["bound", "--mech", "oracle", "--T", "64"])
-    assert out == want
+@pytest.mark.parametrize("command", [
+    ["bound", "--T", "64"],
+    ["bench", "--T", "64", "--trials", "30"],
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("mech", ["rr", "oracle"])
+def test_bound_and_bench_refuse_mechs_without_a_tree(command, mech, capsys):
+    # rr and oracle have no tree, so no tree figures and no tree series
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--mech", mech, "--W", "8", *command[1:]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice" in err
 
 
 def test_bound_rejects_bad_window(capsys):
@@ -432,20 +441,56 @@ def test_lbverify_pass_and_fail(capsys):
     assert any(line.endswith("False") for line in out.splitlines())
 
 
-def test_stream_round_trip_matches_memory(capsys, tmp_path):
-    # records printed by run, re-parsed, equal the in-memory estimates
-    from decaystream.bench import ExperimentConfig, build_mechanism, make_stream
-    from decaystream.noise import RandomSource
+def test_stream_round_trip_matches_memory(capsys):
+    # records printed by run, re-parsed, equal the estimates of the config's
+    # estimator (bench trial 0's noise) pushed over the config's stream
+    cases = [
+        (["window", "--W", "4"], dict(W=4)),
+        (["allwindow", "--W", "6"], dict(W=6)),
+        (["exp", "--alpha", "0.9"], dict(alpha=0.9)),
+        (["poly", "--c", "2", "--beta", "0.25"], dict(c=2.0, beta=0.25)),
+        (["running"], {}),
+        (["running", "--beta", "1.5"], dict(beta=1.5, schedule_beta=1.5)),
+    ]
+    for mech, kw in cases:
+        argv = ["run", "--mech", *mech, "--eps", "1", "--seed", "5", "--T", "32"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        got = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        cfg = ExperimentConfig(mech=mech[0], epsilon=1.0, T=32, seed=5, **kw)
+        est = build_mechanism(cfg, RandomSource(5).child(1).child(0).child(0))
+        want = [est.push(x) for x in make_stream(cfg)]
+        assert got == want, mech
 
-    argv = ["run", "--mech", "window", "--W", "4", "--eps", "1", "--seed", "5",
-            "--T", "32"]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0
-    got = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
-    cfg = ExperimentConfig(mech="window", W=4, epsilon=1.0, T=32, seed=5)
-    mech = build_mechanism(cfg, RandomSource(5).child(1).child(0).child(0))
-    want = [mech.push(x) for x in make_stream(cfg)]
-    assert got == want
+
+def test_run_refuses_a_bad_config_before_reading_its_file(tmp_path, capsys, monkeypatch):
+    from decaystream import bench
+
+    calls = []
+    monkeypatch.setattr(bench, "parse_stream", lambda *a: calls.append(a))
+    path = tmp_path / "stream.txt"
+    path.write_text("1\nnope\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--mech", "window", "--W", "6", "--input", str(path)])
+    assert exc.value.code == 2
+    assert "allwindow" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("mech", ["allwindow", "rr", "oracle"])
+def test_run_histogram_refuses_mechs_it_does_not_build(mech, tmp_path, capsys, monkeypatch):
+    # histogram mode builds each key's estimator from the decay alone
+    from decaystream import bench
+
+    calls = []
+    monkeypatch.setattr(bench, "parse_stream", lambda *a: calls.append(a))
+    path = tmp_path / "keyed.csv"
+    path.write_text("a,1\nb,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--histogram", "--mech", mech, "--W", "4", "--input", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert calls == []
 
 
 # Each case: the file's lines, its line ending, and the parsed values, or
