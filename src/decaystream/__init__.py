@@ -14,7 +14,6 @@ from .baselines import (
     RandomizedResponse,
     RunningDiffBaseline,
     decayed_sum,
-    rr_epsilon_of_flip,
     rr_flip_parameter,
 )
 from .bounds import (
@@ -94,7 +93,6 @@ __all__ = [
     "level_epsilons",
     "make_mechanism",
     "reference_delta",
-    "rr_epsilon_of_flip",
     "rr_flip_parameter",
     "utility_delta",
     "worst_noise_profile",

@@ -77,13 +77,6 @@ def rr_flip_parameter(epsilon: float) -> float:
     return math.tanh(epsilon / 2.0)
 
 
-def rr_epsilon_of_flip(f: float) -> float:
-    """Privacy parameter of randomized response with bit-keep bias f."""
-    if not 0.0 < f < 1.0:
-        raise ValueError(f"flip parameter must lie in (0, 1), got {f}")
-    return math.log((1.0 + f) / (1.0 - f))
-
-
 class RandomizedResponse:
     """Per-bit randomized response with an unbiased decayed-sum estimate.
 

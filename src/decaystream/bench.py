@@ -48,7 +48,7 @@ from .bounds import (
     utility_delta,
     worst_noise_profile,
 )
-from .mechanisms import DecaySpec, FixedWindowView, WindowSum, make_mechanism
+from .mechanisms import DecaySpec, FixedWindowView, make_mechanism
 from .noise import DEFAULT_SCHEDULE_BETA, RandomLanes, RandomSource
 
 _STREAM_CHILD = 0
@@ -193,15 +193,11 @@ def make_stream(cfg: ExperimentConfig) -> list[float]:
 
 
 def build_mechanism(cfg: ExperimentConfig, rng: RandomSource):
-    """The tree estimator of a config (``rr`` and ``oracle`` have none).  Unlike
-    the library factory, ``window`` refuses a size that is not a power of two
-    instead of silently rerouting it to the all-window view, ``allwindow``."""
+    """The tree estimator of a config (``rr`` and ``oracle`` have none)."""
     if cfg.mech not in TREE_MECHS:
         raise ValueError(f"mech {cfg.mech!r} builds no tree estimator; "
                          f"pick --mech {'|'.join(TREE_MECHS)}")
     decay = cfg.decay()  # refuses missing or bad decay options
-    if cfg.mech == "window":
-        return WindowSum(decay.W, cfg.epsilon, rng, noisy=cfg.noisy)
     if cfg.mech == "allwindow":
         return FixedWindowView(
             decay.W, cfg.epsilon, rng, schedule_beta=cfg.schedule_beta, noisy=cfg.noisy

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import decayed_sum
+from .dyadic import block_levels
 from .mechanisms import (
     _TINY_WEIGHT,
     DecaySpec,
@@ -108,7 +109,7 @@ def worst_noise_profile(
     """Noise profile of the worst-case single estimate of each mechanism.
 
     window: one previous-block total plus two partial-prefix tilings of up to
-    log2(W) nodes each, all of scale (log2 W + 1)/eps.  exponential: one node
+    log2(W') nodes each, W' = 2**ceil(log2 W), all of scale (log2 W' + 1)/eps.  exponential: one node
     per level with effective scale (lam/eps) * alpha**(2**m - 1).  running:
     one node per level with the per-level schedule scales.
 
@@ -126,10 +127,8 @@ def worst_noise_profile(
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if decay.kind == "window":
-        W = decay.W
-        logw = max(0, (W - 1).bit_length())
-        scale = (math.log2(1 << logw) + 1.0) / epsilon
-        return NoiseProfile((scale,) * (2 * logw + 1))
+        h = block_levels(decay.W)
+        return NoiseProfile((h / epsilon,) * (2 * h - 1))
     if decay.kind == "exponential":
         base = exp_decay_sensitivity(decay.alpha) / epsilon
         scales = []

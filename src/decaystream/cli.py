@@ -44,7 +44,6 @@ from .bounds import (
     utility_delta,
 )
 from .extensions import DecayedHistogram
-from .mechanisms import exp_decay_sensitivity, make_mechanism
 from .noise import RandomSource, level_epsilons
 
 USAGE_EXIT = 2
@@ -109,12 +108,16 @@ def _build_runner(args, cfg: ExperimentConfig):
     """The estimator ``run`` pushes its input through; building it refuses a
     bad configuration before any input is read."""
     rng, decay = RandomSource(cfg.seed), cfg.decay()
+    if args.rr_flip is not None and cfg.mech != "rr":
+        raise ValueError(f"--rr-flip is read only by --mech rr, not {cfg.mech!r}")
     if args.histogram:
         if cfg.mech not in HISTOGRAM_MECHS:
             raise ValueError(f"histogram mode takes --mech {'|'.join(HISTOGRAM_MECHS)}, "
                              f"not {cfg.mech!r}")
+        if cfg.beta is not None and cfg.mech != "poly":
+            raise ValueError("histogram mode reads --beta only as the slack of --mech poly")
         # build one key's estimator, as the histogram will (child() is stateless)
-        make_mechanism(decay, cfg.epsilon, rng, noisy=cfg.noisy)
+        build_mechanism(cfg, rng)
         return DecayedHistogram(decay, cfg.epsilon, rng, noisy=cfg.noisy)
     if cfg.mech == "oracle":
         return ExactOracle(decay)
@@ -186,16 +189,15 @@ def cmd_bench(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = _config(args)
-    build_mechanism(cfg, RandomSource(cfg.seed))  # refuses a bad config
+    est = build_mechanism(cfg, RandomSource(cfg.seed))  # refuses a bad config
     decay, eps, gamma = cfg.decay(), cfg.epsilon, cfg.gamma
     if cfg.mech in ("window", "exp"):
         # one noise scale on every counter
         if cfg.mech == "window":
-            lam, what, r = math.log2(decay.W) + 1.0, "W", decay.W
+            what, r = "W", decay.W
         else:
-            lam = exp_decay_sensitivity(decay.alpha)
             what, r = "range", decay.alpha / (1.0 - decay.alpha)
-        rows = [("sensitivity", lam), ("counter_scale", lam / eps)]
+        rows = [("sensitivity", est.sensitivity), ("counter_scale", est.counter_scale)]
         cmp = ">=" if math.log2(r) >= math.log2(1.0 / gamma) else "<"
         branch = f"log2({what}) {cmp} log2(1/gamma)"
     else:
@@ -246,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p_run)
     _add_stream(p_run)
     p_run.add_argument("--rr-flip", type=float,
-                       help="explicit randomized-response keep bias in (0,1)")
+                       help="explicit randomized-response keep bias in (0,1) (--mech rr only)")
     p_run.add_argument("--with-exact", action="store_true",
                        help="also print the exact value and absolute error")
     p_run.add_argument("--histogram", action="store_true",
                        help="input is key,value records; one estimator per key "
-                            f"(--mech {'|'.join(HISTOGRAM_MECHS)}; a window size that "
-                            "is not a power of two uses the all-window view)")
+                            f"(--mech {'|'.join(HISTOGRAM_MECHS)}; --beta only as "
+                            "the slack of poly)")
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="Monte-Carlo benchmark")

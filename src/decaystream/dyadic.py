@@ -13,7 +13,9 @@ Every tree is a view of this store, chosen by its caller:
   rooted at ``[1, 2**(h-1)]``; when it fills up, the all-window tree seeds
   the next root with the old one (:meth:`DyadicTree.carry`), while the
   exponential sum writes each node once, when it closes;
-* window trees use aligned subtrees of ``W`` leaves as blocks;
+* window trees use aligned subtrees of ``W' = 2**ceil(log2 W)`` leaves as
+  blocks (:func:`block_levels`), and their :class:`WindowCursor` evicts
+  the blocks it has left;
 * the prefix-difference baseline uses one subtree spanning its horizon.
 
 Storage is level-indexed and append-only: each level keeps a list of ``c0``,
@@ -25,10 +27,10 @@ which callers touch nodes; callers keep that order independent of the data.
 Eviction drops a prefix of a level; reading an evicted or uncreated node
 raises ``ValueError``.  A :class:`PrefixCursor` walks the prefix sums of one
 block, and a :class:`WindowCursor` the window sums, reading one node per walk
-per step; no other code in the package splits a window.  Both raise past
-the furthest position :meth:`DyadicTree.add_path` has received.  The
-polynomial estimator reads the growing tree by its own age tiling, and the
-exponential sum by its own discounted prefix walk.
+per step; no other code in the package splits a window or knows its
+blocks.  Both raise past the furthest position :meth:`DyadicTree.add_path`
+has received.  The polynomial estimator reads the growing tree by its own
+age tiling, and the exponential sum by its own discounted prefix walk.
 """
 
 from __future__ import annotations
@@ -243,6 +245,12 @@ class PrefixCursor:
         return total
 
 
+def block_levels(W: int) -> int:
+    """Levels of one aligned block of ``W' = 2**ceil(log2 W)`` positions, the
+    blocks a window of W is read over: ``log2 W' + 1``."""
+    return (W - 1).bit_length() + 1
+
+
 class WindowCursor:
     """Published window sums over [j - W + 1, j] for j = 1, 2, 3, ... in turn.
 
@@ -251,8 +259,9 @@ class WindowCursor:
     :class:`PrefixCursor` does.  The window is j's block prefix when m <= 0
     or m ends a block, minus m's prefix when m is in j's block, else plus
     the previous block's total (the j walk's last value in it) minus m's
-    prefix.  Reads stay in those two blocks, on nodes ending by step j.  The
-    value returned may be a memo: do not update it in place (lanes).
+    prefix.  Reads stay in those two blocks, on nodes ending by step j, so
+    :meth:`evict` can drop every older node.  The value returned may be a
+    memo: do not update it in place (lanes).
     """
 
     __slots__ = ("_tree", "W", "_mask", "_top", "j", "_now", "_lag", "_total")
@@ -262,13 +271,22 @@ class WindowCursor:
             raise ValueError(f"window size must be >= 1, got {W}")
         self._tree = tree
         self.W = W
-        Wp = 1 << (W - 1).bit_length()
-        self._mask = Wp - 1
-        self._top = top = Wp.bit_length()  # level of a whole block's node
+        self._top = top = block_levels(W)  # level of a whole block's node
+        self._mask = (1 << (top - 1)) - 1  # W' - 1
         self.j = 0
         self._now = [0.0] * (top + 1)  # prefix sums by level, as in PrefixCursor
         self._lag = [0.0] * (top + 1)
         self._total = 0.0
+
+    def evict(self) -> None:
+        """Drop the store's nodes this cursor will never read: when step
+        ``j + 1`` starts a block, those ending before the previous block.
+        Call it after the add of step ``j + 1`` and before :meth:`advance`,
+        and only on a store no other cursor reads."""
+        off = self.j
+        mask = self._mask
+        if off > 2 * mask + 1 and not off & mask:
+            self._tree.evict_through(off - mask - 1)
 
     def advance(self) -> float:
         """Move to the next step j and return the window sum ending at j."""

@@ -3,14 +3,15 @@
 Four estimators behind one contract (``push(x) -> estimate`` for inputs in
 [0, 1]):
 
-* :class:`WindowSum` -- sum of the last W updates, W a power of two.  The
-  stream is cut into blocks of size W, each an aligned subtree of one dyadic
-  counter store; a window spanning two blocks is a block suffix plus a block
-  prefix, so each update touches exactly ``log2(W) + 1`` counters and each
-  estimate reads ``O(log W)`` of them.
+* :class:`WindowSum` -- sum of the last W updates, for any W >= 1.  The
+  stream is cut into blocks of ``W' = 2**ceil(log2 W)`` positions, each an
+  aligned subtree of one dyadic counter store; a window spanning two blocks
+  is a block suffix plus a block prefix, so each update touches exactly
+  ``log2(W') + 1`` counters and each estimate reads ``O(log W)`` of them.
 * :class:`AllWindowSum` -- one growing tree serving window estimates for
   every W simultaneously, with per-level budgets ``eps_k`` that sum to the
-  total budget; :class:`FixedWindowView` streams one window size from it.
+  total budget; :class:`FixedWindowView` streams one window size from it
+  (the paper's all-window construction, ``--mech allwindow``).
 * :class:`ExponentialSum` -- geometrically discounted sum on a growing tree;
   each left node holds the discounted sum of its interval, written once when
   it closes (a binary counter's carry chain), each estimate discounts the
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dyadic import DyadicTree, PrefixCursor, WindowCursor
+from .dyadic import DyadicTree, PrefixCursor, WindowCursor, block_levels
 from .noise import DEFAULT_SCHEDULE_BETA, RandomSource, level_epsilons
 
 _TINY_WEIGHT = 1e-300  # discount weights below this clamp to zero
@@ -150,11 +151,12 @@ def exp_decay_sensitivity(alpha: float) -> float:
 class WindowSum:
     """Private sliding-window sum on aligned blocks of one dyadic store.
 
-    W must be a power of two; every counter carries Laplace noise of scale
-    ``(log2 W + 1) / epsilon``.  Block b holds positions ``b*W + 1 ..
-    (b+1)*W`` as one aligned subtree of the store, and a
+    Block b holds positions ``b*W' + 1 .. (b+1)*W'``, ``W' = 2**ceil(log2
+    W)``, as one aligned subtree of the store, so one update changes
+    ``sensitivity = log2 W' + 1`` counters by at most 1 and every counter
+    carries Laplace noise of scale ``sensitivity / epsilon``.  A
     :class:`~decaystream.dyadic.WindowCursor` reads each window from the
-    current and the previous block; older blocks are evicted.
+    current and the previous block and evicts the older blocks.
     """
 
     def __init__(
@@ -165,19 +167,13 @@ class WindowSum:
         *,
         noisy: bool = True,
     ):
-        if W < 1:
-            raise ValueError(f"window size must be >= 1, got {W}")
         if not epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if W & (W - 1):
-            raise ValueError(
-                f"window size {W} is not a power of two; for other sizes use "
-                "FixedWindowView (mech allwindow) or make_mechanism"
-            )
         self.W = W
         self.epsilon = epsilon
-        self.counter_scale = scale = (math.log2(W) + 1.0) / epsilon
-        self._h = W.bit_length()  # levels of one block subtree
+        self._h = block_levels(W)  # levels of one block subtree
+        self.sensitivity = float(self._h)
+        self.counter_scale = scale = self._h / epsilon
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         self._window = WindowCursor(self._tree, W)
         self.i = 0
@@ -188,10 +184,8 @@ class WindowSum:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.i + 1
         self.i = i
-        off = i - 1
-        if off >= 2 * self.W and not off % self.W:  # a block starts
-            self._tree.evict_through(off - self.W)
         self._tree.add_path(i, x, self._h)
+        self._window.evict()
         return self._window.advance()
 
     def counters(self) -> dict[tuple[int, int], float]:
@@ -281,12 +275,12 @@ class RunningSum:
 class FixedWindowView:
     """Streaming adapter: one window size read from an AllWindowSum.
 
-    This is the route for window sizes that are not powers of two.  Its
-    cursor reads, at step i, only nodes inside the aligned block of ``W' =
-    2**ceil(log2 W)`` positions holding i and the block before it, so when a
-    block starts, every node that ended before the previous block is
-    evicted: about ``2 * (2 W' - 1)`` counters stay live, plus at most two
-    per higher level.
+    The paper's all-window construction for one W (``--mech allwindow``);
+    :class:`WindowSum` answers the same window with less noise.  The view
+    owns the tree's only cursor, which reads, at step i, only nodes inside
+    the aligned block of ``W' = 2**ceil(log2 W)`` positions holding i and the
+    block before it and evicts the rest: about ``2 * (2 W' - 1)`` counters
+    stay live, plus at most two per higher level.
     """
 
     def __init__(
@@ -298,11 +292,8 @@ class FixedWindowView:
         schedule_beta: float = DEFAULT_SCHEDULE_BETA,
         noisy: bool = True,
     ):
-        if W < 1:
-            raise ValueError(f"window size must be >= 1, got {W}")
         self.W = W
         self.epsilon = epsilon
-        self._Wp = 1 << (W - 1).bit_length()
         self._aw = AllWindowSum(epsilon, rng, schedule_beta=schedule_beta, noisy=noisy)
         self._window = self._aw.cursor(W)
 
@@ -312,9 +303,7 @@ class FixedWindowView:
 
     def push(self, x: float) -> float:
         self._aw.push(x)  # a doubling reads the old root, which ends at step - 1
-        off = self._aw.step - 1
-        if off >= 2 * self._Wp and not off % self._Wp:  # a block starts
-            self._aw._tree.evict_through(off - self._Wp)
+        self._window.evict()
         return self._window.advance()
 
     def counters(self):
@@ -358,12 +347,12 @@ class ExponentialSum:
         *,
         noisy: bool = True,
     ):
-        self.lam = exp_decay_sensitivity(alpha)  # validates alpha in (2/3, 1)
+        self.sensitivity = exp_decay_sensitivity(alpha)  # validates alpha in (2/3, 1)
         if not epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.alpha = alpha
         self.epsilon = epsilon
-        self.counter_scale = scale = self.lam / epsilon
+        self.counter_scale = scale = self.sensitivity / epsilon
         self.step = 0
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         n = int(math.log(_TINY_WEIGHT) / math.log(alpha))
@@ -559,16 +548,9 @@ def make_mechanism(
 ):
     """Build the streaming estimator for a decay spec and privacy budget.
 
-    Window sizes that are not powers of two are routed to the growing-tree
-    estimator (the estimand is unchanged; only block alignment differs).
-    ``schedule_beta`` sets the level schedule of the growing-tree routes
-    (running sums and those window sizes).
+    ``schedule_beta`` sets the level schedule of the running sum.
     """
     if decay.kind == "window":
-        if decay.W & (decay.W - 1):
-            return FixedWindowView(
-                decay.W, epsilon, rng, schedule_beta=schedule_beta, noisy=noisy
-            )
         return WindowSum(decay.W, epsilon, rng, noisy=noisy)
     if decay.kind == "exponential":
         return ExponentialSum(decay.alpha, epsilon, rng, noisy=noisy)

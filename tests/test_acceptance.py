@@ -60,7 +60,7 @@ def conv_oracle(xs, decay):
 
 def test_criterion_01_oracle_equivalence():
     gen = RandomSource(101)
-    windows = [1, 2, 8, 64]
+    windows = [1, 2, 3, 6, 8, 64, 100]
     alphas = [0.7, 0.75, 0.9, 0.99]
     polys = [(1.5, 0.25), (2.0, 0.5), (2.0, 0.75), (4.0, 0.25)]
     start = time.perf_counter()
@@ -156,10 +156,11 @@ def test_criterion_02_sensitivity_brute_force():
             if require_equality:
                 ok &= abs(l1 - bound) <= 1e-9
 
-    W = 16
-    win_factory = lambda: WindowSum(W, 1.0, RandomSource(0), noisy=False)
-    flips(_run_counters(win_factory, xs), win_factory,
-          math.log2(W) + 1.0, require_equality=True)
+    # one counter per level of a block of W' = 2**ceil(log2 W) positions
+    for W in (16, 6):
+        win_factory = lambda W=W: WindowSum(W, 1.0, RandomSource(0), noisy=False)
+        flips(_run_counters(win_factory, xs), win_factory,
+              math.ceil(math.log2(W)) + 1.0, require_equality=True)
 
     for alpha in (0.7, 0.9, 0.99):
         exp_factory = lambda a=alpha: ExponentialSum(a, 1.0, RandomSource(0), noisy=False)
@@ -262,7 +263,7 @@ def test_criterion_03_noise_calibration():
         for i in range(1, blocks * w.W + 1):
             w.push(x)
             if i % w.W == 0:
-                start = i - w.W  # block start, W a power of two
+                start = i - w.W  # block start: W = 512 is its own block size
                 zs += [z for (level, index), z in frozen_noise(w._tree).items()
                        if index << (level - 1) >= start]
         return zs

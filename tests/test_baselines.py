@@ -9,12 +9,18 @@ from decaystream.baselines import (
     RandomizedResponse,
     RunningDiffBaseline,
     decayed_sum,
-    rr_epsilon_of_flip,
     rr_flip_parameter,
 )
 from decaystream.dyadic import DyadicTree
 from decaystream.mechanisms import DecaySpec
 from decaystream.noise import RandomLanes, RandomSource
+
+
+def rr_epsilon_of_flip(f: float) -> float:
+    """Privacy parameter of randomized response with bit-keep bias f."""
+    if not 0.0 < f < 1.0:
+        raise ValueError(f"flip parameter must lie in (0, 1), got {f}")
+    return math.log((1.0 + f) / (1.0 - f))
 
 
 def random_bits(seed, T):

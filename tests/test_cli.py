@@ -61,11 +61,14 @@ def test_run_beta_is_the_schedule_exponent(capsys, mech):
     assert [float(line.split(",")[1]) for line in scheduled.splitlines()[1:]] == want
 
 
-def test_run_rejects_non_power_of_two_window(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--mech", "window", "--W", "6", "--T", "8"])
-    assert exc.value.code == 2
-    assert "allwindow" in capsys.readouterr().err.lower()
+def test_run_window_takes_any_size(capsys):
+    # W = 6 is read over blocks of 8 positions, and exact with the noise off
+    code, out, _ = run_cli(capsys, ["run", "--mech", "window", "--W", "6", "--T", "40",
+                                    "--no-noise", "--with-exact"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 40
+    assert all(float(r[3]) <= 1e-9 for r in rows)
 
 
 def test_run_reads_file_and_reports_exact(tmp_path, capsys):
@@ -123,6 +126,12 @@ def test_run_histogram_mode(tmp_path, capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [(r[1], float(r[2])) for r in rows] == [
         ("a", 1.0), ("b", 1.0), ("a", 1.0), ("b", 2.0)]
+    # --beta is the slack of poly, which histogram mode reads
+    code, out, _ = run_cli(capsys, [
+        "run", "--mech", "poly", "--c", "2", "--beta", "0.25", "--histogram",
+        "--input", str(path),
+    ])
+    assert code == 0 and len(out.strip().splitlines()) == 5
 
 
 def test_run_rr_requires_bits(tmp_path, capsys):
@@ -306,10 +315,10 @@ def test_bench_parses_its_input_file_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     code, out, err = run_cli(capsys, argv + [str(bad)])
     assert (code, out) == (3, "") and "line 2" in err
-    # a bad config is refused before the file is read
+    # a bad config (no --W) is refused before the file is read
     calls.clear()
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--mech", "window", "--W", "6", "--trials", "30", "--input", str(bad)])
+        main(["bench", "--mech", "window", "--trials", "30", "--input", str(bad)])
     assert exc.value.code == 2
     assert calls == []
 
@@ -349,15 +358,17 @@ def test_bound_and_lbverify_refuse_options_they_do_not_read(command, option, cap
 
 
 def test_bound_window(capsys):
-    code, out, _ = run_cli(capsys, [
-        "bound", "--mech", "window", "--W", "4", "--eps", "1", "--gamma", "0.05",
-    ])
-    assert code == 0
-    table = dict(line.split(",", 1) for line in out.strip().splitlines())
-    assert float(table["counter_scale"]) == 3.0
-    assert float(table["sensitivity"]) == 3.0
-    assert "delta_gamma" in table and "delta_lb_ref" in table
-    assert "utility_branch" in table
+    # the estimator's scale: log2 W' + 1 levels of a block of W' = 2**ceil(log2 W)
+    for W, eps, levels in (("4", "1", 3.0), ("6", "1", 4.0), ("100", "0.5", 8.0)):
+        code, out, _ = run_cli(capsys, [
+            "bound", "--mech", "window", "--W", W, "--eps", eps, "--gamma", "0.05",
+        ])
+        assert code == 0
+        table = dict(line.split(",", 1) for line in out.strip().splitlines())
+        assert float(table["counter_scale"]) == levels / float(eps)
+        assert float(table["sensitivity"]) == levels
+        assert "delta_gamma" in table and "delta_lb_ref" in table
+        assert "utility_branch" in table
 
 
 def test_bound_exponential_and_poly(capsys):
@@ -423,8 +434,9 @@ def test_bound_and_bench_refuse_mechs_without_a_tree(command, mech, capsys):
 
 def test_bound_rejects_bad_window(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bound", "--mech", "window", "--W", "6"])
+        main(["bound", "--mech", "window", "--W", "0"])
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_lbverify_pass_and_fail(capsys):
@@ -446,6 +458,7 @@ def test_stream_round_trip_matches_memory(capsys):
     # estimator (bench trial 0's noise) pushed over the config's stream
     cases = [
         (["window", "--W", "4"], dict(W=4)),
+        (["window", "--W", "6"], dict(W=6)),
         (["allwindow", "--W", "6"], dict(W=6)),
         (["exp", "--alpha", "0.9"], dict(alpha=0.9)),
         (["poly", "--c", "2", "--beta", "0.25"], dict(c=2.0, beta=0.25)),
@@ -471,9 +484,31 @@ def test_run_refuses_a_bad_config_before_reading_its_file(tmp_path, capsys, monk
     path = tmp_path / "stream.txt"
     path.write_text("1\nnope\n")
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--mech", "window", "--W", "6", "--input", str(path)])
+        main(["run", "--mech", "window", "--input", str(path)])
     assert exc.value.code == 2
-    assert "allwindow" in capsys.readouterr().err
+    assert "--W is required" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mech", "window", "--W", "8", "--rr-flip", "7"],
+    ["--mech", "exp", "--alpha", "0.9", "--rr-flip", "0.5"],
+    ["--histogram", "--mech", "running", "--beta", "1.5"],
+    ["--histogram", "--mech", "window", "--W", "8", "--beta", "1.5"],
+], ids=["window-rr-flip", "exp-rr-flip", "histogram-running-beta", "histogram-window-beta"])
+def test_run_refuses_options_its_mech_does_not_read(argv, tmp_path, capsys, monkeypatch):
+    # --rr-flip is read only by rr, and histogram mode reads --beta only as
+    # the slack of poly; either is refused before the file is read
+    from decaystream import bench
+
+    calls = []
+    monkeypatch.setattr(bench, "parse_stream", lambda *a: calls.append(a))
+    path = tmp_path / "keyed.csv"
+    path.write_text("a,1\nb,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *argv, "--input", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
     assert calls == []
 
 

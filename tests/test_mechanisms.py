@@ -57,9 +57,13 @@ def test_window_counter_scale_and_sizes():
     assert WindowSum(1, 2.0, RandomSource(0)).counter_scale == 0.5
 
 
-def test_window_rejects_non_power_of_two():
-    with pytest.raises(ValueError, match="FixedWindowView"):
-        WindowSum(6, 1.0, RandomSource(0))
+def test_window_takes_any_size():
+    # blocks of W' = 2**ceil(log2 W): log2 W' + 1 counters per update
+    for W, levels in ((3, 3), (6, 4), (100, 8), (1000, 11)):
+        w = WindowSum(W, 2.0, RandomSource(0))
+        assert (w.sensitivity, w.counter_scale) == (levels, levels / 2.0)
+    with pytest.raises(ValueError, match="window size"):
+        WindowSum(0, 1.0, RandomSource(0))
 
 
 def test_window_rejects_out_of_range_updates():
@@ -105,22 +109,31 @@ def test_window_saturates_on_ones():
 def test_window_matches_brute_force_noiseless():
     for seed in range(5):
         xs = random_stream(seed, 200, binary=False)
-        for W in (1, 4, 32):
+        for W in (1, 3, 4, 6, 32, 100):
             w = WindowSum(W, 1.0, RandomSource(seed), noisy=False)
             for j, x in enumerate(xs, 1):
                 assert w.push(x) == pytest.approx(brute_window(xs, j, W), abs=1e-9)
 
 
 def test_window_keeps_two_blocks():
-    w = WindowSum(8, 1.0, RandomSource(1))
-    for _ in range(100):
-        w.push(1.0)
-    per_block = {}
-    for level, index in w.counters():
-        blk = (index << (level - 1)) // 8
-        per_block[blk] = per_block.get(blk, 0) + 1
-    assert len(per_block) == 2
-    assert all(n <= 2 * 8 - 1 for n in per_block.values())  # one block's nodes
+    # live counters lie in at most two blocks of W' positions, so at most
+    # 2 (2 W' - 1) stay live; counted at block ends, where the most are live
+    for W in (8, 3, 6, 100, 1000):
+        Wp = 1 << (W - 1).bit_length()
+        xs = random_stream(W, 5 * Wp, binary=False)
+        csum = np.concatenate([[0.0], np.cumsum(xs)])
+        w = WindowSum(W, 1.0, RandomSource(1), noisy=False)
+        for i, x in enumerate(xs, 1):
+            assert w.push(x) == pytest.approx(csum[i] - csum[max(0, i - W)], abs=1e-9)
+            if i % Wp:
+                continue
+            per_block = {}
+            for level, index in w.counters():
+                blk = (index << (level - 1)) // Wp
+                per_block[blk] = per_block.get(blk, 0) + 1
+            assert len(per_block) == min(2, i // Wp), (W, i)
+            assert all(n <= 2 * Wp - 1 for n in per_block.values())  # one block's nodes
+            assert len(w.counters()) <= 2 * (2 * Wp - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +491,8 @@ def test_factory_routes_window_sizes():
     assert isinstance(
         make_mechanism(DecaySpec.window(8), 1.0, RandomSource(0)), WindowSum
     )
-    assert isinstance(
-        make_mechanism(DecaySpec.window(6), 1.0, RandomSource(0)), FixedWindowView
-    )
+    for W in (3, 6, 100, 1000):  # any size: blocks of 2**ceil(log2 W)
+        assert isinstance(make_mechanism(DecaySpec.window(W), 1.0, RandomSource(0)), WindowSum)
     assert isinstance(
         make_mechanism(DecaySpec.exponential(0.9), 1.0, RandomSource(0)),
         ExponentialSum,
@@ -516,6 +528,7 @@ def _lane_factories():
 
     return {
         "window": lambda rng: WindowSum(8, 1.0, rng),
+        "window 6": lambda rng: WindowSum(6, 1.0, rng),
         "fixed view": lambda rng: FixedWindowView(6, 1.0, rng),
         "running": lambda rng: RunningSum(1.0, rng),
         "exponential": lambda rng: ExponentialSum(0.9, 1.0, rng),
@@ -545,6 +558,7 @@ def test_noise_does_not_depend_on_the_data():
 
     factories = {
         "window": lambda noisy: WindowSum(8, 1.0, RandomSource(1), noisy=noisy),
+        "window 6": lambda noisy: WindowSum(6, 1.0, RandomSource(2), noisy=noisy),
         "fixed view": lambda noisy: FixedWindowView(6, 1.0, RandomSource(3), noisy=noisy),
         "running": lambda noisy: RunningSum(1.0, RandomSource(4), noisy=noisy),
         "exponential": lambda noisy: ExponentialSum(0.9, 1.0, RandomSource(5), noisy=noisy),
