@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .dyadic import DyadicTree, PrefixCursor
+from .dyadic import DyadicTree, PrefixCursor, block_levels
 from .mechanisms import DecaySpec
 from .noise import RandomSource
 
@@ -147,7 +147,7 @@ class RunningDiffBaseline:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.W = W
         self.horizon = horizon
-        self._h = (horizon - 1).bit_length() + 1  # levels of the horizon tree
+        self._h = block_levels(horizon)  # levels of the padded horizon tree
         self.counter_scale = scale = self._h / epsilon
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         self._now = PrefixCursor(self._tree)  # prefix(i)

@@ -48,8 +48,9 @@ from .bounds import (
     utility_delta,
     worst_noise_profile,
 )
+from .dyadic import block_levels
 from .mechanisms import DecaySpec, FixedWindowView, make_mechanism
-from .noise import DEFAULT_SCHEDULE_BETA, RandomLanes, RandomSource
+from .noise import RandomLanes, RandomSource
 
 _STREAM_CHILD = 0
 _TRIAL_CHILD = 1
@@ -61,6 +62,9 @@ _SERIES_CHILD = {"rr_matched": 1, "rr_raw": 2, "running_diff": 3}
 # the estimators built on the dyadic tree, and the two baselines `run` also takes
 TREE_MECHS = ("window", "allwindow", "exp", "poly", "running")
 MECHS = TREE_MECHS + ("rr", "oracle")
+# the decay options each tree mech reads; rr and oracle read those of one decay
+_DECAY_OPTIONS = {"window": ("W",), "allwindow": ("W",), "exp": ("alpha",),
+                  "poly": ("c", "beta"), "running": ()}
 
 
 @dataclass(frozen=True)
@@ -80,17 +84,35 @@ class ExperimentConfig:
     alpha: float | None = None
     c: float | None = None
     beta: float | None = None
-    schedule_beta: float = DEFAULT_SCHEDULE_BETA
     noisy: bool = True
     jobs: int = 1
 
+    def __post_init__(self):
+        """Refuse, in O(1), an unknown mech, a decay option the mech does not
+        read, and an error probability or horizon out of range."""
+        if self.mech not in MECHS:
+            raise ValueError(f"unknown mechanism {self.mech!r}")
+        stray = [f"--{o}" for o in ("W", "alpha", "c", "beta")
+                 if getattr(self, o) is not None and o not in _DECAY_OPTIONS[self._decay_mech()]]
+        if stray:
+            why = " beside another decay's options" if self.mech in ("rr", "oracle") else ""
+            raise ValueError(f"--mech {self.mech} does not read {' '.join(stray)}{why}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if self.T < 1:
+            raise ValueError(f"--T (stream length or horizon) must be >= 1, got {self.T}")
+
+    def _decay_mech(self) -> str:
+        """The tree mech whose decay the config estimates: its own, or for ``rr``
+        and ``oracle`` the first whose options are given, else the running sum."""
+        if self.mech not in ("rr", "oracle"):
+            return self.mech
+        return next((m for m in ("window", "exp", "poly")
+                     if any(getattr(self, o) is not None for o in _DECAY_OPTIONS[m])), "running")
+
     def decay(self) -> DecaySpec:
-        """The decay the config estimates; ``rr`` and ``oracle`` read the one whose
-        parameter is given (``W``, then ``alpha``, then ``c``), else the running sum."""
-        mech = self.mech
-        if mech in ("rr", "oracle"):
-            mech = ("window" if self.W is not None else "exp" if self.alpha is not None
-                    else "poly" if self.c is not None else "running")
+        """The decay the config estimates (``rr`` and ``oracle``: see ``_decay_mech``)."""
+        mech = self._decay_mech()
         if mech in ("window", "allwindow"):
             if self.W is None:
                 raise ValueError(f"--W is required for mech {self.mech!r}")
@@ -103,9 +125,7 @@ class ExperimentConfig:
             if self.c is None or self.beta is None:
                 raise ValueError(f"--c and --beta are required for mech {self.mech!r}")
             return DecaySpec.polynomial(self.c, self.beta)
-        if mech == "running":
-            return DecaySpec.running()
-        raise ValueError(f"unknown mechanism {self.mech!r}")
+        return DecaySpec.running()
 
 
 @dataclass(frozen=True)
@@ -173,8 +193,6 @@ def make_stream(cfg: ExperimentConfig) -> list[float]:
     """Materialise the input stream for a config (deterministic in the seed)."""
     if cfg.input_path is not None:
         return read_stream(cfg.input_path)
-    if cfg.T < 1:
-        raise ValueError(f"stream length must be >= 1, got {cfg.T}")
     name, _, arg = cfg.source.partition(":")
     if name == "ones":
         return [1.0] * cfg.T
@@ -199,19 +217,15 @@ def build_mechanism(cfg: ExperimentConfig, rng: RandomSource):
                          f"pick --mech {'|'.join(TREE_MECHS)}")
     decay = cfg.decay()  # refuses missing or bad decay options
     if cfg.mech == "allwindow":
-        return FixedWindowView(
-            decay.W, cfg.epsilon, rng, schedule_beta=cfg.schedule_beta, noisy=cfg.noisy
-        )
-    return make_mechanism(
-        decay, cfg.epsilon, rng, noisy=cfg.noisy, schedule_beta=cfg.schedule_beta
-    )
+        return FixedWindowView(decay.W, cfg.epsilon, rng, noisy=cfg.noisy)
+    return make_mechanism(decay, cfg.epsilon, rng, noisy=cfg.noisy)
 
 
 def theory_profile(cfg: ExperimentConfig, T: int) -> NoiseProfile:
     """Noise profile of the config's estimator over horizon ``T``."""
     if cfg.mech == "allwindow":
-        return allwindow_query_profile(cfg.epsilon, T, schedule_beta=cfg.schedule_beta)
-    return worst_noise_profile(cfg.decay(), cfg.epsilon, T, schedule_beta=cfg.schedule_beta)
+        return allwindow_query_profile(cfg.epsilon, T)
+    return worst_noise_profile(cfg.decay(), cfg.epsilon, T)
 
 
 def checkpoints(T: int) -> list[int]:
@@ -297,8 +311,7 @@ def _delta_theory(cfg: ExperimentConfig, name: str, j: int, T: int) -> float | N
         range2 = decay.energy(j) / (f * f)
         return hoeffding_delta(range2, cfg.gamma)
     if name == "running_diff":
-        S = 1 << (T - 1).bit_length()
-        h = S.bit_length()
+        h = block_levels(T)  # levels of the padded horizon tree
         scale = h / cfg.epsilon
         terms = max(1, 2 * (h - 1))
         return utility_delta(NoiseProfile((scale,) * terms), cfg.gamma)

@@ -24,7 +24,7 @@ from .mechanisms import (
     exp_decay_sensitivity,
     poly_read_ages,
 )
-from .noise import DEFAULT_SCHEDULE_BETA, level_epsilons
+from .noise import SCHEDULE_BETA, level_epsilons
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,6 @@ def worst_noise_profile(
     decay: DecaySpec,
     epsilon: float,
     horizon: int | None = None,
-    *,
-    schedule_beta: float = DEFAULT_SCHEDULE_BETA,
 ) -> NoiseProfile:
     """Noise profile of the worst-case single estimate of each mechanism.
 
@@ -114,7 +112,7 @@ def worst_noise_profile(
     one node per level with the per-level schedule scales.
 
     polynomial: the estimate at step i < T reads each node of one tiling of
-    the all-window tree (default schedule, level-k scale s_k = 1/eps_k)
+    the all-window tree (the one schedule, level-k scale s_k = 1/eps_k)
     once, weighted by the decay weight w of its oldest age.  A level-k node
     (length L) is read only at newest ages a >= A_k (:func:`poly_read_ages`),
     and its weight is at most w(a') for each of its L ages a', so the
@@ -146,7 +144,7 @@ def worst_noise_profile(
         # that a small weight is not lost next to a large one
         tail = np.cumsum(np.arange(T, 0, -1, dtype=np.float64) ** (-2.0 * decay.c))[::-1]
         scales = []
-        eps = level_epsilons(epsilon, DEFAULT_SCHEDULE_BETA, T.bit_length())
+        eps = level_epsilons(epsilon, SCHEDULE_BETA, T.bit_length())
         for k, eps_k in enumerate(eps, 1):
             A = poly_read_ages(decay.c, decay.beta, k)[0]
             if A >= T:
@@ -160,22 +158,18 @@ def worst_noise_profile(
     # running sum: one node per level of the grown tree
     T = horizon or 1 << 20
     h = (1 << (max(T - 1, 1)).bit_length()).bit_length()
-    eps_k = level_epsilons(epsilon, schedule_beta, h)
+    eps_k = level_epsilons(epsilon, SCHEDULE_BETA, h)
     return NoiseProfile(tuple(1.0 / e for e in eps_k))
 
 
-def allwindow_query_profile(
-    epsilon: float, horizon: int | None = None, *, schedule_beta: float = DEFAULT_SCHEDULE_BETA
-) -> NoiseProfile:
+def allwindow_query_profile(epsilon: float, horizon: int | None = None) -> NoiseProfile:
     """Over-bound of one window estimate on the level-scheduled tree.
 
     A window cursor sums two block prefixes (at most one node per level
     each) and the previous block's total, so three nodes per level is a
     rigorous upper bound whatever the window size.
     """
-    base = worst_noise_profile(
-        DecaySpec.running(), epsilon, horizon, schedule_beta=schedule_beta
-    )
+    base = worst_noise_profile(DecaySpec.running(), epsilon, horizon)
     return NoiseProfile(base.scales * 3)
 
 

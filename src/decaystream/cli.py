@@ -42,9 +42,11 @@ from .bounds import (
     framework_threshold,
     reference_delta,
     utility_delta,
+    worst_noise_profile,
 )
 from .extensions import DecayedHistogram
-from .noise import RandomSource, level_epsilons
+from .mechanisms import DecaySpec
+from .noise import RandomSource
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -58,8 +60,7 @@ def _add_decay(p: argparse.ArgumentParser, mechs) -> None:
     p.add_argument("--W", type=int, help="window size")
     p.add_argument("--alpha", type=float, help="exponential decay base")
     p.add_argument("--c", type=float, help="polynomial decay exponent")
-    p.add_argument("--beta", type=float,
-                   help="polynomial multiplicative slack / level schedule exponent")
+    p.add_argument("--beta", type=float, help="polynomial multiplicative slack (poly only)")
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
@@ -84,12 +85,9 @@ def _add_stream(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> ExperimentConfig:
-    """The config whose fields the options' dests name (defaults for the rest);
-    ``--beta`` is also the level-schedule exponent of running and allwindow."""
+    """The config whose fields the options' dests name (defaults for the rest)."""
     opts = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
             if hasattr(args, f.name)}
-    if args.mech in ("running", "allwindow") and args.beta is not None:
-        opts["schedule_beta"] = args.beta
     return ExperimentConfig(**opts)
 
 
@@ -114,8 +112,6 @@ def _build_runner(args, cfg: ExperimentConfig):
         if cfg.mech not in HISTOGRAM_MECHS:
             raise ValueError(f"histogram mode takes --mech {'|'.join(HISTOGRAM_MECHS)}, "
                              f"not {cfg.mech!r}")
-        if cfg.beta is not None and cfg.mech != "poly":
-            raise ValueError("histogram mode reads --beta only as the slack of --mech poly")
         # build one key's estimator, as the histogram will (child() is stateless)
         build_mechanism(cfg, rng)
         return DecayedHistogram(decay, cfg.epsilon, rng, noisy=cfg.noisy)
@@ -201,11 +197,10 @@ def cmd_bound(args) -> int:
         cmp = ">=" if math.log2(r) >= math.log2(1.0 / gamma) else "<"
         branch = f"log2({what}) {cmp} log2(1/gamma)"
     else:
-        # allwindow / running / poly: per-level schedule
-        h = (1 << max(cfg.T - 1, 1).bit_length()).bit_length()
-        eps_k = level_epsilons(eps, cfg.schedule_beta, h)
+        # allwindow / running / poly: one scale per level of the grown tree
+        levels = worst_noise_profile(DecaySpec.running(), eps, cfg.T).scales
         rows = [("sensitivity_per_level", 1.0)]
-        rows += [(f"level_{k}_scale", 1.0 / e) for k, e in enumerate(eps_k, 1)]
+        rows += [(f"level_{k}_scale", b) for k, b in enumerate(levels, 1)]
         branch = "per-level budgets eps_k = eps / (zeta(beta) k**beta)"
         if cfg.mech == "poly":
             branch += "; the age tiling is post-processing of the all-window tree"
@@ -253,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print the exact value and absolute error")
     p_run.add_argument("--histogram", action="store_true",
                        help="input is key,value records; one estimator per key "
-                            f"(--mech {'|'.join(HISTOGRAM_MECHS)}; --beta only as "
-                            "the slack of poly)")
+                            f"(--mech {'|'.join(HISTOGRAM_MECHS)})")
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="Monte-Carlo benchmark")

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .dyadic import DyadicTree, PrefixCursor, WindowCursor, block_levels
-from .noise import DEFAULT_SCHEDULE_BETA, RandomSource, level_epsilons
+from .noise import SCHEDULE_BETA, RandomSource, level_epsilons
 
 _TINY_WEIGHT = 1e-300  # discount weights below this clamp to zero
 
@@ -201,7 +201,8 @@ class AllWindowSum:
     """One growing tree serving window estimates for every window size.
 
     Level k counters carry noise of scale ``1 / eps_k``, eps_k the k-th term
-    of :func:`~decaystream.noise.level_epsilons` at ``schedule_beta``, so the
+    of the one level schedule ``eps_k = 6 epsilon / (pi**2 k**2)``
+    (:func:`~decaystream.noise.level_epsilons` at ``SCHEDULE_BETA``), so the
     per-level budgets sum to ``epsilon`` over the infinite tree.  ``push``
     produces no output; each :meth:`cursor` streams the estimates of one
     window size, and all of them are post-processing of the one tree.
@@ -212,17 +213,14 @@ class AllWindowSum:
         epsilon: float,
         rng: RandomSource,
         *,
-        schedule_beta: float = DEFAULT_SCHEDULE_BETA,
         noisy: bool = True,
     ):
         if not epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        if not schedule_beta > 1.0:
-            raise ValueError(f"schedule exponent must exceed 1, got {schedule_beta}")
         self.epsilon = epsilon
         self.step = 0
         self._tree = DyadicTree(
-            rng, lambda k: 1.0 / level_epsilons(epsilon, schedule_beta, k)[-1], noisy
+            rng, lambda k: 1.0 / level_epsilons(epsilon, SCHEDULE_BETA, k)[-1], noisy
         )
 
     def push(self, x: float) -> None:
@@ -253,11 +251,10 @@ class RunningSum:
         epsilon: float,
         rng: RandomSource,
         *,
-        schedule_beta: float = DEFAULT_SCHEDULE_BETA,
         noisy: bool = True,
     ):
         self.epsilon = epsilon
-        self._aw = AllWindowSum(epsilon, rng, schedule_beta=schedule_beta, noisy=noisy)
+        self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
         self._prefix = PrefixCursor(self._aw._tree)
 
     @property
@@ -289,12 +286,11 @@ class FixedWindowView:
         epsilon: float,
         rng: RandomSource,
         *,
-        schedule_beta: float = DEFAULT_SCHEDULE_BETA,
         noisy: bool = True,
     ):
         self.W = W
         self.epsilon = epsilon
-        self._aw = AllWindowSum(epsilon, rng, schedule_beta=schedule_beta, noisy=noisy)
+        self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
         self._window = self._aw.cursor(W)
 
     @property
@@ -448,7 +444,7 @@ class PolynomialSum:
     """Private power-law discounted sum as post-processing of one tree.
 
     At step i the estimate walks the ends e = i, i - L, ... down to 0 of one
-    :class:`AllWindowSum` (default level schedule), taking at each the
+    :class:`AllWindowSum` (the one level schedule), taking at each the
     largest aligned node ending there that its newest age i - e admits
     (:func:`poly_read_ages`), weighted by the decay weight
     ``(i - e + L)**-c`` of its oldest age.  Each node is read once, and the
@@ -544,11 +540,10 @@ def make_mechanism(
     rng: RandomSource,
     *,
     noisy: bool = True,
-    schedule_beta: float = DEFAULT_SCHEDULE_BETA,
 ):
     """Build the streaming estimator for a decay spec and privacy budget.
 
-    ``schedule_beta`` sets the level schedule of the running sum.
+    The growing trees (running and polynomial) draw at the one level schedule.
     """
     if decay.kind == "window":
         return WindowSum(decay.W, epsilon, rng, noisy=noisy)
@@ -556,4 +551,4 @@ def make_mechanism(
         return ExponentialSum(decay.alpha, epsilon, rng, noisy=noisy)
     if decay.kind == "polynomial":
         return PolynomialSum(decay.c, decay.beta, epsilon, rng, noisy=noisy)
-    return RunningSum(epsilon, rng, schedule_beta=schedule_beta, noisy=noisy)
+    return RunningSum(epsilon, rng, noisy=noisy)

@@ -24,8 +24,8 @@ import numpy as np
 
 _BUFFER = 4096
 
-# exponent beta of the default level schedule eps_k = epsilon / (zeta(beta) * k**beta)
-DEFAULT_SCHEDULE_BETA = 2.0
+# exponent beta of every growing tree's level schedule eps_k = epsilon / (zeta(beta) * k**beta)
+SCHEDULE_BETA = 2.0
 
 
 def laplace_from_uniform(u, b: float):

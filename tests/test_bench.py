@@ -152,8 +152,18 @@ def test_bad_config_is_refused_before_the_stream_is_made(monkeypatch):
         raise AssertionError("the stream was made before the config was checked")
 
     monkeypatch.setattr(bench, "make_stream", no_stream)
-    with pytest.raises(ValueError, match="schedule exponent must exceed 1"):
-        run_bench(ExperimentConfig(mech="running", schedule_beta=1.0, trials=30))
+    with pytest.raises(ValueError, match="--W is required"):
+        run_bench(ExperimentConfig(mech="window", trials=30))
+    with pytest.raises(ValueError, match="needs W >= 1"):
+        run_bench(ExperimentConfig(mech="allwindow", W=0, trials=30))
+    # the config itself refuses an option its mech does not read, and a bad
+    # error probability or horizon
+    for bad, match in ((dict(mech="running", beta=1.5), "does not read --beta"),
+                       (dict(mech="rr", W=8, alpha=0.9), "another decay's"),
+                       (dict(mech="window", W=8, gamma=0.0), "gamma"),
+                       (dict(mech="running", T=0), "must be >= 1")):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(trials=30, **bad)
 
 
 @pytest.mark.parametrize("mech", ["rr", "oracle"])

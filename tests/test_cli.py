@@ -15,7 +15,7 @@ from decaystream.bench import (
 from decaystream.bounds import allwindow_query_profile, utility_delta, worst_noise_profile
 from decaystream.cli import main
 from decaystream.mechanisms import DecaySpec
-from decaystream.noise import RandomSource, level_epsilons
+from decaystream.noise import SCHEDULE_BETA, RandomSource, level_epsilons
 
 
 def run_cli(capsys, argv):
@@ -46,19 +46,6 @@ def test_run_exponential_ones_matches_geometric_series(capsys):
         t_s, est_s = row.split(",")
         j, est = int(t_s), float(est_s)
         assert est == pytest.approx((1 - 0.9**j) / (1 - 0.9), abs=1e-9)
-
-
-@pytest.mark.parametrize("mech", [["running"], ["allwindow", "--W", "5"]])
-def test_run_beta_is_the_schedule_exponent(capsys, mech):
-    argv = ["run", "--mech", *mech, "--T", "16", "--seed", "1"]
-    _, plain, _ = run_cli(capsys, argv)
-    code, scheduled, _ = run_cli(capsys, argv + ["--beta", "1.5"])
-    assert code == 0 and scheduled != plain
-    # the estimator run builds: bench trial 0's noise, schedule exponent 1.5
-    cfg = ExperimentConfig(mech=mech[0], T=16, seed=1, W=5, schedule_beta=1.5)
-    est = build_mechanism(cfg, RandomSource(1).child(1).child(0).child(0))
-    want = [est.push(x) for x in make_stream(cfg)]
-    assert [float(line.split(",")[1]) for line in scheduled.splitlines()[1:]] == want
 
 
 def test_run_window_takes_any_size(capsys):
@@ -244,13 +231,14 @@ def test_bench_theory_rows_follow_the_input_length(capsys, tmp_path, mech):
         assert last["running"] == utility_delta(profile, 0.05)
 
 
-def test_bench_beta_is_the_schedule_exponent(capsys):
-    # the theory row of the mechanism is bound's delta_gamma at the same --beta
-    argv = ["--mech", "running", "--T", "64", "--beta", "1.5"]
+@pytest.mark.parametrize("mech", [["running"], ["allwindow", "--W", "5"]], ids=lambda m: m[0])
+def test_bench_theory_row_is_bound_delta_gamma(capsys, mech):
+    # the theory row of the mechanism is bound's delta_gamma at the same horizon
+    argv = ["--mech", *mech, "--T", "64"]
     code, out, _ = run_cli(capsys, ["bench", *argv, "--trials", "30"])
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    (theory,) = [float(r[6]) for r in rows if r[0] == "running" and r[1] == "64"]
+    (theory,) = [float(r[6]) for r in rows if r[0] == mech[0] and r[1] == "64"]
     _, out, _ = run_cli(capsys, ["bound", *argv])
     table = dict(line.split(",", 1) for line in out.strip().splitlines())
     assert theory == float(table["delta_gamma"])
@@ -315,11 +303,14 @@ def test_bench_parses_its_input_file_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     code, out, err = run_cli(capsys, argv + [str(bad)])
     assert (code, out) == (3, "") and "line 2" in err
-    # a bad config (no --W) is refused before the file is read
+    # a bad config (no --W, or gamma outside (0, 1)) is refused before the
+    # file is read
     calls.clear()
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--mech", "window", "--trials", "30", "--input", str(bad)])
-    assert exc.value.code == 2
+    for config in (["window"], ["window", "--W", "8", "--gamma", "0"],
+                   ["exp", "--alpha", "0.9", "--gamma", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--mech", *config, "--trials", "30", "--input", str(bad)])
+        assert exc.value.code == 2
     assert calls == []
 
 
@@ -383,7 +374,7 @@ def test_bound_exponential_and_poly(capsys):
     ])
     assert code == 0
     table = dict(line.split(",", 1) for line in out.strip().splitlines())
-    # the all-window tree's default schedule, not the tiling slack --beta
+    # the all-window tree's one level schedule, whatever the tiling slack --beta
     assert float(table["sensitivity_per_level"]) == 1.0
     eps_k = level_epsilons(1.0, 2.0, 11)
     assert [float(table[f"level_{k}_scale"]) for k in range(1, 12)] == pytest.approx(
@@ -399,19 +390,21 @@ def test_bound_exponential_and_poly(capsys):
 
 @pytest.mark.parametrize("mech", ["running", "allwindow"])
 def test_bound_profile_uses_the_schedule_exponent(capsys, mech):
-    argv = ["bound", "--mech", mech, "--beta", "1.5", "--T", "1024"]
+    # the one level schedule eps_k = 6 eps / (pi**2 k**2)
+    argv = ["bound", "--mech", mech, "--T", "1024"]
     if mech == "allwindow":
         argv += ["--W", "5"]
-        profile = allwindow_query_profile(1.0, 1024, schedule_beta=1.5)
+        profile = allwindow_query_profile(1.0, 1024)
     else:
-        profile = worst_noise_profile(DecaySpec.running(), 1.0, 1024, schedule_beta=1.5)
+        profile = worst_noise_profile(DecaySpec.running(), 1.0, 1024)
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     table = dict(line.split(",", 1) for line in out.strip().splitlines())
-    eps_k = level_epsilons(1.0, 1.5, 11)
-    assert [float(table[f"level_{k}_scale"]) for k in range(1, 12)] == pytest.approx(
-        [1.0 / e for e in eps_k], rel=1e-12
-    )
+    eps_k = level_epsilons(1.0, SCHEDULE_BETA, 11)
+    assert [float(table[f"level_{k}_scale"]) for k in range(1, 12)] == [1.0 / e for e in eps_k]
+    assert "level_12_scale" not in table
+    assert eps_k == pytest.approx([6.0 / (math.pi**2 * k * k) for k in range(1, 12)],
+                                  rel=1e-12)
     assert float(table["sigma_worst"]) == pytest.approx(profile.sigma, rel=1e-12)
     assert float(table["delta_gamma"]) == pytest.approx(
         utility_delta(profile, 0.05), rel=1e-12
@@ -433,10 +426,12 @@ def test_bound_and_bench_refuse_mechs_without_a_tree(command, mech, capsys):
 
 
 def test_bound_rejects_bad_window(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bound", "--mech", "window", "--W", "0"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    # and a horizon below 1, which is not read as "no horizon"
+    for argv in (["window", "--W", "0"], ["running", "--T", "0"], ["running", "--T", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--mech", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_lbverify_pass_and_fail(capsys):
@@ -463,7 +458,6 @@ def test_stream_round_trip_matches_memory(capsys):
         (["exp", "--alpha", "0.9"], dict(alpha=0.9)),
         (["poly", "--c", "2", "--beta", "0.25"], dict(c=2.0, beta=0.25)),
         (["running"], {}),
-        (["running", "--beta", "1.5"], dict(beta=1.5, schedule_beta=1.5)),
     ]
     for mech, kw in cases:
         argv = ["run", "--mech", *mech, "--eps", "1", "--seed", "5", "--T", "32"]
@@ -495,10 +489,19 @@ def test_run_refuses_a_bad_config_before_reading_its_file(tmp_path, capsys, monk
     ["--mech", "exp", "--alpha", "0.9", "--rr-flip", "0.5"],
     ["--histogram", "--mech", "running", "--beta", "1.5"],
     ["--histogram", "--mech", "window", "--W", "8", "--beta", "1.5"],
-], ids=["window-rr-flip", "exp-rr-flip", "histogram-running-beta", "histogram-window-beta"])
+    ["--mech", "window", "--W", "8", "--alpha", "0.5", "--c", "3"],
+    ["--mech", "exp", "--alpha", "0.9", "--beta", "7"],
+    ["--mech", "running", "--beta", "1.5"],
+    ["--mech", "allwindow", "--W", "5", "--beta", "1.5"],
+    ["--mech", "oracle", "--W", "4", "--alpha", "0.9"],
+    ["--mech", "rr", "--alpha", "0.9", "--c", "2", "--beta", "0.5"],
+], ids=["window-rr-flip", "exp-rr-flip", "histogram-running-beta", "histogram-window-beta",
+        "window-alpha-c", "exp-beta", "running-beta", "allwindow-beta", "oracle-two-decays",
+        "rr-two-decays"])
 def test_run_refuses_options_its_mech_does_not_read(argv, tmp_path, capsys, monkeypatch):
-    # --rr-flip is read only by rr, and histogram mode reads --beta only as
-    # the slack of poly; either is refused before the file is read
+    # --rr-flip is read only by rr, --beta only as the slack of poly, each
+    # decay option only by its own mech, and rr and oracle read the options
+    # of at most one decay; each is refused before the file is read
     from decaystream import bench
 
     calls = []

@@ -26,7 +26,7 @@ from decaystream.mechanisms import (
     make_mechanism,
     poly_read_ages,
 )
-from decaystream.noise import DEFAULT_SCHEDULE_BETA, RandomLanes, RandomSource, level_epsilons
+from decaystream.noise import SCHEDULE_BETA, RandomLanes, RandomSource, level_epsilons
 
 
 def brute_window(xs, j, W):
@@ -148,26 +148,22 @@ def test_allwindow_tree_doubles_with_stream():
     assert aw.counters()[(3, 0)] == 3.0  # root accumulator via carry + adds
 
 
-@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
-def test_allwindow_store_draws_each_level_at_its_schedule_scale(beta):
-    aw = AllWindowSum(1.0, RandomSource(0), schedule_beta=beta)
+@pytest.mark.parametrize("make", [
+    lambda rng: AllWindowSum(1.0, rng),
+    lambda rng: RunningSum(1.0, rng),
+    lambda rng: FixedWindowView(6, 1.0, rng),
+    lambda rng: PolynomialSum(2.0, 0.5, 1.0, rng),
+], ids=["allwindow", "running", "fixed view", "poly"])
+def test_growing_trees_draw_each_level_at_the_one_schedule_scale(make):
+    # eps_k = 6 eps / (pi**2 k**2), the schedule worst_noise_profile assumes
+    est = make(RandomSource(0))
     for _ in range(4096):
-        aw.push(0.5)
-    tree = aw._tree
-    eps = level_epsilons(1.0, beta, tree.height)
+        est.push(0.5)
+    tree = getattr(est, "_aw", est)._tree
+    eps = level_epsilons(1.0, SCHEDULE_BETA, tree.height)
     assert tree.height == 13
     assert tree._scale == [1.0 / e for e in eps]
-    assert sum(eps) < 1.0
-
-
-def test_polynomial_tree_draws_each_level_at_the_default_schedule_scale():
-    # the exponent worst_noise_profile assumes for polynomial decay
-    poly = PolynomialSum(2.0, 0.5, 1.0, RandomSource(0))
-    for _ in range(4096):
-        poly.push(0.5)
-    tree = poly._aw._tree
-    eps = level_epsilons(1.0, DEFAULT_SCHEDULE_BETA, tree.height)
-    assert tree._scale == [1.0 / e for e in eps]
+    assert eps == pytest.approx([6.0 / (math.pi**2 * k * k) for k in range(1, 14)], rel=1e-12)
     assert sum(eps) < 1.0
 
 
