@@ -167,6 +167,20 @@ def test_growing_trees_draw_each_level_at_the_one_schedule_scale(make):
     assert sum(eps) < 1.0
 
 
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+def test_allwindow_store_draws_each_level_at_its_schedule_scale(beta):
+    # every exponent > 1 splits eps into a valid budget, but the store draws
+    # the one schedule's scales, not the split another exponent would give
+    aw = AllWindowSum(1.0, RandomSource(0))
+    for _ in range(4096):
+        aw.push(0.5)
+    tree = aw._tree
+    eps = level_epsilons(1.0, beta, tree.height)
+    assert tree.height == 13
+    assert sum(eps) < 1.0
+    assert (tree._scale == [1.0 / e for e in eps]) == (beta == SCHEDULE_BETA)
+
+
 def walk(cursor, j):
     """The cursor's value at step j, advancing it from where it stands."""
     while cursor.j < j:
