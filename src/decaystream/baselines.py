@@ -172,5 +172,6 @@ class RunningDiffBaseline:
         return est
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless accumulators of the live nodes, keyed (level, index)."""
+        """Noiseless values of the live nodes, keyed (level, index); an open
+        node reads 0.0."""
         return self._tree.counters()

@@ -124,6 +124,8 @@ def worst_noise_profile(
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if decay.kind == "window":
         h = block_levels(decay.W)
         return NoiseProfile((h / epsilon,) * (2 * h - 1))
@@ -139,7 +141,7 @@ def worst_noise_profile(
             m += 1
         return NoiseProfile(tuple(scales) or (base,))
     if decay.kind == "polynomial":
-        T = horizon or 1 << 20
+        T = 1 << 20 if horizon is None else horizon
         # tail[a] = sum of w(a')**2 over a <= a' < T, summed oldest first so
         # that a small weight is not lost next to a large one
         tail = np.cumsum(np.arange(T, 0, -1, dtype=np.float64) ** (-2.0 * decay.c))[::-1]
@@ -156,7 +158,7 @@ def worst_noise_profile(
             scales.append(scale)
         return NoiseProfile(tuple(scales))
     # running sum: one node per level of the grown tree
-    T = horizon or 1 << 20
+    T = 1 << 20 if horizon is None else horizon
     h = (1 << (max(T - 1, 1)).bit_length()).bit_length()
     eps_k = level_epsilons(epsilon, SCHEDULE_BETA, h)
     return NoiseProfile(tuple(1.0 / e for e in eps_k))

@@ -142,7 +142,10 @@ def cmd_run(args) -> int:
                 _, est = runner.push(key, x)
                 rec = [t, key, est]
                 if args.with_exact:
-                    exact = oracles.setdefault(key, ExactOracle(decay)).push(x)
+                    oracle = oracles.get(key)
+                    if oracle is None:
+                        oracle = oracles[key] = ExactOracle(decay)
+                    exact = oracle.push(x)
                     rec += [exact, abs(est - exact)]
                 yield rec
 
@@ -201,7 +204,7 @@ def cmd_bound(args) -> int:
         levels = worst_noise_profile(DecaySpec.running(), eps, cfg.T).scales
         rows = [("sensitivity_per_level", 1.0)]
         rows += [(f"level_{k}_scale", b) for k, b in enumerate(levels, 1)]
-        branch = "per-level budgets eps_k = eps / (zeta(beta) k**beta)"
+        branch = "per-level budgets eps_k = 6 eps / (pi**2 k**2)"
         if cfg.mech == "poly":
             branch += "; the age tiling is post-processing of the all-window tree"
     profile = theory_profile(cfg, cfg.T)

@@ -3,34 +3,42 @@
 Stream positions 1, 2, 3, ... are the leaves of an unbounded binary tree.  The
 node at level ``k`` (leaves are level 1) with 0-based index ``j`` covers the
 positions ``[j * 2**(k-1) + 1, (j + 1) * 2**(k-1)]``.  Each node carries a
-noiseless accumulator ``c0`` and a noise term ``z`` fixed when the node is
+noiseless value ``c0`` and a noise term ``z`` fixed when the node is
 created; the published value is always ``c0 + z`` and is never stored
 separately, so noise cannot drift.
+
+Updates reach the store in position order, and :meth:`DyadicTree.add_path`
+runs it as a binary counter (Chan, Shi and Song 2011): a node's ``c0`` is
+written once, when its interval ends, as its left child's plus its right
+child's, so an update writes about two nodes whatever the tree's height.
+An open node reads 0.0.
 
 Every tree is a view of this store, chosen by its caller:
 
 * growing trees (running, all-window and exponential sums) use the subtree
-  rooted at ``[1, 2**(h-1)]``; when it fills up, the all-window tree seeds
-  the next root with the old one (:meth:`DyadicTree.carry`), while the
-  exponential sum writes each node once, when it closes;
+  rooted at ``[1, 2**(h-1)]``; when it fills up, the next root is created
+  and takes its value from its children when it closes, and the
+  exponential sum writes its own discounted nodes with :meth:`DyadicTree.add`;
 * window trees use aligned subtrees of ``W' = 2**ceil(log2 W)`` leaves as
   blocks (:func:`block_levels`), and their :class:`WindowCursor` evicts
   the blocks it has left;
 * the prefix-difference baseline uses one subtree spanning its horizon.
 
 Storage is level-indexed and append-only: each level keeps a list of ``c0``,
-a list of ``z`` and the index held in slot 0.  A node is created when it is
-first touched, together with any uncreated node before it on its level.  Its
-``z`` is the level's scale times the next value of the store's buffer of
-unit Laplace draws, so which draw a node gets depends only on the order in
-which callers touch nodes; callers keep that order independent of the data.
+a list of ``z`` and the index held in slot 0.  A node is created at its first
+position (or, through :meth:`DyadicTree.add`, when first touched), together
+with any uncreated node before it on its level.  Its ``z`` is the level's
+scale times the next value of the store's buffer of unit Laplace draws, so
+which draw a node gets depends only on the order in which nodes are
+created; callers keep that order independent of the data.
 Eviction drops a prefix of a level; reading an evicted or uncreated node
 raises ``ValueError``.  A :class:`PrefixCursor` walks the prefix sums of one
 block, and a :class:`WindowCursor` the window sums, reading one node per walk
 per step; no other code in the package splits a window or knows its
-blocks.  Both raise past the furthest position :meth:`DyadicTree.add_path`
-has received.  The polynomial estimator reads the growing tree by its own
-age tiling, and the exponential sum by its own discounted prefix walk.
+blocks.  Both raise past the last position :meth:`DyadicTree.add_path`
+has received, so they read only closed nodes.  The polynomial estimator
+reads the growing tree by its own age tiling, and the exponential sum by its
+own discounted prefix walk.
 """
 
 from __future__ import annotations
@@ -52,7 +60,9 @@ class DyadicTree:
     collection.  With ``noisy=False`` every ``z`` is pinned to zero (test
     mode, not private).  With a :class:`~decaystream.noise.RandomLanes`
     source every ``z``, and so every published value, is an array with one
-    lane per trial, while ``c0`` stays a float.  Single-owner mutable
+    lane per trial, while ``c0`` stays a float.  :meth:`add_path` takes the
+    positions 1, 2, 3, ... in order and writes each node once, when it
+    closes; :meth:`add` writes any node at any time.  Single-owner mutable
     structure.
     """
 
@@ -70,8 +80,9 @@ class DyadicTree:
         self._z: list[list[float]] = []
         self._lo: list[int] = []  # node index held in slot 0
         self._scale: list[float] = []
+        self._left: list[float] = []  # last closed left node's c0, per level
         self._units: list[float] = []
-        self.received = 0  # furthest position add_path has reached
+        self.received = 0  # the last position add_path has received
 
     @property
     def height(self) -> int:
@@ -87,6 +98,7 @@ class DyadicTree:
             self._c0.append([])
             self._z.append([])
             self._lo.append(0)
+            self._left.append(0.0)
 
     def _create(self, k: int, n: int) -> None:
         """Append ``n`` nodes to level ``k + 1``, drawing their noise."""
@@ -103,40 +115,59 @@ class DyadicTree:
         self._z[k].extend([scale * u for u in units[-n:]])
         del units[-n:]
 
-    def _slot(self, level: int, index: int) -> tuple[int, int]:
-        """(level list, slot) of a live node; raises if evicted or uncreated."""
-        k = level - 1
-        if 0 <= k < len(self._c0):
-            j = index - self._lo[k]
-            if 0 <= j < len(self._c0[k]):
-                return k, j
-        raise ValueError(f"node (level {level}, index {index}) is not live")
-
     # -- updates ---------------------------------------------------------------
 
     def add_path(self, i: int, x: float, height: int) -> None:
-        """Add ``x`` to the nodes at levels 1..height that contain position i."""
-        if height > len(self._c0):
-            self._reach(height)
-        if i > self.received:
-            self.received = i
+        """Receive ``x`` at position ``i``, the next one, on a tree of
+        ``height`` levels.
+
+        As in a binary counter, a node is written once, when it closes: the
+        leaf takes ``x``, and while the node just closed is a right child
+        below ``height``, its parent, which ends at i too, takes the left
+        sibling's value plus its own.  The topmost node closed at i is kept
+        in ``_left`` for its right sibling.  Nodes are created, so their
+        noise drawn, at their first position: when ``height`` grows, the new
+        levels' nodes that started before i first, then the nodes starting
+        at i, leaf first.  Until it closes, a node's ``c0`` reads 0.0.
+        """
+        if i != self.received + 1:
+            raise ValueError(f"position {i} is not the next one, {self.received + 1}")
         off = i - 1
         c0s = self._c0
         lo = self._lo
-        for k in range(height):
+        if height > len(c0s):
+            first = len(c0s)
+            self._reach(height)
+            for k in range(first, height):
+                if off >> k << k != off:  # a new top node, started before i
+                    self._create(k, (off >> k) + 1)
+        units, zs, scales = self._units, self._z, self._scale
+        for k in range(min(height, (off & -off).bit_length()) if off else height):
             c = c0s[k]
             j = (off >> k) - lo[k]
             n = len(c)
-            if j < n:
-                if j < 0:
-                    raise ValueError(f"node (level {k + 1}, index {off >> k}) was evicted")
-                c[j] += x
-            elif j == n and self._units:  # the next node, noise at hand
-                c.append(x)
-                self._z[k].append(self._scale[k] * self._units.pop())
-            else:
+            if j == n and units:  # the next node, noise at hand
+                c.append(0.0)
+                zs[k].append(scales[k] * units.pop())
+            elif j >= n:
                 self._create(k, j + 1 - n)
-                c[j] = x
+            elif j < 0:
+                raise ValueError(f"node (level {k + 1}, index {off >> k}) was evicted")
+        left = self._left
+        v = x
+        k = 0
+        j = off - lo[0]
+        while True:
+            if j < 0:
+                raise ValueError(f"node (level {k + 1}, index {j + lo[k]}) was evicted")
+            c0s[k][j] = v
+            if k + 1 == height or i >> k & 1:
+                break  # a left child, or the top level
+            v = left[k] + v
+            k += 1
+            j = (i >> k) - 1 - lo[k]
+        left[k] = v
+        self.received = i
 
     def add(self, level: int, index: int, w: float) -> None:
         """Add the weighted value ``w`` at one node, creating it if needed."""
@@ -152,12 +183,6 @@ class DyadicTree:
         elif j < 0:
             raise ValueError(f"node (level {level}, index {index}) was evicted")
         c[j] += w
-
-    def carry(self, level: int) -> None:
-        """Seed the root of ``level`` with the noiseless root one level below:
-        the doubling step of a growing tree."""
-        k, j = self._slot(level - 1, 0)
-        self.add(level, 0, self._c0[k][j])
 
     # -- reads -----------------------------------------------------------------
 
@@ -197,7 +222,8 @@ class DyadicTree:
             self.evict_covered(level, end >> (level - 1))
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless accumulators of all live nodes, keyed (level, index)."""
+        """Noiseless values of all live nodes, keyed (level, index); a node
+        that :meth:`add_path` has not closed yet reads 0.0."""
         return {
             (k + 1, lo + j): c
             for k, (lo, c0) in enumerate(zip(self._lo, self._c0))

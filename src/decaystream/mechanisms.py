@@ -6,8 +6,10 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
 * :class:`WindowSum` -- sum of the last W updates, for any W >= 1.  The
   stream is cut into blocks of ``W' = 2**ceil(log2 W)`` positions, each an
   aligned subtree of one dyadic counter store; a window spanning two blocks
-  is a block suffix plus a block prefix, so each update touches exactly
-  ``log2(W') + 1`` counters and each estimate reads ``O(log W)`` of them.
+  is a block suffix plus a block prefix, so each update changes exactly
+  ``log2(W') + 1`` counters, which sets the sensitivity, while the store
+  writes each counter once, when it closes (amortized O(1) writes per
+  update), and each estimate reads ``O(log W)`` of them.
 * :class:`AllWindowSum` -- one growing tree serving window estimates for
   every W simultaneously, with per-level budgets ``eps_k`` that sum to the
   total budget; :class:`FixedWindowView` streams one window size from it
@@ -189,7 +191,8 @@ class WindowSum:
         return self._window.advance()
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless accumulators of the retained blocks, keyed (level, index)."""
+        """Noiseless values of the retained blocks, keyed (level, index); an
+        open node reads 0.0."""
         return self._tree.counters()
 
 
@@ -229,11 +232,9 @@ class AllWindowSum:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.step + 1
         self.step = i
-        off = i - 1
-        height = off.bit_length() + 1  # the tree [1, 2**(height-1)] holds i
-        if off and not off & (off - 1):
-            self._tree.carry(height)  # the tree doubles
-        self._tree.add_path(i, x, height)
+        # the tree [1, 2**(height-1)] holds i; it doubles when i - 1 is a
+        # power of two, and its new root closes when its right child does
+        self._tree.add_path(i, x, (i - 1).bit_length() + 1)
 
     def cursor(self, W: int) -> WindowCursor:
         """W-window estimates at steps 1, 2, 3, ...: advance at most once per push."""
@@ -298,7 +299,7 @@ class FixedWindowView:
         return self._aw.step
 
     def push(self, x: float) -> float:
-        self._aw.push(x)  # a doubling reads the old root, which ends at step - 1
+        self._aw.push(x)
         self._window.evict()
         return self._window.advance()
 
@@ -526,7 +527,8 @@ class PolynomialSum:
         return [1 << (level - 1) for level, _, _ in self._tiling()]
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """The all-window tree's live noiseless accumulators, keyed (level, index)."""
+        """The all-window tree's live noiseless values, keyed (level, index);
+        an open node reads 0.0."""
         return self._aw.counters()
 
 

@@ -15,7 +15,6 @@ import pytest
 from dyadic_reference import Interval, decompose_prefix, frozen_noise, node
 from test_extensions import first_occurrence, first_occurrence_bits
 
-from decaystream.baselines import decayed_sum
 from decaystream.bench import ExperimentConfig, run_bench
 from decaystream.bounds import (
     LowerBoundFamily,
@@ -23,8 +22,6 @@ from decaystream.bounds import (
     check_closeness,
     check_independence,
     laplace_tail,
-    utility_delta,
-    worst_noise_profile,
 )
 from decaystream.dyadic import DyadicTree
 from decaystream.extensions import DecayedHistogram, DistinctCount, KSensitiveStream
@@ -37,7 +34,7 @@ from decaystream.mechanisms import (
     WindowSum,
     exp_decay_sensitivity,
 )
-from decaystream.noise import RandomSource, level_epsilons, zeta
+from decaystream.noise import RandomSource, level_epsilons
 
 JOBS = min(2, os.cpu_count() or 1)
 

@@ -211,6 +211,12 @@ def test_worst_noise_profiles():
     assert p.scales[0] == p.max_scale
     assert p.scales[0] == pytest.approx(math.pi**2 / 6 * math.sqrt(energy), rel=1e-12)
     assert p.sigma < worst_noise_profile(DecaySpec.polynomial(2.0, 0.5), 1.0, 1 << 20).sigma
+    # no horizon means 2**20 steps; a horizon below one step is refused
+    for decay in (DecaySpec.running(), DecaySpec.polynomial(2.0, 0.5)):
+        assert worst_noise_profile(decay, 1.0) == worst_noise_profile(decay, 1.0, 1 << 20)
+        for horizon in (0, -1):
+            with pytest.raises(ValueError, match="horizon"):
+                worst_noise_profile(decay, 1.0, horizon)
 
 
 class UnitVectors:

@@ -5,6 +5,7 @@ from dyadic_reference import (
     decompose_nodes,
     decompose_prefix,
     frozen_noise,
+    interval_of,
     is_left_node,
     node,
     node_of,
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decaystream.dyadic import DyadicTree, PrefixCursor, WindowCursor
-from decaystream.mechanisms import AllWindowSum
+from decaystream.baselines import RunningDiffBaseline
+from decaystream.mechanisms import AllWindowSum, WindowSum
 from decaystream.noise import RandomLanes, RandomSource
 
 
@@ -24,11 +26,11 @@ def make_tree(noisy=False, seed=0, scale=1.0):
     return DyadicTree(RandomSource(seed), lambda level: scale, noisy=noisy)
 
 
-def filled_tree(size, noisy=False, seed=0, scale=1.0, x=1.0):
-    """Store holding the complete tree over [1, size], every leaf set to x."""
+def filled_tree(size, noisy=False, seed=0, scale=1.0):
+    """Store holding the complete tree over [1, size], every leaf set to 1.0."""
     tree = make_tree(noisy, seed, scale)
     for i in range(1, size + 1):
-        tree.add_path(i, x, size.bit_length())
+        tree.add_path(i, 1.0, size.bit_length())
     return tree
 
 
@@ -84,14 +86,40 @@ def test_path_intervals_length_is_height():
 
 
 def test_add_path_touches_exactly_the_path():
+    # position i creates the path nodes starting at i and writes those
+    # ending at i, each with its interval sum; no other node changes
     for size in (1, 2, 8, 64):
         height = size.bit_length()
-        for i in (1, size // 2 + 1, size):
-            tree = make_tree()
+        tree = make_tree()
+        for i in range(1, size + 1):
+            before = tree.counters()
             tree.add_path(i, 1.0, height)
             assert tree.height == height
-            touched = {key for key, c in tree.counters().items() if c}
-            assert touched == {node_of(iv) for iv in path_intervals(i, height)}
+            after = tree.counters()
+            ivs = path_intervals(i, height)
+            starts = {node_of(iv) for iv in ivs if iv.l == i}
+            ends = {node_of(iv): iv.u - iv.l + 1.0 for iv in ivs if iv.u == i}
+            assert set(after) - set(before) == starts
+            assert {key: c for key, c in after.items() if before.get(key, 0.0) != c} == ends
+            assert set(map(node_of, ivs)) <= set(after)
+
+
+def test_add_path_refuses_any_position_but_the_next():
+    tree = make_tree()
+    for i in (0, 2, -1):
+        with pytest.raises(ValueError, match="not the next one"):
+            tree.add_path(i, 1.0, 3)
+    tree.add_path(1, 1.0, 3)
+    for i in (1, 3, 0):
+        with pytest.raises(ValueError, match="not the next one"):
+            tree.add_path(i, 1.0, 3)
+    tree.add_path(2, 1.0, 3)
+    assert tree.received == 2
+    # writing into an evicted node still raises: [1, 4] closes at 4
+    tree.add_path(3, 1.0, 3)
+    tree.evict_covered(3, 1)
+    with pytest.raises(ValueError, match="evicted"):
+        tree.add_path(4, 1.0, 3)
 
 
 def test_is_left_node_examples():
@@ -104,31 +132,18 @@ def test_is_left_node_examples():
         is_left_node(Interval(1, 3), 4)  # not a power-of-two length
 
 
-def test_grow_double_unit_carry_copies_prefix_sum():
-    tree = filled_tree(4)  # root [1,4] accumulator = 4
-    tree.carry(4)
-    assert tree.height == 4
-    assert c0_at(tree, 4, 0) == 4.0
-
-
 def test_grow_double_doubling_sequence():
-    # 9 updates on a growing tree; it doubles whenever it is full
+    # 9 updates on a growing tree; it doubles whenever it is full, and the
+    # new root takes its value from its children when it closes
     tree = make_tree()
     for i in range(1, 10):
-        off = i - 1
-        height = off.bit_length() + 1
-        if off and not off & (off - 1):
-            tree.carry(height)
-        tree.add_path(i, 1.0, height)
+        tree.add_path(i, 1.0, (i - 1).bit_length() + 1)
     assert tree.height == 5  # the tree over [1, 16]
-    assert c0_at(tree, 5, 0) == 9.0
-
-
-def test_grow_double_requires_base_one():
-    # a growing tree is based at position 1: the carry reads the root [1, 2]
-    # one level below, which must be live
-    with pytest.raises(ValueError):
-        make_tree().carry(2)
+    assert c0_at(tree, 4, 0) == 8.0  # the old root [1, 8], closed
+    assert c0_at(tree, 5, 0) == 0.0  # the new root [1, 16], open
+    for i in range(10, 17):
+        tree.add_path(i, 1.0, 5)
+    assert c0_at(tree, 5, 0) == 16.0
 
 
 def _check_tiling(base, u, height):
@@ -252,13 +267,16 @@ def test_cursors_refuse_positions_the_store_has_not_received():
 
 
 def test_noise_frozen_under_updates():
-    tree = filled_tree(64, noisy=True, seed=11, scale=2.0, x=0.0)
-    stamped = frozen_noise(tree)
-    assert len(stamped) == 127  # every node of the tree over [1, 64]
+    # a growing tree over [1, 1024]: each node keeps the noise it was
+    # created with, whatever values reach it
+    tree = make_tree(noisy=True, seed=11, scale=2.0)
     gen = RandomSource(12)
-    for _ in range(10**4):
-        i = int(gen.uniform() * 64) + 1
-        tree.add_path(i, gen.uniform(), tree.height)
+    stamped = {}
+    for i in range(1, 1025):
+        tree.add_path(i, gen.uniform(), (i - 1).bit_length() + 1)
+        for key, z in frozen_noise(tree).items():
+            assert stamped.setdefault(key, z) == z, (i, key)
+    assert len(stamped) == 2047  # every node of the tree over [1, 1024]
     assert frozen_noise(tree) == stamped
     for (level, index), z in stamped.items():
         # the stored noise is bit-identical to its creation-time draw and the
@@ -274,6 +292,49 @@ def test_node_noise_is_drawn_in_creation_order():
         a.add_path(i, 0.0, 6)
         b.add_path(i, 1.0 if i % 3 else 0.5, 6)
     assert frozen_noise(a) == frozen_noise(b)
+    # a growing tree creates, at each position, the new root first, then the
+    # nodes starting there, leaf first; the same creations through add draw
+    # the same noise
+    grown = make_tree(noisy=True, seed=14)
+    ref = make_tree(noisy=True, seed=14)
+    for i in range(1, 300):
+        off = i - 1
+        height = off.bit_length() + 1
+        if height > ref.height and off:
+            ref.add(height, 0, 0.0)
+        for level in range(1, height + 1):
+            if off % (1 << (level - 1)) == 0:
+                ref.add(level, off >> (level - 1), 0.0)
+        grown.add_path(i, 1.0, height)
+    assert frozen_noise(grown) == frozen_noise(ref)
+
+
+@pytest.mark.parametrize("inputs", ["uniform", "eighths"])
+@pytest.mark.parametrize("store", ["window", "growing", "running_diff"])
+def test_nodes_are_written_once_when_they_close(store, inputs):
+    # an open node reads 0.0; a closed one reads its left child plus its
+    # right child, and on multiples of 1/8 the exact sum of its interval
+    est = {
+        "window": lambda: WindowSum(6, 1.0, RandomSource(1)),
+        "growing": lambda: AllWindowSum(1.0, RandomSource(1)),
+        "running_diff": lambda: RunningDiffBaseline(5, 200, 1.0, RandomSource(1)),
+    }[store]()
+    gen = RandomSource(2)
+    xs = []
+    for i in range(1, 201):
+        x = gen.uniform()
+        xs.append(int(8 * x) / 8 if inputs == "eighths" else x)
+        est.push(xs[-1])
+        nodes = est.counters()
+        for (level, index), c in nodes.items():
+            iv = interval_of(level, index)
+            if iv.u > i:
+                assert c == 0.0, (i, level, index)
+                continue
+            if (level - 1, 2 * index) in nodes and (level - 1, 2 * index + 1) in nodes:
+                assert c == nodes[level - 1, 2 * index] + nodes[level - 1, 2 * index + 1]
+            if inputs == "eighths":
+                assert c == sum(xs[iv.l - 1 : iv.u]), (i, level, index)
 
 
 def test_left_ancestor_gaps_grow_geometrically():

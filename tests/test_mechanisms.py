@@ -145,7 +145,15 @@ def test_allwindow_tree_doubles_with_stream():
     for _ in range(3):
         aw.push(1.0)
     assert aw._tree.height == 3  # the tree over [1, 4]
-    assert aw.counters()[(3, 0)] == 3.0  # root accumulator via carry + adds
+    assert aw.counters()[(3, 0)] == 0.0  # the root [1, 4] is still open
+    aw.push(1.0)
+    assert aw.counters()[(3, 0)] == 4.0  # it closes with its right child
+    aw.push(1.0)
+    assert aw._tree.height == 4  # doubled: the tree over [1, 8]
+    assert aw.counters()[(4, 0)] == 0.0
+    for _ in range(3):
+        aw.push(1.0)
+    assert aw.counters()[(4, 0)] == 8.0
 
 
 @pytest.mark.parametrize("make", [
