@@ -125,8 +125,10 @@ class RunningDiffBaseline:
     grows with the number of tiling nodes of the two prefixes, i.e. with
     log i, and for large i dwarfs the window range.
 
-    Each prefix walk reads a node once, at the step where it ends, so a node
-    ending at or before m = i - W is never read again.  Whenever m is a
+    One prefix walk reads one node per step, the node ending at i, and a
+    queue keeps its last W values, so prefix(i - W) is the value it drops
+    at step i: each published prefix is read from the store once.  A node
+    ending at or before m = i - W is never read again; whenever m is a
     multiple of ``W' = 2**ceil(log2 W)`` those nodes are evicted, which
     keeps O(W + log horizon) nodes live: at most 2(2W' - 1) + 2 h, where h
     is the number of levels of the horizon tree.
@@ -151,7 +153,7 @@ class RunningDiffBaseline:
         self.counter_scale = scale = self._h / epsilon
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         self._now = PrefixCursor(self._tree)  # prefix(i)
-        self._lag = PrefixCursor(self._tree)  # prefix(i - W)
+        self._past: deque = deque()  # prefix(i - W + 1) .. prefix(i)
         self._Wp = 1 << (W - 1).bit_length()
         self.i = 0
 
@@ -164,12 +166,14 @@ class RunningDiffBaseline:
         self.i = i
         self._tree.add_path(i, x, self._h)
         est = self._now.advance()
+        self._past.append(est)
         m = i - self.W
-        if m > 0:
-            est = est - self._lag.advance()  # not -=: est is the cursor's memo
-            if not m % self._Wp:  # both walks have passed every node ending by m
-                self._tree.evict_through(m)
-        return est
+        if m <= 0:
+            return est
+        lag = self._past.popleft()  # prefix(m)
+        if not m % self._Wp:
+            self._tree.evict_through(m)
+        return est - lag  # not -=: est is the cursor's memo
 
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless values of the live nodes, keyed (level, index); an open

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from .baselines import (
     ExactOracle,
     RandomizedResponse,
     RunningDiffBaseline,
+    decayed_sum,
     rr_flip_parameter,
 )
 from .bounds import (
@@ -244,9 +244,15 @@ def _series_names(cfg: ExperimentConfig, binary_stream: bool) -> list[str]:
 
 
 def _exact_at_checkpoints(cfg: ExperimentConfig, stream) -> list[float]:
-    """The exact oracle's values at the checkpoints of ``stream``."""
+    """The exact oracle's values at the checkpoints of ``stream``.
+
+    A polynomial decay has no rolling recurrence, so its value is summed
+    directly at each checkpoint only, in the oracle's own order."""
+    decay = cfg.decay()
+    if decay.kind == "polynomial":
+        return [decayed_sum(decay, stream, j) for j in checkpoints(len(stream))]
     marks = set(checkpoints(len(stream)))
-    oracle = ExactOracle(cfg.decay())
+    oracle = ExactOracle(decay)
     exact = []
     for i, x in enumerate(stream, 1):
         v = oracle.push(x)
@@ -338,6 +344,9 @@ def run_bench(cfg: ExperimentConfig) -> list[ErrorSummary]:
     if cfg.jobs == 1:
         parts = list(map(_run_series, *args))
     else:
+        # imported here: the process pool costs every other run its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         # an idle worker takes the next unit
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, n)) as pool:
             parts = list(pool.map(_run_series, *args))

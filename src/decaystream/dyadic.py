@@ -33,7 +33,7 @@ which draw a node gets depends only on the order in which nodes are
 created; callers keep that order independent of the data.
 Eviction drops a prefix of a level; reading an evicted or uncreated node
 raises ``ValueError``.  A :class:`PrefixCursor` walks the prefix sums of one
-block, and a :class:`WindowCursor` the window sums, reading one node per walk
+block, and a :class:`WindowCursor` the window sums, each reading one node
 per step; no other code in the package splits a window or knows its
 blocks.  Both raise past the last position :meth:`DyadicTree.add_path`
 has received, so they read only closed nodes.  The polynomial estimator
@@ -43,6 +43,8 @@ own discounted prefix walk.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from typing import Callable
 
 from .noise import RandomSource
@@ -81,13 +83,10 @@ class DyadicTree:
         self._lo: list[int] = []  # node index held in slot 0
         self._scale: list[float] = []
         self._left: list[float] = []  # last closed left node's c0, per level
-        self._units: list[float] = []
+        # unit Laplace draws not yet given to a node, taken from the end: packed
+        # doubles from a scalar source, else one draw (lanes: a row) per item
+        self._units = array("d") if isinstance(rng, RandomSource) else []
         self.received = 0  # the last position add_path has received
-
-    @property
-    def height(self) -> int:
-        """Number of levels reached so far."""
-        return len(self._c0)
 
     # -- node creation --------------------------------------------------------
 
@@ -109,8 +108,7 @@ class DyadicTree:
         units = self._units
         if len(units) < n:
             draws = self._rng.laplace_vector(1.0, max(n, _DRAWS))
-            # lanes (noise.RandomLanes) give one row of per-trial draws per node
-            units[:0] = draws.tolist() if draws.ndim == 1 else list(draws)
+            units[:0] = array("d", draws.tobytes()) if isinstance(units, array) else list(draws)
         scale = self._scale[k]
         self._z[k].extend([scale * u for u in units[-n:]])
         del units[-n:]
@@ -204,8 +202,8 @@ class DyadicTree:
 
         Callers drop nodes no later tiling can read: those whose parent
         interval has ended (exponential sums), whose block has left the
-        window (window sums) or that both prefix walks of the
-        prefix-difference baseline have passed.
+        window (window sums) or that end at or before the lagged step of the
+        prefix-difference baseline.
         """
         k = level - 1
         if not 0 <= k < len(self._c0):
@@ -280,17 +278,20 @@ def block_levels(W: int) -> int:
 class WindowCursor:
     """Published window sums over [j - W + 1, j] for j = 1, 2, 3, ... in turn.
 
-    Two prefix walks over aligned blocks of ``W' = 2**ceil(log2 W)``, one
-    for j and one for m = j - W, each read one node per step as a
-    :class:`PrefixCursor` does.  The window is j's block prefix when m <= 0
-    or m ends a block, minus m's prefix when m is in j's block, else plus
-    the previous block's total (the j walk's last value in it) minus m's
-    prefix.  Reads stay in those two blocks, on nodes ending by step j, so
-    :meth:`evict` can drop every older node.  The value returned may be a
-    memo: do not update it in place (lanes).
+    One prefix walk over aligned blocks of ``W' = 2**ceil(log2 W)`` reads
+    one node per step, as a :class:`PrefixCursor` does, for j's block
+    prefix, and a queue keeps the walk's last W values, so the one it drops
+    at step j is its value at m = j - W: each published prefix is read from
+    the store once and reused, as in a continual-observation counter
+    (Dwork et al. 2010; Chan, Shi and Song 2011).  The window is j's block
+    prefix when m <= 0 or m ends a block, minus m's prefix when m is in j's
+    block, else plus the previous block's total (the walk's last value in
+    it) minus m's prefix.  Reads stay in j's block, on nodes ending by step
+    j, and :meth:`evict` drops every node older than the previous block.
+    The value returned may be a memo: do not update it in place (lanes).
     """
 
-    __slots__ = ("_tree", "W", "_mask", "_top", "j", "_now", "_lag", "_total")
+    __slots__ = ("_tree", "W", "_mask", "_top", "j", "_now", "_past", "_total")
 
     def __init__(self, tree: DyadicTree, W: int):
         if W < 1:
@@ -301,7 +302,7 @@ class WindowCursor:
         self._mask = (1 << (top - 1)) - 1  # W' - 1
         self.j = 0
         self._now = [0.0] * (top + 1)  # prefix sums by level, as in PrefixCursor
-        self._lag = [0.0] * (top + 1)
+        self._past: deque = deque()  # the walk's values at steps j - W + 1 .. j
         self._total = 0.0
 
     def evict(self) -> None:
@@ -320,7 +321,6 @@ class WindowCursor:
         if j > self._tree.received:
             raise ValueError(f"position {j} has not reached the store")
         self.j = j
-        published = self._tree.published
         mask = self._mask
         memo = self._now
         p = ((j - 1) & mask) + 1  # j's place in its block
@@ -329,21 +329,17 @@ class WindowCursor:
         low = p & -p
         level = low.bit_length()
         rest = p - low
-        cur = memo[(rest & -rest).bit_length()] + published(level, j // low - 1)
+        cur = memo[(rest & -rest).bit_length()] + self._tree.published(level, j // low - 1)
         memo[level] = cur
+        past = self._past
+        past.append(cur)
         m = j - self.W
         if m <= 0:
             return cur
+        lag = past.popleft()  # the walk's value at step m
         q = ((m - 1) & mask) + 1  # m's place in its block
         if q > mask:
             return cur  # m ends the block before j's
-        memo = self._lag
-        low = q & -q
-        level = low.bit_length()
-        rest = q - low
-        lag = memo[(rest & -rest).bit_length()] + published(level, m // low - 1)
-        memo[level] = lag
         if q < p:  # m lies in j's block
             return cur - lag
         return (self._total - lag) + cur
-

@@ -9,7 +9,8 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
   is a block suffix plus a block prefix, so each update changes exactly
   ``log2(W') + 1`` counters, which sets the sensitivity, while the store
   writes each counter once, when it closes (amortized O(1) writes per
-  update), and each estimate reads ``O(log W)`` of them.
+  update); each estimate takes one store read plus one queued value, and
+  its noise still sums ``O(log W)`` counters.
 * :class:`AllWindowSum` -- one growing tree serving window estimates for
   every W simultaneously, with per-level budgets ``eps_k`` that sum to the
   total budget; :class:`FixedWindowView` streams one window size from it

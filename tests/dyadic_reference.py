@@ -104,6 +104,11 @@ def frozen_noise(tree):
     }
 
 
+def levels_reached(tree):
+    """Number of levels a store has reached so far."""
+    return len(tree._c0)
+
+
 def c0_at(tree, level, index):
     return tree.counters().get((level, index), 0.0)
 

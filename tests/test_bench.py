@@ -6,6 +6,7 @@ scalar random sources and replays the stream alone.  It stays here as the refere
 against with ``==``.
 """
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -129,18 +130,32 @@ def test_rows_are_equal_for_any_number_of_jobs(monkeypatch, epsilon):
     assert_lockstep_matches_scalar(cfg, monkeypatch, jobs=(1, 2, 3, 4))
 
 
+@pytest.mark.parametrize("mech,kw", MECHS, ids=[m for m, _ in MECHS])
+def test_checkpoint_oracle_equals_the_per_step_oracle(mech, kw):
+    # the polynomial decay is summed only at the checkpoints; every value
+    # must still be the per-step oracle's, bit for bit
+    gen = RandomSource(6)
+    stream = [gen.uniform() for _ in range(300)]
+    cfg = ExperimentConfig(mech=mech, trials=30, **kw)
+    oracle = ExactOracle(cfg.decay())
+    per_step = [oracle.push(x) for x in stream]
+    want = [per_step[j - 1] for j in checkpoints(len(stream))]
+    assert bench._exact_at_checkpoints(cfg, stream) == want
+
+
 def test_pool_has_no_more_workers_than_units(tmp_path, monkeypatch):
     # a stream that is not binary has one series, and 30 trials fill one batch
     path = tmp_path / "stream.txt"
     path.write_text("0.25\n0.5\n" * 10)
     sizes = []
 
-    class RecordingPool(bench.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    # run_bench imports the pool class when it needs one, so patch its home
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = dict(mech="exp", alpha=0.9, trials=30, input_path=str(path), seed=2)
     rows = run_bench(ExperimentConfig(**cfg, jobs=4))
     assert sizes == [1]

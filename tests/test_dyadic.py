@@ -7,6 +7,7 @@ from dyadic_reference import (
     frozen_noise,
     interval_of,
     is_left_node,
+    levels_reached,
     node,
     node_of,
     path_intervals,
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from decaystream.dyadic import DyadicTree, PrefixCursor, WindowCursor
 from decaystream.baselines import RunningDiffBaseline
-from decaystream.mechanisms import AllWindowSum, WindowSum
+from decaystream.mechanisms import AllWindowSum, FixedWindowView, WindowSum
 from decaystream.noise import RandomLanes, RandomSource
 
 
@@ -94,7 +95,7 @@ def test_add_path_touches_exactly_the_path():
         for i in range(1, size + 1):
             before = tree.counters()
             tree.add_path(i, 1.0, height)
-            assert tree.height == height
+            assert levels_reached(tree) == height
             after = tree.counters()
             ivs = path_intervals(i, height)
             starts = {node_of(iv) for iv in ivs if iv.l == i}
@@ -138,7 +139,7 @@ def test_grow_double_doubling_sequence():
     tree = make_tree()
     for i in range(1, 10):
         tree.add_path(i, 1.0, (i - 1).bit_length() + 1)
-    assert tree.height == 5  # the tree over [1, 16]
+    assert levels_reached(tree) == 5  # the tree over [1, 16]
     assert c0_at(tree, 4, 0) == 8.0  # the old root [1, 8], closed
     assert c0_at(tree, 5, 0) == 0.0  # the new root [1, 16], open
     for i in range(10, 17):
@@ -250,6 +251,40 @@ def test_window_cursor_matches_window_query_on_block_trees(kind, W):
         assert _same(cursor.advance(), window_query(tree, j, W)), j
 
 
+def _count_reads(tree):
+    """Record every node the store's ``published`` returns."""
+    reads = []
+    read = tree.published
+
+    def counted(level, index):
+        reads.append((level, index))
+        return read(level, index)
+
+    tree.published = counted
+    return reads
+
+
+@pytest.mark.parametrize("kind", ["scalar", "lanes"])
+@pytest.mark.parametrize("W", (1, 3, 8, 100))
+def test_window_estimates_read_one_node_per_push_and_queue_at_most_W(kind, W):
+    # the lagged prefix is the walk's own value W steps back, taken from a
+    # queue of its last W values, not read from the store a second time
+    T = 4 * max(W, 8) + 5
+    gen = RandomSource(31)
+    xs = [gen.uniform() for _ in range(T)]
+    ws = WindowSum(W, 1.0, _source(kind, 32))
+    fv = FixedWindowView(W, 1.0, _source(kind, 33))
+    rd = RunningDiffBaseline(W, T, 1.0, _source(kind, 34))
+    for est, tree, past in ((ws, ws._tree, ws._window._past),
+                            (fv, fv._aw._tree, fv._window._past),
+                            (rd, rd._tree, rd._past)):
+        reads = _count_reads(tree)
+        for i, x in enumerate(xs, 1):
+            est.push(x)
+            assert len(reads) == i, (type(est).__name__, i)
+            assert len(past) == min(i, W), (type(est).__name__, i)
+
+
 def test_cursors_refuse_positions_the_store_has_not_received():
     aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
     window = aw.cursor(4)
@@ -300,7 +335,7 @@ def test_node_noise_is_drawn_in_creation_order():
     for i in range(1, 300):
         off = i - 1
         height = off.bit_length() + 1
-        if height > ref.height and off:
+        if height > levels_reached(ref) and off:
             ref.add(height, 0, 0.0)
         for level in range(1, height + 1):
             if off % (1 << (level - 1)) == 0:
@@ -353,7 +388,7 @@ def test_eviction_drops_covered_nodes_only():
     tree = filled_tree(8, noisy=True, seed=3)
     # watermark 4: a level-k node is covered once its parent ends by step 4,
     # i.e. below index 2 * (4 >> k)
-    for level in range(1, tree.height):
+    for level in range(1, levels_reached(tree)):
         tree.evict_covered(level, 2 * (4 >> level))
     live = set(tree.counters())
     # everything strictly below [1,4] is covered and gone; [1,4] itself, the

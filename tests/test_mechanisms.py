@@ -8,6 +8,7 @@ from dyadic_reference import (
     age_tiling,
     decompose_nodes,
     frozen_noise,
+    levels_reached,
     node,
     prefix_value,
     window_query,
@@ -144,12 +145,12 @@ def test_allwindow_tree_doubles_with_stream():
     aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
     for _ in range(3):
         aw.push(1.0)
-    assert aw._tree.height == 3  # the tree over [1, 4]
+    assert levels_reached(aw._tree) == 3  # the tree over [1, 4]
     assert aw.counters()[(3, 0)] == 0.0  # the root [1, 4] is still open
     aw.push(1.0)
     assert aw.counters()[(3, 0)] == 4.0  # it closes with its right child
     aw.push(1.0)
-    assert aw._tree.height == 4  # doubled: the tree over [1, 8]
+    assert levels_reached(aw._tree) == 4  # doubled: the tree over [1, 8]
     assert aw.counters()[(4, 0)] == 0.0
     for _ in range(3):
         aw.push(1.0)
@@ -168,8 +169,8 @@ def test_growing_trees_draw_each_level_at_the_one_schedule_scale(make):
     for _ in range(4096):
         est.push(0.5)
     tree = getattr(est, "_aw", est)._tree
-    eps = level_epsilons(1.0, SCHEDULE_BETA, tree.height)
-    assert tree.height == 13
+    eps = level_epsilons(1.0, SCHEDULE_BETA, levels_reached(tree))
+    assert levels_reached(tree) == 13
     assert tree._scale == [1.0 / e for e in eps]
     assert eps == pytest.approx([6.0 / (math.pi**2 * k * k) for k in range(1, 14)], rel=1e-12)
     assert sum(eps) < 1.0
@@ -183,8 +184,8 @@ def test_allwindow_store_draws_each_level_at_its_schedule_scale(beta):
     for _ in range(4096):
         aw.push(0.5)
     tree = aw._tree
-    eps = level_epsilons(1.0, beta, tree.height)
-    assert tree.height == 13
+    eps = level_epsilons(1.0, beta, levels_reached(tree))
+    assert levels_reached(tree) == 13
     assert sum(eps) < 1.0
     assert (tree._scale == [1.0 / e for e in eps]) == (beta == SCHEDULE_BETA)
 
@@ -270,7 +271,7 @@ def test_fixed_window_view_evicts_before_its_previous_block():
         aw.push(x)
         assert v.push(x) == window_query(aw._tree, step, W)
         if step % 256 == 0:  # block ends, where the most nodes are live
-            assert len(v.counters()) <= 2 * (2 * Wp - 1) + v._aw._tree.height
+            assert len(v.counters()) <= 2 * (2 * Wp - 1) + levels_reached(v._aw._tree)
     assert len(aw.counters()) > 2 * 20_000 - 100  # the bare tree keeps them all
 
 
@@ -321,7 +322,7 @@ def test_exp_eviction_keeps_one_node_per_level():
         m.push(1.0)
         levels = [level for level, _ in m.counters()]
         assert len(levels) == len(set(levels))  # at most one node per level
-    assert len(m.counters()) <= m._tree.height
+    assert len(m.counters()) <= levels_reached(m._tree)
 
 
 @pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
