@@ -16,7 +16,7 @@ from collections import deque
 
 from .dyadic import DyadicTree, PrefixCursor, block_levels
 from .mechanisms import DecaySpec
-from .noise import RandomSource
+from .noise import RandomSource, check_epsilon
 
 
 def decayed_sum(decay: DecaySpec, xs, j: int | None = None) -> float:
@@ -72,8 +72,7 @@ def rr_flip_parameter(epsilon: float) -> float:
     Flipping a bit with probability (1 - f)/2 gives privacy parameter
     ln((1 + f) / (1 - f)); inverting yields f = tanh(epsilon / 2).
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     return math.tanh(epsilon / 2.0)
 
 
@@ -125,13 +124,11 @@ class RunningDiffBaseline:
     grows with the number of tiling nodes of the two prefixes, i.e. with
     log i, and for large i dwarfs the window range.
 
-    One prefix walk reads one node per step, the node ending at i, and a
-    queue keeps its last W values, so prefix(i - W) is the value it drops
-    at step i: each published prefix is read from the store once.  A node
-    ending at or before m = i - W is never read again; whenever m is a
-    multiple of ``W' = 2**ceil(log2 W)`` those nodes are evicted, which
-    keeps O(W + log horizon) nodes live: at most 2(2W' - 1) + 2 h, where h
-    is the number of levels of the horizon tree.
+    One prefix walk takes one node per step, the topmost node the update
+    closes, and a queue keeps its last W values, so prefix(i - W) is the
+    value it drops at step i: each published prefix is computed once.  The
+    store keeps one node per level of the horizon tree, beside the queue's
+    W values.
     """
 
     def __init__(
@@ -145,16 +142,14 @@ class RunningDiffBaseline:
     ):
         if W < 1 or horizon < 1:
             raise ValueError("window size and horizon must be >= 1")
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        check_epsilon(epsilon)
         self.W = W
         self.horizon = horizon
         self._h = block_levels(horizon)  # levels of the padded horizon tree
         self.counter_scale = scale = self._h / epsilon
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
-        self._now = PrefixCursor(self._tree)  # prefix(i)
+        self._now = PrefixCursor()  # prefix(i)
         self._past: deque = deque()  # prefix(i - W + 1) .. prefix(i)
-        self._Wp = 1 << (W - 1).bit_length()
         self.i = 0
 
     def push(self, x: float) -> float:
@@ -164,18 +159,14 @@ class RunningDiffBaseline:
         if i > self.horizon:
             raise ValueError(f"stream exceeds the declared horizon {self.horizon}")
         self.i = i
-        self._tree.add_path(i, x, self._h)
-        est = self._now.advance()
+        est = self._now.advance(self._tree.add_path(i, x, self._h))
         self._past.append(est)
-        m = i - self.W
-        if m <= 0:
+        if i <= self.W:
             return est
-        lag = self._past.popleft()  # prefix(m)
-        if not m % self._Wp:
-            self._tree.evict_through(m)
+        lag = self._past.popleft()  # prefix(i - W)
         return est - lag  # not -=: est is the cursor's memo
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless values of the live nodes, keyed (level, index); an open
-        node reads 0.0."""
+        """Noiseless value of each level's newest node, keyed (level, index);
+        an open node reads 0.0."""
         return self._tree.counters()

@@ -50,7 +50,7 @@ from .bounds import (
 )
 from .dyadic import block_levels
 from .mechanisms import DecaySpec, FixedWindowView, make_mechanism
-from .noise import RandomLanes, RandomSource
+from .noise import RandomLanes, RandomSource, check_epsilon
 
 _STREAM_CHILD = 0
 _TRIAL_CHILD = 1
@@ -89,9 +89,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Refuse, in O(1), an unknown mech, a decay option the mech does not
-        read, and an error probability or horizon out of range."""
+        read, and a budget, error probability or horizon out of range."""
         if self.mech not in MECHS:
             raise ValueError(f"unknown mechanism {self.mech!r}")
+        check_epsilon(self.epsilon)
         stray = [f"--{o}" for o in ("W", "alpha", "c", "beta")
                  if getattr(self, o) is not None and o not in _DECAY_OPTIONS[self._decay_mech()]]
         if stray:

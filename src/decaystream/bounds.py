@@ -24,7 +24,7 @@ from .mechanisms import (
     exp_decay_sensitivity,
     poly_read_ages,
 )
-from .noise import SCHEDULE_BETA, level_epsilons
+from .noise import SCHEDULE_BETA, check_epsilon, level_epsilons
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def worst_noise_profile(
     bounds both the sum of squared node scales and the largest one, which is
     all :func:`laplace_tail` uses, at every step up to the horizon.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if decay.kind == "window":
@@ -278,8 +277,7 @@ def framework_threshold(n_instances: int, epsilon: float) -> float:
     """
     if n_instances < 1:
         raise ValueError(f"need at least one nonzero instance, got {n_instances}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     return (math.log(n_instances) + math.log(2.0)) / epsilon
 
 
@@ -293,7 +291,6 @@ def reference_delta(decay: DecaySpec, gamma: float, epsilon: float) -> float:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     m = max(1, math.floor(math.log(1.0 / gamma) / epsilon))
     return decay.cumulative(m) / 2.0

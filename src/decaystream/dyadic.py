@@ -10,8 +10,9 @@ separately, so noise cannot drift.
 Updates reach the store in position order, and :meth:`DyadicTree.add_path`
 runs it as a binary counter (Chan, Shi and Song 2011): a node's ``c0`` is
 written once, when its interval ends, as its left child's plus its right
-child's, so an update writes about two nodes whatever the tree's height.
-An open node reads 0.0.
+child's, so an update writes about two nodes whatever the tree's height, and
+``add_path`` returns the published value of the topmost node it closed.  An
+open node reads 0.0.
 
 Every tree is a view of this store, chosen by its caller:
 
@@ -20,25 +21,21 @@ Every tree is a view of this store, chosen by its caller:
   and takes its value from its children when it closes, and the
   exponential sum writes its own discounted nodes with :meth:`DyadicTree.add`;
 * window trees use aligned subtrees of ``W' = 2**ceil(log2 W)`` leaves as
-  blocks (:func:`block_levels`), and their :class:`WindowCursor` evicts
-  the blocks it has left;
+  blocks (:func:`block_levels`);
 * the prefix-difference baseline uses one subtree spanning its horizon.
 
-Storage is level-indexed and append-only: each level keeps a list of ``c0``,
-a list of ``z`` and the index held in slot 0.  A node is created at its first
-position (or, through :meth:`DyadicTree.add`, when first touched), together
-with any uncreated node before it on its level.  Its ``z`` is the level's
-scale times the next value of the store's buffer of unit Laplace draws, so
-which draw a node gets depends only on the order in which nodes are
-created; callers keep that order independent of the data.
-Eviction drops a prefix of a level; reading an evicted or uncreated node
-raises ``ValueError``.  A :class:`PrefixCursor` walks the prefix sums of one
-block, and a :class:`WindowCursor` the window sums, each reading one node
-per step; no other code in the package splits a window or knows its
-blocks.  Both raise past the last position :meth:`DyadicTree.add_path`
-has received, so they read only closed nodes.  The polynomial estimator
-reads the growing tree by its own age tiling, and the exponential sum by its
-own discounted prefix walk.
+As in the binary mechanism, each node is published once, when it closes, so
+the store keeps one node per level: the level's newest, in one slot holding
+its index, ``c0`` and ``z``.  Creating a node overwrites its level's slot;
+its ``z`` is the level's scale times the next value of the store's buffer of
+unit Laplace draws, so which draw a node gets depends only on the order in
+which nodes are created; callers keep that order independent of the data.
+A :class:`PrefixCursor` walks the prefix sums of one block, and a
+:class:`WindowCursor` the window sums, each taking at every step the node
+``add_path`` just closed; no other code in the package splits a window or
+knows its blocks.  The polynomial estimator keeps its own archive of the
+closed nodes its age tiling reads, and the exponential sum reads the node
+each :meth:`DyadicTree.add` returns.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ _DRAWS = 256  # unit Laplace draws fetched per refill of a store's buffer
 
 
 class DyadicTree:
-    """Append-only dyadic counter store with frozen per-node Laplace noise.
+    """Dyadic counter store of one node per level, with frozen Laplace noise.
 
     ``scale_for_level`` maps a level (1 = leaves) to the Laplace scale of the
     noise of that level's nodes; it is called once per level, when the level
@@ -64,8 +61,8 @@ class DyadicTree:
     source every ``z``, and so every published value, is an array with one
     lane per trial, while ``c0`` stays a float.  :meth:`add_path` takes the
     positions 1, 2, 3, ... in order and writes each node once, when it
-    closes; :meth:`add` writes any node at any time.  Single-owner mutable
-    structure.
+    closes; :meth:`add` writes a level's newest node or creates the next one.
+    Single-owner mutable structure.
     """
 
     def __init__(
@@ -77,10 +74,10 @@ class DyadicTree:
         self._rng = rng
         self._scale_for_level = scale_for_level
         self.noisy = noisy
-        # per level (list index = level - 1)
-        self._c0: list[list[float]] = []
-        self._z: list[list[float]] = []
-        self._lo: list[int] = []  # node index held in slot 0
+        # the newest node of each level (list index = level - 1); -1: none yet
+        self._index: list[int] = []
+        self._c0: list[float] = []
+        self._z: list[float] = []
         self._scale: list[float] = []
         self._left: list[float] = []  # last closed left node's c0, per level
         # unit Laplace draws not yet given to a node, taken from the end: packed
@@ -88,36 +85,32 @@ class DyadicTree:
         self._units = array("d") if isinstance(rng, RandomSource) else []
         self.received = 0  # the last position add_path has received
 
-    # -- node creation --------------------------------------------------------
-
     def _reach(self, height: int) -> None:
-        while len(self._c0) < height:
-            level = len(self._c0) + 1
+        while len(self._index) < height:
+            level = len(self._index) + 1
             self._scale.append(self._scale_for_level(level) if self.noisy else 0.0)
-            self._c0.append([])
-            self._z.append([])
-            self._lo.append(0)
+            self._index.append(-1)
+            self._c0.append(0.0)
+            self._z.append(0.0)
             self._left.append(0.0)
 
-    def _create(self, k: int, n: int) -> None:
-        """Append ``n`` nodes to level ``k + 1``, drawing their noise."""
-        self._c0[k].extend([0.0] * n)
-        if not self.noisy:
-            self._z[k].extend([0.0] * n)
-            return
+    def _create(self, k: int, index: int) -> None:
+        """Make node ``index`` level ``k + 1``'s newest, drawing its noise."""
+        self._index[k] = index
+        self._c0[k] = 0.0
         units = self._units
-        if len(units) < n:
-            draws = self._rng.laplace_vector(1.0, max(n, _DRAWS))
+        if not self.noisy:
+            self._z[k] = 0.0
+            return
+        if not units:
+            draws = self._rng.laplace_vector(1.0, _DRAWS)
             units[:0] = array("d", draws.tobytes()) if isinstance(units, array) else list(draws)
-        scale = self._scale[k]
-        self._z[k].extend([scale * u for u in units[-n:]])
-        del units[-n:]
+        self._z[k] = self._scale[k] * units.pop()
 
-    # -- updates ---------------------------------------------------------------
-
-    def add_path(self, i: int, x: float, height: int) -> None:
+    def add_path(self, i: int, x: float, height: int):
         """Receive ``x`` at position ``i``, the next one, on a tree of
-        ``height`` levels.
+        ``height`` levels, and return the published value of the topmost
+        node that closes at i.
 
         As in a binary counter, a node is written once, when it closes: the
         leaf takes ``x``, and while the node just closed is a right child
@@ -131,141 +124,98 @@ class DyadicTree:
         if i != self.received + 1:
             raise ValueError(f"position {i} is not the next one, {self.received + 1}")
         off = i - 1
-        c0s = self._c0
-        lo = self._lo
-        if height > len(c0s):
-            first = len(c0s)
+        index, c0s = self._index, self._c0
+        if height > len(index):
+            first = len(index)
             self._reach(height)
             for k in range(first, height):
                 if off >> k << k != off:  # a new top node, started before i
-                    self._create(k, (off >> k) + 1)
+                    self._create(k, off >> k)
         units, zs, scales = self._units, self._z, self._scale
         for k in range(min(height, (off & -off).bit_length()) if off else height):
-            c = c0s[k]
-            j = (off >> k) - lo[k]
-            n = len(c)
-            if j == n and units:  # the next node, noise at hand
-                c.append(0.0)
-                zs[k].append(scales[k] * units.pop())
-            elif j >= n:
-                self._create(k, j + 1 - n)
-            elif j < 0:
-                raise ValueError(f"node (level {k + 1}, index {off >> k}) was evicted")
+            if units:  # noise at hand
+                index[k] = off >> k
+                c0s[k] = 0.0
+                zs[k] = scales[k] * units.pop()
+            else:
+                self._create(k, off >> k)
         left = self._left
         v = x
         k = 0
-        j = off - lo[0]
         while True:
-            if j < 0:
-                raise ValueError(f"node (level {k + 1}, index {j + lo[k]}) was evicted")
-            c0s[k][j] = v
+            c0s[k] = v
             if k + 1 == height or i >> k & 1:
                 break  # a left child, or the top level
             v = left[k] + v
             k += 1
-            j = (i >> k) - 1 - lo[k]
         left[k] = v
         self.received = i
+        return v + zs[k]
 
-    def add(self, level: int, index: int, w: float) -> None:
-        """Add the weighted value ``w`` at one node, creating it if needed."""
+    def add(self, level: int, index: int, w: float):
+        """Add the weighted value ``w`` at a level's newest node, or at the
+        node ``index`` created as its next one; return its published value."""
         if level < 1:
             raise ValueError(f"levels start at 1, got {level}")
-        if level > len(self._c0):
+        if level > len(self._index):
             self._reach(level)
         k = level - 1
-        c = self._c0[k]
-        j = index - self._lo[k]
-        if j >= len(c):
-            self._create(k, j + 1 - len(c))
-        elif j < 0:
-            raise ValueError(f"node (level {level}, index {index}) was evicted")
-        c[j] += w
+        newest = self._index[k]
+        if index > newest:
+            self._create(k, index)
+        elif index < newest:
+            raise ValueError(f"node (level {level}, index {index}) is older than its level's newest")
+        c = self._c0[k] + w
+        self._c0[k] = c
+        return c + self._z[k]
 
-    # -- reads -----------------------------------------------------------------
-
-    def published(self, level: int, index: int) -> float:
-        """Noisy counter value c0 + z of a live node."""
+    def published(self, level: int, index: int):
+        """Noisy counter value c0 + z of a level's newest node, once closed."""
         k = level - 1
-        try:
-            j = index - self._lo[k]
-            if k < 0 or j < 0:
-                raise IndexError
-            return self._c0[k][j] + self._z[k][j]
-        except IndexError:
-            raise ValueError(f"node (level {level}, index {index}) is not live") from None
-
-    # -- eviction and inspection ----------------------------------------------
-
-    def evict_covered(self, level: int, index: int) -> None:
-        """Drop the nodes of ``level`` whose index is below ``index``.
-
-        Callers drop nodes no later tiling can read: those whose parent
-        interval has ended (exponential sums), whose block has left the
-        window (window sums) or that end at or before the lagged step of the
-        prefix-difference baseline.
-        """
-        k = level - 1
-        if not 0 <= k < len(self._c0):
-            return
-        n = index - self._lo[k]
-        if n > 0:
-            del self._c0[k][:n]
-            del self._z[k][:n]
-            self._lo[k] = index
-
-    def evict_through(self, end: int) -> None:
-        """Drop every node that ends at or before position ``end``."""
-        for level in range(1, len(self._c0) + 1):
-            self.evict_covered(level, end >> (level - 1))
+        if not 0 <= k < len(self._index) or self._index[k] != index or (
+            (index + 1) << k > self.received
+        ):
+            raise ValueError(
+                f"node (level {level}, index {index}) is not a level's newest closed node"
+            )
+        return self._c0[k] + self._z[k]
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless values of all live nodes, keyed (level, index); a node
-        that :meth:`add_path` has not closed yet reads 0.0."""
+        """Noiseless value of each level's newest node, keyed (level, index);
+        a node that has not closed yet reads 0.0."""
         return {
-            (k + 1, lo + j): c
-            for k, (lo, c0) in enumerate(zip(self._lo, self._c0))
-            for j, c in enumerate(c0)
+            (k + 1, j): c for k, (j, c) in enumerate(zip(self._index, self._c0)) if j >= 0
         }
 
 
 class PrefixCursor:
-    """Published prefix sums of [base, base + p - 1] for p = 1, 2, 3, ... in turn.
+    """Published prefix sums of one aligned block, for p = 1, 2, 3, ... in turn.
 
     The tiling of the first p positions is the tiling of the first
     ``p - low`` positions plus the node of length ``low = p & -p`` ending at
-    position ``base + p - 1``.  Memoising each prefix sum under the level of
-    its last node makes every step read one node; the tiles, of distinct
-    power-of-two lengths, are added to 0.0 largest first.  ``base - 1`` must
-    be a multiple of a power of two at least as long as every prefix
-    reached.  The value returned is the cursor's own memo: callers must not
-    update it in place (on lanes it is an array).
+    position p of the block.  Memoising each prefix sum under the level of
+    its last node makes every step take one node, the one
+    :meth:`DyadicTree.add_path` just closed; the tiles, of distinct
+    power-of-two lengths, are added to 0.0 largest first.  The value
+    returned is the cursor's own memo: callers must not update it in place
+    (on lanes it is an array).
     """
 
-    __slots__ = ("_tree", "_a", "p", "_memo")
+    __slots__ = ("p", "_memo")
 
-    def __init__(self, tree: DyadicTree, base: int = 1):
-        self._tree = tree
-        self._a = base - 1
+    def __init__(self):
         self.p = 0
         self._memo = [0.0] * 65  # by level; slot 0 is the empty prefix
 
-    def advance(self) -> float:
-        """Move to the next position and return the prefix sum up to it."""
+    def advance(self, node):
+        """Move to the next position, given the published value ``node`` of
+        the node of length ``p & -p`` ending there; return the prefix sum."""
         p = self.p + 1
-        end = self._a + p
-        if end > self._tree.received:
-            raise ValueError(f"position {end} has not reached the store")
         self.p = p
         low = p & -p
-        level = low.bit_length()
-        if end & (low - 1):
-            raise ValueError(f"prefix from {self._a + 1} to {end} is not block-aligned")
         rest = p - low
-        total = self._memo[(rest & -rest).bit_length()] + self._tree.published(
-            level, end // low - 1
-        )
-        self._memo[level] = total
+        total = self._memo[(rest & -rest).bit_length()] + node
+        self._memo[low.bit_length()] = total
         return total
 
 
@@ -278,25 +228,23 @@ def block_levels(W: int) -> int:
 class WindowCursor:
     """Published window sums over [j - W + 1, j] for j = 1, 2, 3, ... in turn.
 
-    One prefix walk over aligned blocks of ``W' = 2**ceil(log2 W)`` reads
+    One prefix walk over aligned blocks of ``W' = 2**ceil(log2 W)`` takes
     one node per step, as a :class:`PrefixCursor` does, for j's block
     prefix, and a queue keeps the walk's last W values, so the one it drops
-    at step j is its value at m = j - W: each published prefix is read from
-    the store once and reused, as in a continual-observation counter
-    (Dwork et al. 2010; Chan, Shi and Song 2011).  The window is j's block
-    prefix when m <= 0 or m ends a block, minus m's prefix when m is in j's
-    block, else plus the previous block's total (the walk's last value in
-    it) minus m's prefix.  Reads stay in j's block, on nodes ending by step
-    j, and :meth:`evict` drops every node older than the previous block.
-    The value returned may be a memo: do not update it in place (lanes).
+    at step j is its value at m = j - W: each published prefix is computed
+    once and reused, as in a continual-observation counter (Dwork et al.
+    2010; Chan, Shi and Song 2011).  The window is j's block prefix when
+    m <= 0 or m ends a block, minus m's prefix when m is in j's block, else
+    plus the previous block's total (the walk's last value in it) minus m's
+    prefix.  The value returned may be a memo: do not update it in place
+    (lanes).
     """
 
-    __slots__ = ("_tree", "W", "_mask", "_top", "j", "_now", "_past", "_total")
+    __slots__ = ("W", "_mask", "_top", "j", "_now", "_past", "_total")
 
-    def __init__(self, tree: DyadicTree, W: int):
+    def __init__(self, W: int):
         if W < 1:
             raise ValueError(f"window size must be >= 1, got {W}")
-        self._tree = tree
         self.W = W
         self._top = top = block_levels(W)  # level of a whole block's node
         self._mask = (1 << (top - 1)) - 1  # W' - 1
@@ -305,21 +253,11 @@ class WindowCursor:
         self._past: deque = deque()  # the walk's values at steps j - W + 1 .. j
         self._total = 0.0
 
-    def evict(self) -> None:
-        """Drop the store's nodes this cursor will never read: when step
-        ``j + 1`` starts a block, those ending before the previous block.
-        Call it after the add of step ``j + 1`` and before :meth:`advance`,
-        and only on a store no other cursor reads."""
-        off = self.j
-        mask = self._mask
-        if off > 2 * mask + 1 and not off & mask:
-            self._tree.evict_through(off - mask - 1)
-
-    def advance(self) -> float:
-        """Move to the next step j and return the window sum ending at j."""
+    def advance(self, node):
+        """Move to the next step j, given the published value ``node`` of the
+        node of length ``min(j & -j, W')`` ending at j; return the window sum
+        ending at j."""
         j = self.j + 1
-        if j > self._tree.received:
-            raise ValueError(f"position {j} has not reached the store")
         self.j = j
         mask = self._mask
         memo = self._now
@@ -327,10 +265,9 @@ class WindowCursor:
         if p == 1:
             self._total = memo[self._top]  # the block just ended
         low = p & -p
-        level = low.bit_length()
         rest = p - low
-        cur = memo[(rest & -rest).bit_length()] + self._tree.published(level, j // low - 1)
-        memo[level] = cur
+        cur = memo[(rest & -rest).bit_length()] + node
+        memo[low.bit_length()] = cur
         past = self._past
         past.append(cur)
         m = j - self.W

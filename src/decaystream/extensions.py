@@ -16,7 +16,7 @@ import hashlib
 from typing import Callable
 
 from .mechanisms import DecaySpec, RunningSum, make_mechanism
-from .noise import RandomSource
+from .noise import RandomSource, check_epsilon
 
 
 class PredicateStream:
@@ -54,8 +54,7 @@ class KSensitiveStream:
     ):
         if k < 1:
             raise ValueError(f"sensitivity k must be >= 1, got {k}")
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        check_epsilon(epsilon)
         self.predicate = predicate
         self.k = k
         self.epsilon = epsilon
@@ -79,8 +78,7 @@ class DistinctCount:
     """
 
     def __init__(self, epsilon: float, rng: RandomSource, *, noisy: bool = True):
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        check_epsilon(epsilon)
         self.epsilon = epsilon
         self.seen: set = set()
         self.inner = RunningSum(epsilon / 2.0, rng, noisy=noisy)
@@ -114,6 +112,7 @@ class DecayedHistogram:
         *,
         noisy: bool = True,
     ):
+        check_epsilon(epsilon)
         self.decay = decay
         self.epsilon = epsilon
         self.noisy = noisy

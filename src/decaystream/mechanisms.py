@@ -9,17 +9,16 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
   is a block suffix plus a block prefix, so each update changes exactly
   ``log2(W') + 1`` counters, which sets the sensitivity, while the store
   writes each counter once, when it closes (amortized O(1) writes per
-  update); each estimate takes one store read plus one queued value, and
-  its noise still sums ``O(log W)`` counters.
+  update); each estimate takes the node the update closed plus one queued
+  value, and its noise still sums ``O(log W)`` counters.
 * :class:`AllWindowSum` -- one growing tree serving window estimates for
   every W simultaneously, with per-level budgets ``eps_k`` that sum to the
   total budget; :class:`FixedWindowView` streams one window size from it
   (the paper's all-window construction, ``--mech allwindow``).
 * :class:`ExponentialSum` -- geometrically discounted sum on a growing tree;
   each left node holds the discounted sum of its interval, written once when
-  it closes (a binary counter's carry chain), each estimate discounts the
-  previous prefix estimate and adds one node, and stale nodes are evicted to
-  keep one node per level.
+  it closes (a binary counter's carry chain), and each estimate discounts the
+  previous prefix estimate and adds one node.
 * :class:`PolynomialSum` -- power-law discounted sum read from one
   :class:`AllWindowSum` (post-processing of its tree) as a weighted tiling
   whose node lengths grow in proportion to age, each node weighted by its
@@ -29,7 +28,8 @@ Window estimates are read by :class:`~decaystream.dyadic.WindowCursor`;
 ``RunningSum`` (undiscounted prefix sum) walks the growing tree's prefixes.
 Estimates at step j read only counters whose intervals end at or before j,
 so the whole output sequence is a deterministic function of the noisy
-counter vector.
+counter vector.  Every store keeps one node per level; the polynomial sum
+alone also archives the closed nodes its tiling can still read.
 
 With ``noisy=False`` all initialisation noise is pinned to zero; outputs are
 then exact (window/exponential/running) or within the (1 - beta) factor
@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 from .dyadic import DyadicTree, PrefixCursor, WindowCursor, block_levels
-from .noise import SCHEDULE_BETA, RandomSource, level_epsilons
+from .noise import SCHEDULE_BETA, RandomSource, check_epsilon, level_epsilons
 
 _TINY_WEIGHT = 1e-300  # discount weights below this clamp to zero
 
@@ -158,8 +158,9 @@ class WindowSum:
     W)``, as one aligned subtree of the store, so one update changes
     ``sensitivity = log2 W' + 1`` counters by at most 1 and every counter
     carries Laplace noise of scale ``sensitivity / epsilon``.  A
-    :class:`~decaystream.dyadic.WindowCursor` reads each window from the
-    current and the previous block and evicts the older blocks.
+    :class:`~decaystream.dyadic.WindowCursor` composes each window from the
+    node each update closes and its queue of block prefixes, so the store
+    keeps one node per level.
     """
 
     def __init__(
@@ -170,15 +171,14 @@ class WindowSum:
         *,
         noisy: bool = True,
     ):
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        check_epsilon(epsilon)
         self.W = W
         self.epsilon = epsilon
         self._h = block_levels(W)  # levels of one block subtree
         self.sensitivity = float(self._h)
         self.counter_scale = scale = self._h / epsilon
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
-        self._window = WindowCursor(self._tree, W)
+        self._window = WindowCursor(W)
         self.i = 0
 
     def push(self, x: float) -> float:
@@ -187,13 +187,11 @@ class WindowSum:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.i + 1
         self.i = i
-        self._tree.add_path(i, x, self._h)
-        self._window.evict()
-        return self._window.advance()
+        return self._window.advance(self._tree.add_path(i, x, self._h))
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless values of the retained blocks, keyed (level, index); an
-        open node reads 0.0."""
+        """Noiseless value of each level's newest node, keyed (level, index);
+        an open node reads 0.0."""
         return self._tree.counters()
 
 
@@ -208,8 +206,9 @@ class AllWindowSum:
     of the one level schedule ``eps_k = 6 epsilon / (pi**2 k**2)``
     (:func:`~decaystream.noise.level_epsilons` at ``SCHEDULE_BETA``), so the
     per-level budgets sum to ``epsilon`` over the infinite tree.  ``push``
-    produces no output; each :meth:`cursor` streams the estimates of one
-    window size, and all of them are post-processing of the one tree.
+    returns the published value of the topmost node the update closed; the
+    estimators on it (running sum, fixed window view, polynomial sum) are
+    post-processing of the one tree.
     """
 
     def __init__(
@@ -219,27 +218,23 @@ class AllWindowSum:
         *,
         noisy: bool = True,
     ):
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        check_epsilon(epsilon)
         self.epsilon = epsilon
         self.step = 0
         self._tree = DyadicTree(
             rng, lambda k: 1.0 / level_epsilons(epsilon, SCHEDULE_BETA, k)[-1], noisy
         )
 
-    def push(self, x: float) -> None:
-        """Feed one update (cursors read the estimates)."""
+    def push(self, x: float):
+        """Feed one update; return the published value of the node of
+        length ``i & -i`` ending at the new step i."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.step + 1
         self.step = i
         # the tree [1, 2**(height-1)] holds i; it doubles when i - 1 is a
         # power of two, and its new root closes when its right child does
-        self._tree.add_path(i, x, (i - 1).bit_length() + 1)
-
-    def cursor(self, W: int) -> WindowCursor:
-        """W-window estimates at steps 1, 2, 3, ...: advance at most once per push."""
-        return WindowCursor(self._tree, W)
+        return self._tree.add_path(i, x, (i - 1).bit_length() + 1)
 
     def counters(self) -> dict[tuple[int, int], float]:
         return self._tree.counters()
@@ -257,15 +252,15 @@ class RunningSum:
     ):
         self.epsilon = epsilon
         self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
-        self._prefix = PrefixCursor(self._aw._tree)
+        self._prefix = PrefixCursor()
 
     @property
     def step(self) -> int:
         return self._aw.step
 
     def push(self, x: float) -> float:
-        self._aw.push(x)
-        return self._prefix.advance()  # one node read
+        # the growing tree's topmost node closed at i is the prefix walk's
+        return self._prefix.advance(self._aw.push(x))
 
     def counters(self):
         return self._aw.counters()
@@ -275,11 +270,12 @@ class FixedWindowView:
     """Streaming adapter: one window size read from an AllWindowSum.
 
     The paper's all-window construction for one W (``--mech allwindow``);
-    :class:`WindowSum` answers the same window with less noise.  The view
-    owns the tree's only cursor, which reads, at step i, only nodes inside
-    the aligned block of ``W' = 2**ceil(log2 W)`` positions holding i and the
-    block before it and evicts the rest: about ``2 * (2 W' - 1)`` counters
-    stay live, plus at most two per higher level.
+    :class:`WindowSum` answers the same window with less noise.  Its cursor
+    walks aligned blocks of ``W' = 2**ceil(log2 W)`` positions and takes, at
+    step j, the node of length ``min(j & -j, W')`` ending at j: the node
+    the update closed, or, when that one spans more than a block, the
+    block's node below it, read from the store.  The tree keeps one node per
+    level.
     """
 
     def __init__(
@@ -293,16 +289,20 @@ class FixedWindowView:
         self.W = W
         self.epsilon = epsilon
         self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
-        self._window = self._aw.cursor(W)
+        self._window = WindowCursor(W)
+        self._top = block_levels(W)  # level of a whole block's node
 
     @property
     def step(self) -> int:
         return self._aw.step
 
     def push(self, x: float) -> float:
-        self._aw.push(x)
-        self._window.evict()
-        return self._window.advance()
+        node = self._aw.push(x)
+        j = self._aw.step
+        top = self._top
+        if (j & -j) >> top:  # longer than a block: read the block's node
+            node = self._aw._tree.published(top, (j >> (top - 1)) - 1)
+        return self._window.advance(node)
 
     def counters(self):
         return self._aw.counters()
@@ -334,7 +334,10 @@ class ExponentialSum:
     least ``_TINY_WEIGHT``, a node is created at position ``u - n*``
     instead.  This is the order in which adding each update to every open
     left node it weighs at least ``_TINY_WEIGHT`` in would first touch
-    them.  Eviction keeps at most one node per level.
+    them.  A level's next left node is created after its newest closes, so
+    the node read at step i is its level's newest, the one
+    :meth:`~decaystream.dyadic.DyadicTree.add` returns, and the store keeps
+    one node per level.
     """
 
     def __init__(
@@ -346,8 +349,7 @@ class ExponentialSum:
         noisy: bool = True,
     ):
         self.sensitivity = exp_decay_sensitivity(alpha)  # validates alpha in (2/3, 1)
-        if not epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        check_epsilon(epsilon)
         self.alpha = alpha
         self.epsilon = epsilon
         self.counter_scale = scale = self.sensitivity / epsilon
@@ -374,8 +376,7 @@ class ExponentialSum:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.step + 1
         self.step = i
-        tree = self._tree
-        add = tree.add
+        add = self._tree.add
         disc, left, memo = self._disc, self._left, self._memo
         reach = self._reach
         off = i - 1
@@ -388,7 +389,7 @@ class ExponentialSum:
         if i & 1:
             # left nodes start here at levels 1 .. trailing zeros of off, up
             # to the last short level; the leaf also closes here
-            add(1, off, x)
+            node = add(1, off, x)
             for k in range(2, min((off & -off).bit_length() - 1, self._short) + 1):
                 add(k, off >> (k - 1), 0.0)
         # a long left node ending at s = i + n* gets its first weight of at
@@ -403,20 +404,19 @@ class ExponentialSum:
         v = x
         for k in range(1, level):
             # the level-k node ending at i is a right node: fold it into its
-            # parent, which ends here too, so the level's nodes below index
-            # 2 * (i >> k) are dead
+            # parent, which ends here too
             v = left[k] * disc[k] + v
-            tree.evict_covered(k, 2 * (i >> k))
         left[level] = v
         if level > 1:
-            add(level, index, v)
+            node = add(level, index, v)
         rest = i - low
-        est = memo[(rest & -rest).bit_length()] * disc[level] + tree.published(level, index)
+        est = memo[(rest & -rest).bit_length()] * disc[level] + node
         memo[level] = est
         return est
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless values of the live nodes; an open left node reads 0.0."""
+        """Noiseless value of each level's newest node; an open left node
+        reads 0.0."""
         return self._tree.counters()
 
 
@@ -452,8 +452,10 @@ class PolynomialSum:
     ``(i - e + L)**-c`` of its oldest age.  Each node is read once, and the
     noise-free output F' satisfies (1 - beta) F <= F' <= F for the true sum
     F.  One update changes one counter per level by at most 1, and the level
-    budgets sum to epsilon.  Nodes older than their level's reads are
-    evicted, so O(log T) counters stay live.
+    budgets sum to epsilon.  The tree keeps one node per level, so the
+    estimator archives each node's published value when it closes and drops
+    it once its newest age passes its level's reads: O(log T) values stay
+    live, at most ``ceil(hi_k / 2**(k-1)) + 1`` on level k.
     """
 
     def __init__(
@@ -477,6 +479,10 @@ class PolynomialSum:
         # level is not yet admitted at any age
         self._los: list[int] = []
         self._his: list[int] = []
+        # per level: published values of its closed nodes still read, and
+        # the index of the first
+        self._archive: list[list] = []
+        self._base: list[int] = []
 
     @property
     def step(self) -> int:
@@ -501,26 +507,36 @@ class PolynomialSum:
 
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
-        self._aw.push(x)
+        node = self._aw.push(x)
         i = self._aw.step
         los, his = self._los, self._his
         while not los or los[-1] < i:
             lo, hi = poly_read_ages(self.c, self.beta, len(los) + 1)
             los.append(lo)
             his.append(hi)
-        tree = self._aw._tree
-        published = tree.published
+        archive, base = self._archive, self._base
+        # the nodes closing at i, one per level below the topmost, which
+        # the tree returned
+        top = (i & -i).bit_length() - 1
+        if top == len(archive):
+            archive.append([])
+            base.append(0)
+        published = self._aw._tree.published
+        for k in range(top):
+            archive[k].append(published(k + 1, (i >> k) - 1))
+        archive[top].append(node)
         est = 0.0
         for level, index, weight in self._tiling():
-            est += published(level, index) * weight
+            est += archive[level - 1][index - base[level - 1]] * weight
         # a level-k node is dead once its newest age reaches hi_k; that
-        # bound moves only when 2**(k-1) divides i - hi_k
+        # bound moves past one more node whenever 2**(k-1) divides i - hi_k
         for k, hi in enumerate(his):
             m = i - hi
             if m < 0:
                 break
-            if not m & ((1 << k) - 1):
-                tree.evict_covered(k + 1, m >> k)
+            if m and not m & ((1 << k) - 1):
+                del archive[k][0]
+                base[k] += 1
         return est
 
     def child_windows(self) -> list[int]:
@@ -528,8 +544,8 @@ class PolynomialSum:
         return [1 << (level - 1) for level, _, _ in self._tiling()]
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """The all-window tree's live noiseless values, keyed (level, index);
-        an open node reads 0.0."""
+        """Noiseless value of each level's newest node in the all-window
+        tree, keyed (level, index); an open node reads 0.0."""
         return self._aw.counters()
 
 

@@ -175,6 +175,12 @@ def zeta(beta: float) -> float:
     return head + tail
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a privacy budget that is not finite and positive."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def level_epsilons(epsilon: float, beta: float, k_max: int) -> list[float]:
     """Per-level budgets eps_k = epsilon / (zeta(beta) * k**beta), k = 1..k_max.
 
@@ -182,8 +188,7 @@ def level_epsilons(epsilon: float, beta: float, k_max: int) -> list[float]:
     stays strictly below it.  The growing trees of
     :mod:`~decaystream.mechanisms` draw level k's noise at scale ``1 / eps_k``.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     z = zeta(beta)

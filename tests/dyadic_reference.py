@@ -1,5 +1,7 @@
-"""Reference helpers for inspecting and reading a dyadic counter store in tests,
-and the eagerly updated exponential sum that ``ExponentialSum`` must match.
+"""Reference helpers for inspecting and reading a dyadic counter store in tests:
+a store that keeps every node, the random-access reads the package's cursors
+must match, and the eagerly updated exponential sum that ``ExponentialSum``
+must match.
 
 Node intervals are 1-based inclusive position ranges ``[l, u]`` whose length
 is a power of two; the node at level ``k`` with index ``j`` covers
@@ -7,9 +9,14 @@ is a power of two; the node at level ``k`` with index ``j`` covers
 complete tree over ``[1, 2**(height-1)]``, whose root reports as no left node.
 """
 
+from array import array
 from typing import NamedTuple
+from unittest import mock
 
+from decaystream import baselines, mechanisms
+from decaystream.dyadic import _DRAWS
 from decaystream.mechanisms import _TINY_WEIGHT, ExponentialSum
+from decaystream.noise import RandomSource
 
 
 class Interval(NamedTuple):
@@ -95,13 +102,112 @@ def decompose_prefix(u, base=1):
     return [interval_of(level, index) for level, index, _ in decompose_nodes(u, base)]
 
 
+# ---------------------------------------------------------------------------
+# the store that keeps every node
+
+
+class FullStore:
+    """The dyadic counter store before it kept one node per level: every
+    node it creates stays, in a dict per level, and any of them can be read.
+
+    Same interface, same arithmetic and same noise as
+    :class:`~decaystream.dyadic.DyadicTree`: ``add_path`` writes each node
+    once, when it closes, and returns the published value of the topmost
+    node closed; ``add`` creates the named node if it is new and returns
+    its published value; each node created draws the next unit of the same
+    buffer.  ``published`` reads any node created, open or closed.
+    """
+
+    def __init__(self, rng, scale_for_level, noisy=True):
+        self._rng = rng
+        self._scale_for_level = scale_for_level
+        self.noisy = noisy
+        self._c0 = []  # per level (list index = level - 1): {index: c0}
+        self._z = []  # per level: {index: z}
+        self._scale = []
+        self._left = []
+        self._units = array("d") if isinstance(rng, RandomSource) else []
+        self.received = 0
+
+    def _reach(self, height):
+        while len(self._c0) < height:
+            level = len(self._c0) + 1
+            self._scale.append(self._scale_for_level(level) if self.noisy else 0.0)
+            self._c0.append({})
+            self._z.append({})
+            self._left.append(0.0)
+
+    def _create(self, k, index):
+        self._c0[k][index] = 0.0
+        if not self.noisy:
+            self._z[k][index] = 0.0
+            return
+        units = self._units
+        if not units:
+            draws = self._rng.laplace_vector(1.0, _DRAWS)
+            units[:0] = array("d", draws.tobytes()) if isinstance(units, array) else list(draws)
+        self._z[k][index] = self._scale[k] * units.pop()
+
+    def add_path(self, i, x, height):
+        if i != self.received + 1:
+            raise ValueError(f"position {i} is not the next one, {self.received + 1}")
+        off = i - 1
+        if height > len(self._c0):
+            first = len(self._c0)
+            self._reach(height)
+            for k in range(first, height):
+                if off >> k << k != off:  # a new top node, started before i
+                    self._create(k, off >> k)
+        for k in range(min(height, (off & -off).bit_length()) if off else height):
+            self._create(k, off >> k)
+        v = x
+        k = 0
+        while True:
+            self._c0[k][(i >> k) - 1] = v
+            if k + 1 == height or i >> k & 1:
+                break
+            v = self._left[k] + v
+            k += 1
+        self._left[k] = v
+        self.received = i
+        return self.published(k + 1, (i >> k) - 1)
+
+    def add(self, level, index, w):
+        if level < 1:
+            raise ValueError(f"levels start at 1, got {level}")
+        self._reach(level)
+        if index not in self._c0[level - 1]:
+            self._create(level - 1, index)
+        self._c0[level - 1][index] += w
+        return self.published(level, index)
+
+    def published(self, level, index):
+        try:
+            if level < 1:
+                raise KeyError
+            return self._c0[level - 1][index] + self._z[level - 1][index]
+        except (IndexError, KeyError):
+            raise ValueError(f"node (level {level}, index {index}) was never created") from None
+
+    def counters(self):
+        return {(k + 1, j): c for k, c0 in enumerate(self._c0) for j, c in c0.items()}
+
+
+def on_full_store(make):
+    """``make()`` with every store it builds a :class:`FullStore`."""
+    with mock.patch.object(mechanisms, "DyadicTree", FullStore), mock.patch.object(
+        baselines, "DyadicTree", FullStore
+    ):
+        return make()
+
+
 def frozen_noise(tree):
-    """The stored noise term of every live node, keyed (level, index)."""
-    return {
-        (k + 1, lo + j): z
-        for k, (lo, zs) in enumerate(zip(tree._lo, tree._z))
-        for j, z in enumerate(zs)
-    }
+    """The stored noise term of every node a store holds, keyed (level,
+    index): every node created on a :class:`FullStore`, each level's newest
+    on a ``DyadicTree``."""
+    if isinstance(tree, FullStore):
+        return {(k + 1, j): z for k, zs in enumerate(tree._z) for j, z in zs.items()}
+    return {(k + 1, j): z for k, (j, z) in enumerate(zip(tree._index, tree._z)) if j >= 0}
 
 
 def levels_reached(tree):
@@ -114,7 +220,7 @@ def c0_at(tree, level, index):
 
 
 def node(tree, iv):
-    """Inspection view of the live node at a node interval."""
+    """Inspection view of a readable node at a node interval."""
     level, index = node_of(iv)
     tree.published(level, index)  # raises unless the node is live
     return TreeNode(iv, c0_at(tree, level, index), frozen_noise(tree)[(level, index)])
@@ -125,28 +231,23 @@ def node(tree, iv):
 
 
 def prefix_value(tree, u, base=1):
-    """Sum of the published nodes tiling [base, u]; 0 for the empty prefix.
+    """Sum of the published nodes tiling [base, u] of a :class:`FullStore`;
+    0 for the empty prefix.
 
     Tiles are added largest first, to 0.0, so every value equals
     ``PrefixCursor`` bit for bit.
     """
-    a, p = checked_prefix(u, base)
-    c0s = tree._c0
-    zs = tree._z
-    lo = tree._lo
     total = 0.0
-    try:
-        while p:
-            k = p.bit_length() - 1
-            j = (a >> k) - lo[k]
-            if j < 0:
-                raise IndexError
-            total += c0s[k][j] + zs[k][j]
-            a += 1 << k
-            p -= 1 << k
-    except IndexError:
-        raise ValueError(f"[{base}, {u}] reads a node that is not live") from None
+    for level, index, _ in decompose_nodes(u, base):
+        total += tree.published(level, index)
     return total
+
+
+def block_node(tree, j, W):
+    """The published node a W-window cursor takes at step j: the node of
+    length ``min(j & -j, W')`` ending at j, ``W' = 2**ceil(log2 W)``."""
+    L = min(j & -j, 1 << (W - 1).bit_length())
+    return tree.published(L.bit_length(), j // L - 1)
 
 
 def window_query(tree, j, W):
@@ -154,8 +255,8 @@ def window_query(tree, j, W):
 
     W is aligned up to a power of two W' that only sets block boundaries;
     the estimate still targets the exact W-window.  W >= j degenerates to
-    the prefix [1, j].  ``WindowCursor(tree, W)`` returns these values bit
-    for bit at j = 1, 2, 3, ...
+    the prefix [1, j].  ``WindowCursor(W)`` fed :func:`block_node` returns
+    these values bit for bit at j = 1, 2, 3, ...
     """
     if W < 1:
         raise ValueError(f"window size must be >= 1, got {W}")
@@ -205,7 +306,8 @@ def age_tiling(i, c, beta):
 
 
 class EagerExponentialSum(ExponentialSum):
-    """:class:`ExponentialSum` with every update added to each open left node.
+    """:class:`ExponentialSum` on a :class:`FullStore` with every update
+    added to each open left node.
 
     Each push adds ``x * alpha**(u - i)`` to every left node [l, u] holding
     position i (skipping weights below ``_TINY_WEIGHT``), seeds a new root
@@ -214,6 +316,11 @@ class EagerExponentialSum(ExponentialSum):
     by ``alpha**(i - right)``.  Nodes are created in the same order as by
     :class:`ExponentialSum`, so both draw the same noise for every node.
     """
+
+    def __init__(self, alpha, epsilon, rng, *, noisy=True):
+        super().__init__(alpha, epsilon, rng, noisy=noisy)
+        scale = self.counter_scale
+        self._tree = FullStore(rng, lambda _level: scale, noisy)
 
     def push(self, x):
         if not 0.0 <= x <= 1.0:
@@ -237,8 +344,4 @@ class EagerExponentialSum(ExponentialSum):
         est = 0.0
         for level, idx, right in decompose_nodes(i):
             est += tree.published(level, idx) * alpha ** (i - right)
-        k = 1
-        while k < height and not i & ((1 << k) - 1):
-            tree.evict_covered(k, 2 * (i >> k))
-            k += 1
         return est

@@ -12,7 +12,14 @@ import time
 
 import numpy as np
 import pytest
-from dyadic_reference import Interval, decompose_prefix, frozen_noise, node
+from dyadic_reference import (
+    Interval,
+    block_node,
+    decompose_prefix,
+    frozen_noise,
+    node,
+    on_full_store,
+)
 from test_extensions import first_occurrence, first_occurrence_bits
 
 from decaystream.bench import ExperimentConfig, run_bench
@@ -23,7 +30,7 @@ from decaystream.bounds import (
     check_independence,
     laplace_tail,
 )
-from decaystream.dyadic import DyadicTree
+from decaystream.dyadic import DyadicTree, WindowCursor
 from decaystream.extensions import DecayedHistogram, DistinctCount, KSensitiveStream
 from decaystream.mechanisms import (
     AllWindowSum,
@@ -72,10 +79,11 @@ def test_criterion_01_oracle_equivalence():
 
         win = WindowSum(W, 1.0, seed_rng.child(0), noisy=False)
         want_w = conv_oracle(xs, DecaySpec.window(W))
-        # one tree answers every window size: several cursors read it
+        # one tree answers every window size: several cursors read it, each
+        # fed its block's node ending at j
         aw = AllWindowSum(1.0, seed_rng.child(1), noisy=False)
         sizes = [1, 2, 3, 5, 8, 13, 100] + [1 + int(gen.uniform() * T) for _ in range(3)]
-        cursors = [aw.cursor(Wq) for Wq in sizes]
+        cursors = [WindowCursor(Wq) for Wq in sizes]
         csum = np.concatenate([[0.0], np.cumsum(xs)])
         run = RunningSum(1.0, seed_rng.child(2), noisy=False)
         want_r = np.cumsum(xs)
@@ -89,7 +97,7 @@ def test_criterion_01_oracle_equivalence():
             aw.push(x)
             for Wq, cursor in zip(sizes, cursors):
                 want_q = csum[j] - csum[max(0, j - Wq)]
-                ok &= abs(cursor.advance() - want_q) <= 1e-9
+                ok &= abs(cursor.advance(block_node(aw._tree, j, Wq)) - want_q) <= 1e-9
             ok &= abs(run.push(x) - want_r[j - 1]) <= 1e-9
             ok &= abs(ex.push(x) - want_e[j - 1]) <= 1e-9
             out = po.push(x)
@@ -126,8 +134,9 @@ def _counter_l1(a, b):
 def _run_counters(factory, xs):
     """Every counter the run created, at its final value.
 
-    Merging the live counters after every push keeps the evicted ones: a
-    node is evicted only after its interval has ended, so its value is final.
+    Merging the live counters after every push keeps the overwritten ones:
+    a store holds each level's newest node, which is still its level's
+    newest at the step it closes, so its last value seen is final.
     """
     mech = factory()
     seen = {}
@@ -254,37 +263,31 @@ def test_criterion_03_noise_calibration():
         ok &= abs(zs.var() - 2.0 * scale * scale) <= 0.1 * 2.0 * scale * scale
 
     def block_noise(w, blocks, x):
-        # every node of each block, read at the block's last push (the block
-        # is complete and still retained)
-        zs = []
-        for i in range(1, blocks * w.W + 1):
+        # every node of each block: each is its level's newest for a while,
+        # so merging the store's nodes after every push sees them all
+        seen = {}
+        for _ in range(blocks * w.W):
             w.push(x)
-            if i % w.W == 0:
-                start = i - w.W  # block start: W = 512 is its own block size
-                zs += [z for (level, index), z in frozen_noise(w._tree).items()
-                       if index << (level - 1) >= start]
-        return zs
+            seen.update(frozen_noise(w._tree))
+        return list(seen.values())
 
     # window blocks, default scale
     W = 512
     w = WindowSum(W, 1.0, RandomSource(31))
     check(block_noise(w, 98, 1.0), w.counter_scale)
 
-    # store nodes at the exponential-decay scale
+    # store nodes at the exponential-decay scale; a node created with c0 = 0
+    # publishes its noise
     scale_e = exp_decay_sensitivity(0.9) / 1.0
     tree = DyadicTree(RandomSource(33), lambda level: scale_e)
-    for idx in range(110_000):
-        tree.add(1, idx, 0.0)
-    check(list(frozen_noise(tree).values()), scale_e)
+    check([tree.add(1, idx, 0.0) for idx in range(110_000)], scale_e)
 
     # per-level schedule scales, pooled after normalising each draw by its
     # level's scale (normalised noise is unit-scale Laplace)
     eps_k = level_epsilons(1.0, 2.0, 4)
     sched_tree = DyadicTree(RandomSource(34), lambda level: 1.0 / eps_k[level - 1])
-    for level in range(1, 5):
-        for idx in range(35_000):
-            sched_tree.add(level, idx, 0.0)
-    pooled = [z * eps_k[level - 1] for (level, _), z in frozen_noise(sched_tree).items()]
+    pooled = [sched_tree.add(level, idx, 0.0) * eps_k[level - 1]
+              for level in range(1, 5) for idx in range(35_000)]
     check(pooled, 1.0)
     report(3, "counter noise calibration", ok)
 
@@ -442,11 +445,14 @@ def test_criterion_10_tree_figures():
     ok &= decompose_prefix(6) == [Interval(1, 4), Interval(5, 6)]
     ok &= decompose_prefix(14, base=9) == [Interval(9, 12), Interval(13, 14)]
 
+    # composed from a same-seed estimator whose store keeps every node
     w = WindowSum(4, 1.0, RandomSource(1), noisy=True)
+    ref = on_full_store(lambda: WindowSum(4, 1.0, RandomSource(1), noisy=True))
     xs = [1, 0, 1, 1, 0, 1, 1]
     for x in xs:
         est = w.push(float(x))
-    val = lambda l, u: node(w._tree, Interval(l, u)).value
+        ref.push(float(x))
+    val = lambda l, u: node(ref._tree, Interval(l, u)).value
     composed = val(1, 4) - (val(1, 2) + val(3, 3)) + (val(5, 6) + val(7, 7))
     ok &= abs(est - composed) < 1e-12
     noiseless = WindowSum(4, 1.0, RandomSource(2), noisy=False)
@@ -466,10 +472,9 @@ def test_criterion_11_performance_and_space():
         w.push(1.0)
     elapsed = time.perf_counter() - start
     nodes = w.counters()
-    blocks = {(index << (level - 1)) // W for level, index in nodes}
     ok = elapsed < 10.0
-    ok &= len(blocks) <= 2
-    ok &= len(nodes) <= 2 * (2 * W - 1)  # at most every node of two blocks
+    # one node per level of a block, the one on the last step's path
+    ok &= sorted(nodes) == [(level, (10**6 - 1) >> (level - 1)) for level in range(1, 22)]
 
     ex = ExponentialSum(0.9, 1.0, RandomSource(4))
     for _ in range(4000):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from dyadic_reference import prefix_value
+from dyadic_reference import FullStore, prefix_value
 
 from decaystream.baselines import (
     ExactOracle,
@@ -11,7 +11,6 @@ from decaystream.baselines import (
     decayed_sum,
     rr_flip_parameter,
 )
-from decaystream.dyadic import DyadicTree
 from decaystream.mechanisms import DecaySpec
 from decaystream.noise import RandomLanes, RandomSource
 
@@ -135,7 +134,9 @@ def test_running_diff_enforces_horizon():
 @pytest.mark.parametrize("W", [1, 3, 8, 100, 128])
 @pytest.mark.parametrize("source", ["noisy", "noise_off", "lanes"])
 def test_running_diff_evicts_behind_its_lag_and_reads_as_a_full_store(W, source):
-    # the reference is a same-seed store that never evicts, read at random access
+    # the baseline keeps one node per level of its horizon tree, each older
+    # one overwritten by the next on its level; the reference is a same-seed
+    # store that keeps every node, read at random access
     T = 1000
     xs = [x * 0.75 for x in random_bits(W, T)]
     noisy = source != "noise_off"
@@ -147,12 +148,11 @@ def test_running_diff_evicts_behind_its_lag_and_reads_as_a_full_store(W, source)
 
     straw = RunningDiffBaseline(W, T, 0.5, rng(), noisy=noisy)
     h = straw._h
-    ref = DyadicTree(rng(), lambda _level: h / 0.5, noisy)
-    bound = 2 * (2 * (1 << (W - 1).bit_length()) - 1) + 2 * h
+    ref = FullStore(rng(), lambda _level: h / 0.5, noisy)
     for i, x in enumerate(xs, 1):
         est = straw.push(x)
         ref.add_path(i, x, h)
         want = prefix_value(ref, i) - prefix_value(ref, max(i - W, 0))
         assert np.array_equal(est, want), i
-        assert len(straw.counters()) <= bound, i
+        assert [level for level, _ in straw.counters()] == list(range(1, h + 1)), i
     assert len(ref.counters()) > 2 * T - 2  # the reference kept every node

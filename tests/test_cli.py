@@ -570,3 +570,68 @@ def test_stream_file_validation(command, case, tmp_path, capsys):
     if command != "bench":
         estimates = [float(row.split(",")[-1]) for row in out.strip().splitlines()[1:]]
         assert estimates == list(np.cumsum(want))
+
+
+@pytest.mark.parametrize("eps", ["inf", "0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["run", "histogram", "bench", "bound"])
+def test_every_command_refuses_an_epsilon_that_is_not_finite_and_positive(
+    command, eps, tmp_path, capsys, monkeypatch
+):
+    # --eps inf would publish the exact sums, without the --no-noise warning;
+    # each bad budget is refused with exit 2 before the input is read
+    from decaystream import bench
+
+    calls = []
+    monkeypatch.setattr(bench, "parse_stream", lambda *a: calls.append(a))
+    path = tmp_path / "stream.txt"
+    path.write_text("a,1\nb,0\n" if command == "histogram" else "1\n0\n")
+    argv = {
+        "run": ["run", "--mech", "window", "--W", "4", "--with-exact", "--input", str(path)],
+        "histogram": ["run", "--histogram", "--mech", "window", "--W", "4", "--input",
+                      str(path)],
+        "bench": ["bench", "--mech", "window", "--W", "4", "--trials", "30", "--input",
+                  str(path)],
+        "bound": ["bound", "--mech", "window", "--W", "4"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--eps", eps])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon must be finite and positive" in captured.err
+    assert calls == []
+
+
+class CountingOut:
+    """A stdout that counts its write calls."""
+
+    def __init__(self):
+        self.buffer = io.StringIO()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.buffer.write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+def test_run_writes_its_records_in_blocks(fmt, monkeypatch):
+    # unbuffered stdout makes each write a syscall: 10,000 rows go out in
+    # ceil(10000 / block) writes plus the header, with the bytes of one
+    # write per row
+    from decaystream import cli
+
+    T = 10_000
+    out = CountingOut()
+    monkeypatch.setattr(cli.sys, "stdout", out)
+    assert main(["run", "--mech", "window", "--W", "8", "--T", str(T), "--seed", "2",
+                 "--format", fmt]) == 0
+    assert out.writes <= math.ceil(T / cli._BLOCK) + 1
+    cfg = ExperimentConfig(mech="window", W=8, T=T, seed=2)
+    est = build_mechanism(cfg, RandomSource(2).child(1).child(0).child(0))
+    rows = [(t, est.push(x)) for t, x in enumerate(make_stream(cfg), 1)]
+    if fmt == "csv":
+        want = "t,estimate\n" + "".join(f"{t},{v!r}\n" for t, v in rows)
+    else:
+        want = "".join(json.dumps({"t": t, "estimate": v}) + "\n" for t, v in rows)
+    assert out.buffer.getvalue() == want

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 from dyadic_reference import (
+    FullStore,
     Interval,
+    block_node,
     c0_at,
     decompose_nodes,
     decompose_prefix,
@@ -10,6 +13,7 @@ from dyadic_reference import (
     levels_reached,
     node,
     node_of,
+    on_full_store,
     path_intervals,
     prefix_value,
     window_query,
@@ -17,19 +21,26 @@ from dyadic_reference import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaystream.dyadic import DyadicTree, PrefixCursor, WindowCursor
 from decaystream.baselines import RunningDiffBaseline
-from decaystream.mechanisms import AllWindowSum, FixedWindowView, WindowSum
+from decaystream.dyadic import DyadicTree, PrefixCursor, WindowCursor
+from decaystream.mechanisms import (
+    AllWindowSum,
+    ExponentialSum,
+    FixedWindowView,
+    PolynomialSum,
+    RunningSum,
+    WindowSum,
+)
 from decaystream.noise import RandomLanes, RandomSource
 
 
-def make_tree(noisy=False, seed=0, scale=1.0):
-    return DyadicTree(RandomSource(seed), lambda level: scale, noisy=noisy)
+def make_tree(noisy=False, seed=0, scale=1.0, store=DyadicTree):
+    return store(RandomSource(seed), lambda level: scale, noisy=noisy)
 
 
 def filled_tree(size, noisy=False, seed=0, scale=1.0):
-    """Store holding the complete tree over [1, size], every leaf set to 1.0."""
-    tree = make_tree(noisy, seed, scale)
+    """A full store holding the complete tree over [1, size], every leaf 1.0."""
+    tree = make_tree(noisy, seed, scale, FullStore)
     for i in range(1, size + 1):
         tree.add_path(i, 1.0, size.bit_length())
     return tree
@@ -88,7 +99,8 @@ def test_path_intervals_length_is_height():
 
 def test_add_path_touches_exactly_the_path():
     # position i creates the path nodes starting at i and writes those
-    # ending at i, each with its interval sum; no other node changes
+    # ending at i, each with its interval sum; no other node changes, and
+    # each level holds one node, the one on i's path
     for size in (1, 2, 8, 64):
         height = size.bit_length()
         tree = make_tree()
@@ -97,6 +109,7 @@ def test_add_path_touches_exactly_the_path():
             tree.add_path(i, 1.0, height)
             assert levels_reached(tree) == height
             after = tree.counters()
+            assert len(after) == height
             ivs = path_intervals(i, height)
             starts = {node_of(iv) for iv in ivs if iv.l == i}
             ends = {node_of(iv): iv.u - iv.l + 1.0 for iv in ivs if iv.u == i}
@@ -116,11 +129,22 @@ def test_add_path_refuses_any_position_but_the_next():
             tree.add_path(i, 1.0, 3)
     tree.add_path(2, 1.0, 3)
     assert tree.received == 2
-    # writing into an evicted node still raises: [1, 4] closes at 4
-    tree.add_path(3, 1.0, 3)
-    tree.evict_covered(3, 1)
-    with pytest.raises(ValueError, match="evicted"):
-        tree.add_path(4, 1.0, 3)
+
+
+def test_add_path_returns_the_topmost_node_it_closes():
+    # on a block tree and on a growing tree, the node of length
+    # min(i & -i, 2**(height-1)) ending at i, as the full store publishes it
+    gen = RandomSource(3)
+    xs = [gen.uniform() for _ in range(300)]
+    for grow in (False, True):
+        tree = make_tree(noisy=True, seed=4, scale=2.0)
+        ref = make_tree(noisy=True, seed=4, scale=2.0, store=FullStore)
+        for i, x in enumerate(xs, 1):
+            height = (i - 1).bit_length() + 1 if grow else 4
+            got, want = tree.add_path(i, x, height), ref.add_path(i, x, height)
+            L = min(i & -i, 1 << (height - 1))
+            assert got == want == ref.published(L.bit_length(), i // L - 1), (grow, i)
+            assert got == tree.published(L.bit_length(), i // L - 1)
 
 
 def test_is_left_node_examples():
@@ -139,8 +163,10 @@ def test_grow_double_doubling_sequence():
     tree = make_tree()
     for i in range(1, 10):
         tree.add_path(i, 1.0, (i - 1).bit_length() + 1)
+        if i == 8:
+            assert levels_reached(tree) == 4
+            assert c0_at(tree, 4, 0) == 8.0  # the old root [1, 8], closed
     assert levels_reached(tree) == 5  # the tree over [1, 16]
-    assert c0_at(tree, 4, 0) == 8.0  # the old root [1, 8], closed
     assert c0_at(tree, 5, 0) == 0.0  # the new root [1, 16], open
     for i in range(10, 17):
         tree.add_path(i, 1.0, 5)
@@ -197,19 +223,15 @@ def test_prefix_value_sums_published_tiles():
 
 
 def test_prefix_cursor_matches_prefix_value_bit_for_bit():
+    # fed, at each position u of a block, the node of length p & -p ending
+    # at u (p = u - base + 1)
     tree = filled_tree(64, noisy=True, seed=5, scale=3.0)
     for base, size in ((1, 64), (17, 16), (33, 32), (49, 8)):
-        cursor = PrefixCursor(tree, base)
+        cursor = PrefixCursor()
         for u in range(base, base + size):
-            assert cursor.advance() == prefix_value(tree, u, base)
-    cursor = PrefixCursor(tree, 3)
-    assert [cursor.advance() for _ in range(3)] == [
-        prefix_value(tree, 3, 3),
-        prefix_value(tree, 4, 3),
-        tree.published(2, 1) + tree.published(1, 4),  # [3, 4] + [5, 5]
-    ]
-    with pytest.raises(ValueError):
-        cursor.advance()  # [3, 6] would need a length-4 node ending at 6
+            low = (u - base + 1) & -(u - base + 1)
+            node = tree.published(low.bit_length(), u // low - 1)
+            assert cursor.advance(node) == prefix_value(tree, u, base)
 
 
 CURSOR_WINDOWS = (1, 2, 3, 5, 8, 12, 100, 128, 1000)
@@ -227,28 +249,35 @@ def _same(a, b):
 
 @pytest.mark.parametrize("kind", ["scalar", "lanes"])
 def test_window_cursor_matches_window_query_on_a_growing_tree(kind):
-    # every window size streams from one all-window tree at once
+    # every window size streams from one all-window tree at once, each
+    # cursor fed its block's node ending at j, which the store still holds
     gen = RandomSource(21)
     xs = [gen.uniform() for _ in range(2200)]
     aw = AllWindowSum(1.0, _source(kind, 22))
-    cursors = [aw.cursor(W) for W in CURSOR_WINDOWS]
+    ref = on_full_store(lambda: AllWindowSum(1.0, _source(kind, 22)))
+    cursors = [WindowCursor(W) for W in CURSOR_WINDOWS]
     for j, x in enumerate(xs, 1):
         aw.push(x)
+        ref.push(x)
         for cursor in cursors:
-            assert _same(cursor.advance(), window_query(aw._tree, j, cursor.W)), (j, cursor.W)
+            got = cursor.advance(block_node(aw._tree, j, cursor.W))
+            assert _same(got, window_query(ref._tree, j, cursor.W)), (j, cursor.W)
 
 
 @pytest.mark.parametrize("kind", ["scalar", "lanes"])
 @pytest.mark.parametrize("W", CURSOR_WINDOWS)
 def test_window_cursor_matches_window_query_on_block_trees(kind, W):
-    # aligned blocks of W' leaves, each a subtree of fixed height (as WindowSum)
+    # aligned blocks of W' leaves, each a subtree of fixed height (as
+    # WindowSum): the cursor takes the node each add_path closes
     height = (W - 1).bit_length() + 1
     tree = DyadicTree(_source(kind, W), lambda level: 2.0)
-    cursor = WindowCursor(tree, W)
+    ref = FullStore(_source(kind, W), lambda level: 2.0)
+    cursor = WindowCursor(W)
     gen = RandomSource(23)
     for j in range(1, max(4 * W, 40) + 1):
-        tree.add_path(j, gen.uniform(), height)
-        assert _same(cursor.advance(), window_query(tree, j, W)), j
+        x = gen.uniform()
+        ref.add_path(j, x, height)
+        assert _same(cursor.advance(tree.add_path(j, x, height)), window_query(ref, j, W)), j
 
 
 def _count_reads(tree):
@@ -267,43 +296,38 @@ def _count_reads(tree):
 @pytest.mark.parametrize("kind", ["scalar", "lanes"])
 @pytest.mark.parametrize("W", (1, 3, 8, 100))
 def test_window_estimates_read_one_node_per_push_and_queue_at_most_W(kind, W):
-    # the lagged prefix is the walk's own value W steps back, taken from a
-    # queue of its last W values, not read from the store a second time
+    # each estimate takes one node, the one add_path returns, so the window
+    # sum, the running sum and the prefix-difference baseline never call
+    # published; the fixed view reads the store only when the node closed
+    # at j spans more than a block.  The lagged prefix is the walk's own
+    # value W steps back, from a queue of its last W values.
     T = 4 * max(W, 8) + 5
+    Wp = 1 << (W - 1).bit_length()
     gen = RandomSource(31)
     xs = [gen.uniform() for _ in range(T)]
     ws = WindowSum(W, 1.0, _source(kind, 32))
     fv = FixedWindowView(W, 1.0, _source(kind, 33))
     rd = RunningDiffBaseline(W, T, 1.0, _source(kind, 34))
+    rs = RunningSum(1.0, _source(kind, 35))
     for est, tree, past in ((ws, ws._tree, ws._window._past),
                             (fv, fv._aw._tree, fv._window._past),
-                            (rd, rd._tree, rd._past)):
+                            (rd, rd._tree, rd._past),
+                            (rs, rs._aw._tree, None)):
         reads = _count_reads(tree)
         for i, x in enumerate(xs, 1):
             est.push(x)
-            assert len(reads) == i, (type(est).__name__, i)
-            assert len(past) == min(i, W), (type(est).__name__, i)
-
-
-def test_cursors_refuse_positions_the_store_has_not_received():
-    aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
-    window = aw.cursor(4)
-    prefix = PrefixCursor(aw._tree)
-    for _ in range(3):
-        aw.push(1.0)
-    assert [window.advance() for _ in range(3)] == [1.0, 2.0, 3.0]
-    assert [prefix.advance() for _ in range(3)] == [1.0, 2.0, 3.0]
-    # step 4 would read the live node [1, 4], which holds a partial sum
-    for cursor in (window, prefix):
-        with pytest.raises(ValueError, match="position 4"):
-            cursor.advance()
-    aw.push(1.0)
-    assert window.advance() == prefix.advance() == 4.0
+            if est is fv:
+                assert len(reads) == sum(j & -j > Wp for j in range(1, i + 1)), i
+            else:
+                assert reads == [], (type(est).__name__, i)
+            if past is not None:
+                assert len(past) == min(i, W), (type(est).__name__, i)
 
 
 def test_noise_frozen_under_updates():
     # a growing tree over [1, 1024]: each node keeps the noise it was
-    # created with, whatever values reach it
+    # created with, whatever values reach it, for as long as it is its
+    # level's newest
     tree = make_tree(noisy=True, seed=11, scale=2.0)
     gen = RandomSource(12)
     stamped = {}
@@ -311,12 +335,14 @@ def test_noise_frozen_under_updates():
         tree.add_path(i, gen.uniform(), (i - 1).bit_length() + 1)
         for key, z in frozen_noise(tree).items():
             assert stamped.setdefault(key, z) == z, (i, key)
+        for level, index in tree.counters():
+            if (index + 1) << (level - 1) == i:
+                # a node closed at i: its stored noise is bit-identical to
+                # its creation-time draw and its published value is
+                # recomposed as c0 + z
+                z = stamped[level, index]
+                assert tree.published(level, index) == c0_at(tree, level, index) + z
     assert len(stamped) == 2047  # every node of the tree over [1, 1024]
-    assert frozen_noise(tree) == stamped
-    for (level, index), z in stamped.items():
-        # the stored noise is bit-identical to its creation-time draw and the
-        # published value is always recomposed as c0 + z
-        assert tree.published(level, index) == c0_at(tree, level, index) + z
 
 
 def test_node_noise_is_drawn_in_creation_order():
@@ -326,7 +352,7 @@ def test_node_noise_is_drawn_in_creation_order():
     for i in range(1, 33):
         a.add_path(i, 0.0, 6)
         b.add_path(i, 1.0 if i % 3 else 0.5, 6)
-    assert frozen_noise(a) == frozen_noise(b)
+        assert frozen_noise(a) == frozen_noise(b)
     # a growing tree creates, at each position, the new root first, then the
     # nodes starting there, leaf first; the same creations through add draw
     # the same noise
@@ -341,7 +367,7 @@ def test_node_noise_is_drawn_in_creation_order():
             if off % (1 << (level - 1)) == 0:
                 ref.add(level, off >> (level - 1), 0.0)
         grown.add_path(i, 1.0, height)
-    assert frozen_noise(grown) == frozen_noise(ref)
+        assert frozen_noise(grown) == frozen_noise(ref)
 
 
 @pytest.mark.parametrize("inputs", ["uniform", "eighths"])
@@ -384,38 +410,86 @@ def test_left_ancestor_gaps_grow_geometrically():
                 assert iv.u - i >= 2 ** (k - 1) - 1
 
 
-def test_eviction_drops_covered_nodes_only():
-    tree = filled_tree(8, noisy=True, seed=3)
-    # watermark 4: a level-k node is covered once its parent ends by step 4,
-    # i.e. below index 2 * (4 >> k)
-    for level in range(1, levels_reached(tree)):
-        tree.evict_covered(level, 2 * (4 >> level))
-    live = set(tree.counters())
-    # everything strictly below [1,4] is covered and gone; [1,4] itself, the
-    # right half and the root survive
-    assert {(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)}.isdisjoint(live)
-    assert {(3, 0), (1, 4), (2, 2), (3, 1), (4, 0)} <= live
+def test_store_keeps_one_node_per_level():
+    # after position 5 of the tree over [1, 8], each level holds the node on
+    # 5's path: the leaf [5, 5], [5, 6], [5, 8] and the root [1, 8]
+    tree = make_tree(noisy=True, seed=3)
+    for i in range(1, 6):
+        tree.add_path(i, 1.0, 4)
+    assert tree.counters() == {(1, 4): 1.0, (2, 2): 0.0, (3, 1): 0.0, (4, 0): 0.0}
+    assert frozen_noise(tree).keys() == tree.counters().keys()
 
 
-def test_evicted_and_uncreated_nodes_raise():
-    tree = filled_tree(8, noisy=True, seed=3)
-    tree.evict_covered(1, 4)
-    for level, index in ((1, 3), (1, 0), (1, 8), (5, 0), (0, 0), (-1, 0)):
+def test_published_reads_only_each_levels_newest_closed_node():
+    tree = make_tree(noisy=True, seed=3)
+    for i in range(1, 7):
+        tree.add_path(i, 1.0, 4)
+    # [5, 6] and [6, 6] closed at 6; [5, 8] and [1, 8] are open, older
+    # nodes were overwritten, and levels 0, -1 and 5 do not exist
+    assert tree.published(1, 5) == node(tree, Interval(6, 6)).value
+    assert node(tree, Interval(5, 6)).c0 == 2.0
+    for level, index in ((1, 4), (1, 0), (1, 6), (2, 1), (3, 1), (3, 0), (4, 0),
+                         (5, 0), (0, 0), (-1, 0)):
         with pytest.raises(ValueError):
             tree.published(level, index)
     with pytest.raises(ValueError):
-        prefix_value(tree, 3)  # tiles [1, 2] and [3, 3]; leaf 3 is gone
+        tree.add(1, 4, 1.0)  # older than level 1's newest
+    # step 4 closes [1, 4] on a growing tree; a step earlier it is open
+    aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
+    for _ in range(3):
+        aw.push(1.0)
     with pytest.raises(ValueError):
-        tree.add_path(2, 1.0, 1)
-    with pytest.raises(ValueError):
-        tree.add(1, 3, 1.0)
+        aw._tree.published(3, 0)
+    assert aw.push(1.0) == aw._tree.published(3, 0) == 4.0
 
 
 def test_published_value_is_sum_of_c0_and_frozen_noise():
     tree = make_tree(noisy=True, seed=9, scale=3.0)
-    tree.add(1, 0, 0.0)
-    v1 = tree.published(1, 0)
-    tree.add(1, 0, 2.5)
-    assert tree.published(1, 0) == v1 + 2.5
+    v1 = tree.add_path(1, 0.0, 1)
+    assert tree.published(1, 0) == v1
+    assert tree.add(1, 0, 2.5) == tree.published(1, 0) == v1 + 2.5
     view = node(tree, Interval(1, 1))
     assert view.value == view.c0 + view.z
+    # the same on a store written by add alone, which returns the value
+    tree = make_tree(noisy=True, seed=9, scale=3.0)
+    assert tree.add(1, 0, 0.0) == v1
+    assert tree.add(1, 0, 2.5) == v1 + 2.5
+
+
+EQUIVALENCE_ESTIMATORS = {
+    **{f"window {W}": lambda rng, noisy, W=W: WindowSum(W, 1.0, rng, noisy=noisy)
+       for W in (1, 2, 3, 6, 100, 128, 1000, 1024)},
+    "running": lambda rng, noisy: RunningSum(1.0, rng, noisy=noisy),
+    "fixed view": lambda rng, noisy: FixedWindowView(6, 1.0, rng, noisy=noisy),
+    "running diff": lambda rng, noisy: RunningDiffBaseline(100, 600, 1.0, rng, noisy=noisy),
+    "exponential": lambda rng, noisy: ExponentialSum(0.7, 1.0, rng, noisy=noisy),
+    "polynomial": lambda rng, noisy: PolynomialSum(2.0, 0.25, 1.0, rng, noisy=noisy),
+}
+
+
+@pytest.mark.parametrize("kind", ["scalar", "lanes"])
+@pytest.mark.parametrize("name", list(EQUIVALENCE_ESTIMATORS))
+def test_every_estimator_matches_its_full_store_reference(name, kind):
+    # the same estimator on a store that keeps every node gives == outputs,
+    # and every node the one-slot store holds carries the full store's c0
+    # and noise; the streams cross two blocks of every window, and reach
+    # fixed view's reads of a block node below the topmost one closed
+    make = EQUIVALENCE_ESTIMATORS[name]
+    gen = RandomSource(41)
+    T = 2400 if name in ("window 1000", "window 1024") else 600
+    uniform = [gen.uniform() for _ in range(T)]
+    streams = {"binary": [float(x < 0.5) for x in uniform], "uniform": uniform}
+    for noisy in (True, False):
+        for xs in streams.values():
+            est = make(_source(kind, 42), noisy)
+            ref = on_full_store(lambda: make(_source(kind, 42), noisy))
+            tree = getattr(est, "_aw", est)._tree
+            full = getattr(ref, "_aw", ref)._tree
+            assert isinstance(tree, DyadicTree) and isinstance(full, FullStore)
+            for i, x in enumerate(xs, 1):
+                assert _same(est.push(x), ref.push(x)), (noisy, i)
+                zs = frozen_noise(tree)
+                assert zs.keys() == tree.counters().keys()
+                for (level, index), c in tree.counters().items():
+                    assert c == full._c0[level - 1][index], (noisy, i, level, index)
+                    assert np.array_equal(zs[level, index], full._z[level - 1][index])

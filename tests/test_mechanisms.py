@@ -6,15 +6,18 @@ from dyadic_reference import (
     EagerExponentialSum,
     Interval,
     age_tiling,
+    block_node,
     decompose_nodes,
     frozen_noise,
     levels_reached,
     node,
+    on_full_store,
     prefix_value,
     window_query,
 )
 
 from decaystream.bounds import worst_noise_profile
+from decaystream.dyadic import WindowCursor
 from decaystream.mechanisms import (
     AllWindowSum,
     DecaySpec,
@@ -89,13 +92,16 @@ def test_window_cross_block_trace():
 
 def test_window_estimate_composes_block_counters():
     # at step 7 with W=4 the estimate must equal
-    # c[1,4] - (c[1,2] + c[3,3]) + (c[5,6] + c[7,7]) over published values
+    # c[1,4] - (c[1,2] + c[3,3]) + (c[5,6] + c[7,7]) over published values,
+    # read from a same-seed estimator whose store keeps every node
     w = WindowSum(4, 1.0, RandomSource(5), noisy=True)
+    ref = on_full_store(lambda: WindowSum(4, 1.0, RandomSource(5), noisy=True))
     xs = [1, 0, 1, 1, 0, 1, 1]
     est = None
     for x in xs:
         est = w.push(float(x))
-    val = lambda l, u: node(w._tree, Interval(l, u)).value
+        ref.push(float(x))
+    val = lambda l, u: node(ref._tree, Interval(l, u)).value
     assert est == pytest.approx(
         val(1, 4) - (val(1, 2) + val(3, 3)) + (val(5, 6) + val(7, 7)), abs=1e-12
     )
@@ -116,9 +122,9 @@ def test_window_matches_brute_force_noiseless():
                 assert w.push(x) == pytest.approx(brute_window(xs, j, W), abs=1e-9)
 
 
-def test_window_keeps_two_blocks():
-    # live counters lie in at most two blocks of W' positions, so at most
-    # 2 (2 W' - 1) stay live; counted at block ends, where the most are live
+def test_window_keeps_one_node_per_level():
+    # each level of the block tree holds one node, the one on step i's path,
+    # so log2 W' + 1 counters stay live beside the cursor's W queued values
     for W in (8, 3, 6, 100, 1000):
         Wp = 1 << (W - 1).bit_length()
         xs = random_stream(W, 5 * Wp, binary=False)
@@ -126,15 +132,9 @@ def test_window_keeps_two_blocks():
         w = WindowSum(W, 1.0, RandomSource(1), noisy=False)
         for i, x in enumerate(xs, 1):
             assert w.push(x) == pytest.approx(csum[i] - csum[max(0, i - W)], abs=1e-9)
-            if i % Wp:
-                continue
-            per_block = {}
-            for level, index in w.counters():
-                blk = (index << (level - 1)) // Wp
-                per_block[blk] = per_block.get(blk, 0) + 1
-            assert len(per_block) == min(2, i // Wp), (W, i)
-            assert all(n <= 2 * Wp - 1 for n in per_block.values())  # one block's nodes
-            assert len(w.counters()) <= 2 * (2 * Wp - 1)
+            nodes = w.counters()
+            assert sorted(level for level, _ in nodes) == list(range(1, w._h + 1)), (W, i)
+            assert all((i - 1) >> (level - 1) == index for level, index in nodes), (W, i)
 
 
 # ---------------------------------------------------------------------------
@@ -190,36 +190,42 @@ def test_allwindow_store_draws_each_level_at_its_schedule_scale(beta):
     assert (tree._scale == [1.0 / e for e in eps]) == (beta == SCHEDULE_BETA)
 
 
-def walk(cursor, j):
-    """The cursor's value at step j, advancing it from where it stands."""
-    while cursor.j < j:
-        value = cursor.advance()
+def walk(tree, W, j):
+    """A fresh W-window cursor's value at step j, walked over a store that
+    keeps every node."""
+    cursor = WindowCursor(W)
+    for step in range(1, j + 1):
+        value = cursor.advance(block_node(tree, step, W))
     return value
 
 
 def test_allwindow_query_examples():
-    aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
+    aw = on_full_store(lambda: AllWindowSum(1.0, RandomSource(0), noisy=False))
     for _ in range(8):
         aw.push(1.0)
     tree = aw._tree
-    assert walk(aw.cursor(3), 8) == pytest.approx(3.0, abs=1e-12)
-    assert walk(aw.cursor(8), 8) == pytest.approx(prefix_value(tree, 8), abs=1e-12)
-    assert walk(aw.cursor(9), 5) == pytest.approx(prefix_value(tree, 5), abs=1e-12)
+    assert walk(tree, 3, 8) == pytest.approx(3.0, abs=1e-12)
+    assert walk(tree, 8, 8) == pytest.approx(prefix_value(tree, 8), abs=1e-12)
+    assert walk(tree, 9, 5) == pytest.approx(prefix_value(tree, 5), abs=1e-12)
 
 
 def test_allwindow_query_matches_brute_force_all_windows():
-    # fixed sizes stream along with the tree; a random size per step is read
-    # by a fresh cursor walked up to that step
+    # fixed sizes stream along with the tree, each cursor fed its block's
+    # node ending at j; a random size per step is read by a fresh cursor
+    # walked up to that step over a same-seed store that keeps every node
     xs = random_stream(3, 128, binary=False)
     aw = AllWindowSum(1.0, RandomSource(3), noisy=False)
-    fixed = {W: aw.cursor(W) for W in (1, 2, 5, 8, 13)}
+    ref = on_full_store(lambda: AllWindowSum(1.0, RandomSource(3), noisy=False))
+    fixed = {W: WindowCursor(W) for W in (1, 2, 5, 8, 13)}
     gen = RandomSource(77)
     for j, x in enumerate(xs, 1):
         aw.push(x)
+        ref.push(x)
         for W, cursor in fixed.items():
-            assert cursor.advance() == pytest.approx(brute_window(xs, j, W), abs=1e-9), (j, W)
+            got = cursor.advance(block_node(aw._tree, j, W))
+            assert got == pytest.approx(brute_window(xs, j, W), abs=1e-9), (j, W)
         W = int(gen.uniform() * j) + 1
-        assert walk(aw.cursor(W), j) == pytest.approx(
+        assert walk(ref._tree, W, j) == pytest.approx(
             brute_window(xs, j, W), abs=1e-9
         ), (j, W)
 
@@ -227,12 +233,12 @@ def test_allwindow_query_matches_brute_force_all_windows():
 def test_allwindow_query_validation():
     aw = AllWindowSum(1.0, RandomSource(0))
     aw.push(1.0)
-    cursor = aw.cursor(1)
-    cursor.advance()
+    cursor = WindowCursor(1)
+    cursor.advance(block_node(aw._tree, 1, 1))
     with pytest.raises(ValueError):
-        cursor.advance()  # beyond current step: leaf 2 was never created
+        block_node(aw._tree, 2, 1)  # beyond current step: leaf 2 was never created
     with pytest.raises(ValueError):
-        aw.cursor(0)
+        WindowCursor(0)
     with pytest.raises(ValueError):
         aw.push(2.0)
 
@@ -259,20 +265,20 @@ def test_fixed_window_view_matches_oracle():
         assert v.push(x) == pytest.approx(brute_window(xs, j, 5), abs=1e-9)
 
 
-def test_fixed_window_view_evicts_before_its_previous_block():
-    # reads stay inside the last two aligned blocks of W' = 1024 positions,
-    # so the view keeps those blocks' nodes plus the higher levels
-    W, Wp = 1000, 1024
+def test_fixed_window_view_keeps_one_node_per_level():
+    # the view's estimates are the window queries of a same-seed tree that
+    # keeps every node, while its own tree keeps one node per level
+    W = 1000
     v = FixedWindowView(W, 1.0, RandomSource(9))
-    aw = AllWindowSum(1.0, RandomSource(9))
+    aw = on_full_store(lambda: AllWindowSum(1.0, RandomSource(9)))
     gen = RandomSource(10)
     for step in range(1, 20_001):
         x = gen.uniform()
         aw.push(x)
         assert v.push(x) == window_query(aw._tree, step, W)
-        if step % 256 == 0:  # block ends, where the most nodes are live
-            assert len(v.counters()) <= 2 * (2 * Wp - 1) + levels_reached(v._aw._tree)
-    assert len(aw.counters()) > 2 * 20_000 - 100  # the bare tree keeps them all
+        levels = [level for level, _ in v.counters()]
+        assert levels == list(range(1, levels_reached(v._aw._tree) + 1)), step
+    assert len(aw.counters()) > 2 * 20_000 - 100  # the full store keeps them all
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +346,18 @@ def test_exp_draws_the_noise_of_the_eager_reference(alpha, T, lanes):
     off = ExponentialSum(alpha, 1.0, source(), noisy=False)
     off_ref = EagerExponentialSum(alpha, 1.0, source(), noisy=False)
     assert new._reach == {0.7: 1936, 0.9: 6556}[alpha]
+    seen = {}
     for i, x in enumerate(xs, 1):
         for a, b in ((new, ref), (off, off_ref)):
             got, want = a.push(x), b.push(x)
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), i
+        seen.update(new.counters())
         if i % 1000 == 0 or i == T:
-            za, zb = frozen_noise(new._tree), frozen_noise(ref._tree)
-            assert za.keys() == zb.keys(), i
-            assert all(np.array_equal(za[key], zb[key]) for key in za), i
+            # each level's newest node carries the noise the reference drew
+            za, zb = frozen_noise(new._tree), ref._tree._z
+            assert all(np.array_equal(z, zb[k - 1][index]) for (k, index), z in za.items()), i
+    # every node is its level's newest for a while: both created the same
+    assert seen.keys() == frozen_noise(ref._tree).keys()
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +415,33 @@ def test_poly_tiling_weights_reproduce_noiseless_output():
             assert out == want, (c, beta, j)
 
 
+def poly_archive_bound(c, beta, levels):
+    """Values the polynomial sum's archive may hold on levels 1..levels: a
+    level-k node (length L) is archived when it closes and dropped once its
+    newest age reaches hi_k, so at most ceil(hi_k / L) + 1 per level."""
+    return [math.ceil(poly_read_ages(c, beta, k)[1] / (1 << (k - 1))) + 1
+            for k in range(1, levels + 1)]
+
+
 def test_poly_live_counters_grow_by_a_bounded_number_per_doubling():
-    # a level-k node (length L) is evicted once its newest age reaches
-    # hi_k <= L (1 + 2 / rho), so each level keeps fewer than 2 / rho + 3
-    # nodes; the all-window tree alone would keep 2T
+    # the tree keeps one node per level, and the archive keeps fewer than
+    # 2 / rho + 3 values per level, as hi_k <= L (1 + 2 / rho); the
+    # all-window tree alone would keep 2T
     c, beta = 2.0, 0.25
     rho = (1.0 - beta) ** (-1.0 / c) - 1.0
     per_level = 2.0 / rho + 3.0
     m = PolynomialSum(c, beta, 1.0, RandomSource(0), noisy=False)
+    bound = poly_archive_bound(c, beta, 16)
     live = {}
     for i in range(1, 2**15 + 1):
         m.push(1.0)
+        sizes = [len(values) for values in m._archive]
+        assert all(n <= b for n, b in zip(sizes, bound)), i
         if i in (2**12, 2**15):
-            live[i] = len(m.counters())
+            assert len(m.counters()) == i.bit_length(), i  # the levels of [1, i]
+            live[i] = sum(sizes)
             assert live[i] < i.bit_length() * per_level, i
+    assert max(bound) < per_level
     assert live[2**15] - live[2**12] < 3 * per_level
 
 
@@ -598,3 +621,33 @@ def test_noise_does_not_depend_on_the_data():
                 noisy, exact = make(True), make(False)
                 noise.append([noisy.push(x) - exact.push(x) for x in stream])
             assert noise[0] == pytest.approx(noise[1], abs=1e-9), (name, pos)
+
+
+@pytest.mark.parametrize("eps", [math.inf, 0.0, -1.0, math.nan], ids=["inf", "0", "-1", "nan"])
+def test_every_estimator_refuses_an_epsilon_that_is_not_finite_and_positive(eps):
+    # an infinite budget would publish noise-free values
+    from decaystream.baselines import RunningDiffBaseline, rr_flip_parameter
+    from decaystream.bench import ExperimentConfig
+    from decaystream.extensions import DecayedHistogram, DistinctCount, KSensitiveStream
+
+    rng = RandomSource(0)
+    builders = [
+        lambda: WindowSum(4, eps, rng),
+        lambda: AllWindowSum(eps, rng),
+        lambda: RunningSum(eps, rng),
+        lambda: FixedWindowView(4, eps, rng),
+        lambda: ExponentialSum(0.9, eps, rng),
+        lambda: PolynomialSum(2.0, 0.5, eps, rng),
+        lambda: RunningDiffBaseline(4, 16, eps, rng),
+        lambda: rr_flip_parameter(eps),
+        lambda: KSensitiveStream(lambda u: 1.0, 2, DecaySpec.running(), eps, rng),
+        lambda: DistinctCount(eps, rng),
+        lambda: DecayedHistogram(DecaySpec.window(4), eps, rng),
+        lambda: ExperimentConfig(mech="running", epsilon=eps),
+        *[lambda decay=decay: make_mechanism(decay, eps, rng) for decay in (
+            DecaySpec.window(4), DecaySpec.exponential(0.9), DecaySpec.polynomial(2.0, 0.5),
+            DecaySpec.running())],
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            build()

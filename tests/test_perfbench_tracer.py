@@ -35,7 +35,7 @@ def test_tracer_installs_and_uninstalls_against_the_package():
             if inspect.isfunction(member) and member is not before[name]
         ]
         assert wrapped, "no dyadic.DyadicTree method was wrapped"
-        assert {"add_path", "published", "evict_covered"} <= set(wrapped)
+        assert {"add_path", "add", "published", "counters"} <= set(wrapped)
     finally:
         tracer.uninstall()
     assert dict(vars(dyadic.DyadicTree)) == before
