@@ -420,7 +420,9 @@ def test_store_keeps_one_node_per_level():
     assert frozen_noise(tree).keys() == tree.counters().keys()
 
 
-def test_published_reads_only_each_levels_newest_closed_node():
+def test_evicted_and_uncreated_nodes_raise():
+    # the store keeps one node per level, so a node is evicted when the next
+    # on its level is created; only each level's newest closed node reads
     tree = make_tree(noisy=True, seed=3)
     for i in range(1, 7):
         tree.add_path(i, 1.0, 4)
@@ -434,13 +436,27 @@ def test_published_reads_only_each_levels_newest_closed_node():
             tree.published(level, index)
     with pytest.raises(ValueError):
         tree.add(1, 4, 1.0)  # older than level 1's newest
-    # step 4 closes [1, 4] on a growing tree; a step earlier it is open
-    aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
-    for _ in range(3):
-        aw.push(1.0)
     with pytest.raises(ValueError):
+        tree.add_path(2, 1.0, 4)
+
+
+def test_cursors_refuse_positions_the_store_has_not_received():
+    # cursors take the node add_path returns, so the store is what refuses a
+    # position it has not received: the open node, or a position ahead
+    aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
+    window = WindowCursor(4)
+    prefix = PrefixCursor()
+    nodes = [aw.push(1.0) for _ in range(3)]
+    assert [window.advance(v) for v in nodes] == [1.0, 2.0, 3.0]
+    assert [prefix.advance(v) for v in nodes] == [1.0, 2.0, 3.0]
+    # step 4 would read [1, 4], which closes at 4 and so is open at 3
+    with pytest.raises(ValueError, match="level 3, index 0"):
         aw._tree.published(3, 0)
-    assert aw.push(1.0) == aw._tree.published(3, 0) == 4.0
+    with pytest.raises(ValueError, match="position 5"):
+        aw._tree.add_path(5, 1.0, 4)
+    v = aw.push(1.0)
+    assert v == aw._tree.published(3, 0) == 4.0
+    assert window.advance(v) == prefix.advance(v) == 4.0
 
 
 def test_published_value_is_sum_of_c0_and_frozen_noise():
