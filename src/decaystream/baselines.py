@@ -33,7 +33,9 @@ class ExactOracle:
 
     Uses rolling recurrences where they are exact (window: add/subtract;
     exponential: F <- alpha * F + x; running: accumulate) and direct
-    summation for polynomial decay.
+    summation for polynomial decay, over a table of the weights appended
+    once per push: the operands and order of :func:`decayed_sum`.  A value
+    once returned is never changed, also when it is a lane array.
     """
 
     def __init__(self, decay: DecaySpec):
@@ -46,23 +48,30 @@ class ExactOracle:
         self._buffer: list[float] | None = (
             [] if decay.kind == "polynomial" else None
         )
+        # weight(0), weight(1), ..., one per push
+        self._weights: list[float] | None = (
+            [] if decay.kind == "polynomial" else None
+        )
 
     def push(self, x: float) -> float:
         self.step += 1
         kind = self.decay.kind
+        # `acc = acc + x`, not `acc += x`: on a lane array `+=` would change
+        # the array the previous push returned
         if kind == "window":
             self._recent.append(x)
-            self._acc += x
+            self._acc = self._acc + x
             if len(self._recent) > self.decay.W:
-                self._acc -= self._recent.popleft()
+                self._acc = self._acc - self._recent.popleft()
             return self._acc
         if kind == "exponential":
             self._acc = self.decay.alpha * self._acc + x
             return self._acc
         if kind == "polynomial":
             self._buffer.append(x)
-            return decayed_sum(self.decay, self._buffer)
-        self._acc += x
+            self._weights.append(self.decay.weight(self.step - 1))
+            return sum([y * w for y, w in zip(self._buffer, reversed(self._weights))])
+        self._acc = self._acc + x
         return self._acc
 
 
@@ -103,10 +112,21 @@ class RandomizedResponse:
         if x not in (0, 1):
             raise ValueError(f"randomized response takes bits, got {x}")
         self.step += 1
-        # flips a float bit, or one bit per lane of noise.RandomLanes
-        y = abs(float(x) - (self._rng.uniform() < self._flip_p))
-        s = self._stored.push(y)
-        g = self._ones.push(1.0)
+        y = self.flip(float(x), self._rng.uniform())
+        return self.rescale(self._stored.push(y), self._ones.push(1.0))
+
+    def flip(self, x, u):
+        """The reported bit 1 - x where the uniform u < (1 - f)/2, else x.
+
+        ``x`` and ``u`` are floats, lane arrays of :class:`~decaystream.noise.RandomLanes`
+        or any arrays that broadcast, such as a column of bits against rows of
+        lane uniforms; every result is exactly 0.0 or 1.0, whatever the shape.
+        """
+        return abs(x - (u < self._flip_p))
+
+    def rescale(self, s, g):
+        """Unbiased estimate from the decayed sum ``s`` of the flipped bits
+        and the decayed sum ``g`` of the all-ones stream at the same step."""
         return (s - self._flip_p * g) / self.f
 
     def per_bit_variance(self) -> float:

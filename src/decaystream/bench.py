@@ -13,16 +13,19 @@ also validates it), its stream and its theory profile (:func:`theory_profile`).
 
 Trials run in lockstep: each series is built once per batch of at most
 ``_LANES`` trials on :class:`~decaystream.noise.RandomLanes`, one lane per
-trial, and the stream is pushed through it once.  The unit of work is one
-series on one lane batch.  With ``jobs`` = 1 the units run in turn in the
-calling process; with ``jobs`` > 1 they go, in series order, to a pool of at
-most ``jobs`` worker processes (never more than there are units) and an idle
-worker takes the next unit.  Either way the stream and its exact values are
-computed once, and the errors are put back together by unit.  Trial t
-always uses the sub-stream ``child(1).child(t)`` of the base seed, and lane t
-repeats the arithmetic of trial t run alone bit for bit, so output is
-bit-identical for a fixed seed regardless of how many worker processes are
-used or how trials are batched.
+trial, and the stream is pushed through it once.  A batch pays per batch,
+not per lane or per step: a refill of lane noise is one Laplace transform
+over all lanes, and randomized response flips a block of steps at once and
+is summed and rescaled only at the checkpoints (:func:`_rr_at_checkpoints`).
+The unit of work is one series on one lane batch.  With ``jobs`` = 1 the
+units run in turn in the calling process; with ``jobs`` > 1 they go, in
+series order, to a pool of at most ``jobs`` worker processes (never more
+than there are units) and an idle worker takes the next unit.  Either way
+the stream and its exact values are computed once, and the errors are put
+back together by unit.  Trial t always uses the sub-stream
+``child(1).child(t)`` of the base seed, and lane t repeats the arithmetic of
+trial t run alone bit for bit, so output is bit-identical for a fixed seed
+regardless of how many worker processes are used or how trials are batched.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ _TRIAL_CHILD = 1
 _LANES = 256  # trials per lockstep batch; bounds the memory of lane arrays
 # sub-stream of a trial that each baseline series draws from; the mechanism's is 0
 _SERIES_CHILD = {"rr_matched": 1, "rr_raw": 2, "running_diff": 3}
+_FLIP_ROWS = 256  # steps whose randomized-response flips are made, and held, at once
 
 
 # the estimators built on the dyadic tree, and the two baselines `run` also takes
@@ -245,21 +249,55 @@ def _series_names(cfg: ExperimentConfig, binary_stream: bool) -> list[str]:
 
 
 def _exact_at_checkpoints(cfg: ExperimentConfig, stream) -> list[float]:
-    """The exact oracle's values at the checkpoints of ``stream``.
+    """The exact oracle's values at the checkpoints of ``stream``, whose items
+    are values or lane arrays (one value per lane).
 
     A polynomial decay has no rolling recurrence, so its value is summed
-    directly at each checkpoint only, in the oracle's own order."""
+    directly at each checkpoint only, in the oracle's own order; it needs
+    ``stream`` as a sequence.  The other decays read it once, in order, so
+    any iterable will do."""
     decay = cfg.decay()
     if decay.kind == "polynomial":
         return [decayed_sum(decay, stream, j) for j in checkpoints(len(stream))]
-    marks = set(checkpoints(len(stream)))
     oracle = ExactOracle(decay)
     exact = []
     for i, x in enumerate(stream, 1):
         v = oracle.push(x)
-        if i in marks:
+        if i & (i - 1) == 0:  # i is a power of two: a checkpoint
             exact.append(v)
     return exact
+
+
+def _rr_flip(cfg: ExperimentConfig, name: str) -> float:
+    """Bit-keep bias of an ``rr`` series: budget-matched, or epsilon itself."""
+    return rr_flip_parameter(cfg.epsilon) if name == "rr_matched" else cfg.epsilon
+
+
+def _flipped(rr: RandomizedResponse, rng, stream):
+    """Yield each step's flipped bit (a lane array on lanes), flipping a block
+    of ``_FLIP_ROWS`` steps at once: ``rng`` draws one uniform per step in
+    stream order, as ``rr.push`` does."""
+    for i0 in range(0, len(stream), _FLIP_ROWS):
+        bits = stream[i0:i0 + _FLIP_ROWS]
+        u = np.array([rng.uniform() for _ in bits])  # (rows,) or (rows, lanes)
+        yield from rr.flip(np.reshape(bits, (-1,) + (1,) * (u.ndim - 1)), u)
+
+
+def _rr_at_checkpoints(cfg: ExperimentConfig, f: float, rng, stream) -> list:
+    """The estimates at the checkpoints of the bit ``stream`` of randomized
+    response with keep bias ``f`` on ``rng``, ``==`` to its per-step ``push``.
+
+    The flipped stream (:func:`_flipped`) and the all-ones stream are summed by
+    :func:`_exact_at_checkpoints`, so the rescale runs only at the checkpoints.
+    A rolling decay holds one block of flips at a time; a polynomial decay
+    keeps them all, as the per-step oracle keeps its buffer.
+    """
+    rr = RandomizedResponse(cfg.decay(), f, rng)
+    flips = _flipped(rr, rng, stream)
+    if cfg.decay().kind == "polynomial":
+        flips = list(flips)
+    ones = _exact_at_checkpoints(cfg, [1.0] * len(stream))
+    return [rr.rescale(s, g) for s, g in zip(_exact_at_checkpoints(cfg, flips), ones)]
 
 
 def _is_binary(stream) -> bool:
@@ -273,25 +311,26 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     The batch is one estimator of the series on lanes of the trials'
     sub-streams (``trial.child(k)``, k from ``_SERIES_CHILD``), and the
     stream is pushed through it once; each estimate is an array with one
-    lane per trial (a float when the series draws no noise).  ``data`` is the
-    pair (stream, :func:`_exact_at_checkpoints`).
+    lane per trial (a float when the series draws no noise).  Randomized
+    response is read at the checkpoints only (:func:`_rr_at_checkpoints`).
+    ``data`` is the pair (stream, :func:`_exact_at_checkpoints`).
     """
     stream, exact = data
     T = len(stream)
     name = _series_names(cfg, _is_binary(stream))[s]
-    mark_index = {j: idx for idx, j in enumerate(checkpoints(T))}
     base = RandomSource(cfg.seed).child(_TRIAL_CHILD)
     k = _SERIES_CHILD.get(name, 0)
     rng = RandomLanes([base.child(t).child(k) for t in range(t0, t1)])
-    if name == "rr_matched":
-        runner = RandomizedResponse(cfg.decay(), rr_flip_parameter(cfg.epsilon), rng)
-    elif name == "rr_raw":
-        runner = RandomizedResponse(cfg.decay(), cfg.epsilon, rng)
-    elif name == "running_diff":
+    out = np.empty((len(exact), t1 - t0), dtype=np.float64)
+    if name.startswith("rr"):
+        for idx, est in enumerate(_rr_at_checkpoints(cfg, _rr_flip(cfg, name), rng, stream)):
+            out[idx] = est - exact[idx]
+        return out
+    if name == "running_diff":
         runner = RunningDiffBaseline(cfg.W, T, cfg.epsilon, rng, noisy=cfg.noisy)
     else:
         runner = build_mechanism(cfg, rng)
-    out = np.empty((len(exact), t1 - t0), dtype=np.float64)
+    mark_index = {j: idx for idx, j in enumerate(checkpoints(T))}
     for i, x in enumerate(stream, 1):
         est = runner.push(x)
         idx = mark_index.get(i)
@@ -314,7 +353,7 @@ def _delta_theory(cfg: ExperimentConfig, name: str, j: int, T: int) -> float | N
     if name == cfg.mech:
         return utility_delta(theory_profile(cfg, T), cfg.gamma)
     if name.startswith("rr"):
-        f = rr_flip_parameter(cfg.epsilon) if name == "rr_matched" else cfg.epsilon
+        f = _rr_flip(cfg, name)
         range2 = decay.energy(j) / (f * f)
         return hoeffding_delta(range2, cfg.gamma)
     if name == "running_diff":

@@ -31,7 +31,8 @@ SCHEDULE_BETA = 2.0
 def laplace_from_uniform(u, b: float):
     """Inverse-CDF transform of u in (-1/2, 1/2) to a zero-mean Laplace(b) draw.
 
-    The one transform behind both samplers of :class:`RandomSource`.  ``u``
+    The one transform behind every sampler: both of :class:`RandomSource`
+    and that of :class:`RandomLanes`.  ``u``
     is a float or a numpy array (transformed elementwise, returning an
     array).  u = 0 maps to the median 0; the endpoints +-1/2 are excluded to
     avoid log(0).
@@ -43,6 +44,17 @@ def laplace_from_uniform(u, b: float):
         raise ValueError(f"uniform input must lie in (-1/2, 1/2), got {u}")
     out = -b * np.sign(u) * np.log(1.0 - 2.0 * a)
     return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _centred(u: np.ndarray) -> np.ndarray:
+    """Uniforms u in [0, 1), centred as u - 1/2 for :func:`laplace_from_uniform`.
+
+    The draw u = 0 would give log(0); like u = 1/2 it maps to the median 0
+    (probability 2**-53 per draw).
+    """
+    v = u - 0.5
+    v[u == 0.0] = 0.0
+    return v
 
 
 class RandomSource:
@@ -80,21 +92,15 @@ class RandomSource:
         self._pos += 1
         return u
 
-    # Both samplers centre a uniform u in [0, 1) as u - 1/2 and apply
-    # laplace_from_uniform.  The draw u = 0 would give log(0); like u = 1/2
-    # it maps to the median 0 (probability 2**-53 per draw).
-
     def laplace(self, b: float) -> float:
-        """One zero-mean Laplace(b) draw via the inverse CDF."""
+        """One zero-mean Laplace(b) draw via the inverse CDF (the scalar
+        form of :func:`_centred`)."""
         u = self.uniform()
         return laplace_from_uniform(u - 0.5 if u else 0.0, b)
 
     def laplace_vector(self, b: float, n: int) -> np.ndarray:
         """n independent Laplace(b) draws (vectorised, same transform)."""
-        u = self._gen.random(n)
-        v = u - 0.5
-        v[u == 0.0] = 0.0
-        return laplace_from_uniform(v, b)
+        return laplace_from_uniform(_centred(self._gen.random(n)), b)
 
 
 class RandomLanes:
@@ -105,9 +111,14 @@ class RandomLanes:
     per lane: the estimators create noise nodes in an order that does not
     depend on the data, and a scalar counter plus a lane array of noise
     repeats each trial's IEEE operations in the scalar order.  Every lane's
-    Laplace draws come from its own source's :meth:`RandomSource.laplace_vector`,
-    never from one call over all lanes, whose vectorised ``log`` could round
-    some elements differently.
+    uniforms come from its own source's generator; a Laplace refill stacks
+    them into one (n, lanes) matrix and transforms it in one call.  numpy's
+    elementwise ``log`` rounds an element the same wherever it sits in the
+    array, so each lane equals its source's :meth:`RandomSource.laplace_vector`
+    bit for bit: ``tests/test_noise.py`` checks the one-matrix transform
+    against per-column transforms on the int64 bit patterns, at lengths
+    that are not multiples of the SIMD width, on contiguous and strided
+    input.
     """
 
     def __init__(self, sources):
@@ -130,7 +141,8 @@ class RandomLanes:
 
     def laplace_vector(self, b: float, n: int) -> np.ndarray:
         """n Laplace(b) draws per lane, shape (n, lanes)."""
-        return np.stack([s.laplace_vector(b, n) for s in self._sources], axis=1)
+        u = np.stack([s._gen.random(n) for s in self._sources], axis=1)
+        return laplace_from_uniform(_centred(u), b)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,33 @@ def test_oracle_rolling_matches_direct_summation():
             ), spec.kind
 
 
+def test_polynomial_oracle_equals_direct_summation_at_every_step():
+    # the weight table holds decayed_sum's operands in its order: outputs ==
+    spec = DecaySpec.polynomial(2.0, 0.25)
+    gen = RandomSource(2)
+    xs = [gen.uniform() for _ in range(300)]
+    oracle = ExactOracle(spec)
+    for j, x in enumerate(xs, 1):
+        assert oracle.push(x) == decayed_sum(spec, xs, j), j
+
+
+@pytest.mark.parametrize("spec", [DecaySpec.window(5), DecaySpec.exponential(0.8),
+                                  DecaySpec.polynomial(1.5, 0.5), DecaySpec.running()],
+                         ids=lambda spec: spec.kind)
+def test_oracle_never_changes_a_value_it_returned(spec):
+    # on lane arrays an in-place update would turn every value returned
+    # earlier into the newest one; 15 pushes run two windows past the first
+    gen = RandomSource(3)
+    oracle = ExactOracle(spec)
+    returned, copies = [], []
+    for _ in range(15):
+        est = oracle.push(np.array([gen.uniform() for _ in range(4)]))
+        returned.append(est)
+        copies.append(est.copy())
+    for est, copy in zip(returned, copies):
+        assert np.array_equal(est, copy)
+
+
 def test_flip_parameter_budget_matching_round_trip():
     for eps in (0.1, 0.5, 1.0, 2.0):
         f = rr_flip_parameter(eps)

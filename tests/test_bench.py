@@ -26,7 +26,7 @@ from decaystream.bench import (
     make_stream,
     run_bench,
 )
-from decaystream.noise import RandomSource
+from decaystream.noise import RandomLanes, RandomSource
 
 
 def scalar_chunk(cfg, t0, t1):
@@ -141,6 +141,36 @@ def test_checkpoint_oracle_equals_the_per_step_oracle(mech, kw):
     per_step = [oracle.push(x) for x in stream]
     want = [per_step[j - 1] for j in checkpoints(len(stream))]
     assert bench._exact_at_checkpoints(cfg, stream) == want
+
+
+@pytest.mark.parametrize("mech,kw", MECHS, ids=[m for m, _ in MECHS])
+@pytest.mark.parametrize("epsilon", [1.0, 0.5])
+@pytest.mark.parametrize("lanes", [0, 5], ids=["scalar", "lanes"])
+def test_checkpoint_randomized_response_equals_the_per_step_one(monkeypatch, mech, kw,
+                                                                epsilon, lanes):
+    # the flips are made in blocks and summed only at the checkpoints; every
+    # value must still be push's, bit for bit, on a scalar source and on lanes
+    monkeypatch.setattr(bench, "_FLIP_ROWS", 64)  # 300 steps: 4 full blocks and one of 44
+    gen = RandomSource(6)
+    stream = [1.0 if gen.uniform() < 0.5 else 0.0 for _ in range(300)]
+    cfg = ExperimentConfig(mech=mech, epsilon=epsilon, trials=30, **kw)
+
+    def rng():
+        if lanes:
+            return RandomLanes([RandomSource(9).child(t) for t in range(lanes)])
+        return RandomSource(9)
+
+    names = [n for n in bench._series_names(cfg, True) if n.startswith("rr")]
+    assert len(names) == (1 if epsilon == 1.0 else 2)
+    for name in names:
+        f = bench._rr_flip(cfg, name)
+        rr = RandomizedResponse(cfg.decay(), f, rng())
+        per_step = [rr.push(x) for x in stream]
+        want = [per_step[j - 1] for j in checkpoints(len(stream))]
+        got = bench._rr_at_checkpoints(cfg, f, rng(), stream)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), name
 
 
 def test_pool_has_no_more_workers_than_units(tmp_path, monkeypatch):

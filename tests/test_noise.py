@@ -159,6 +159,25 @@ def test_lanes_repeat_each_source_bit_for_bit():
             assert lap[:, t].tolist() == src.laplace_vector(2.5, 300).tolist()
 
 
+@pytest.mark.parametrize("n", [1, 7, 255, 256, 257])
+@pytest.mark.parametrize("lanes", [1, 7, 40, 256])
+def test_one_matrix_transform_equals_per_column_transforms_bit_for_bit(n, lanes):
+    # lanes transform a refill as one (n, lanes) matrix; each column must keep
+    # the bits its source's own transform gives it, at lengths off the SIMD
+    # width, for a contiguous matrix and for strided input
+    gen = np.random.default_rng(n * 100 + lanes)
+    wide = gen.random((n, 2 * lanes)) - 0.5
+    wide[0, 0] = 0.0  # the median
+    for u in (np.ascontiguousarray(wide[:, :lanes]), wide[:, ::2]):
+        whole = laplace_from_uniform(u, 2.5)
+        for t in range(lanes):
+            col = u[:, t]  # a strided column slice
+            want = laplace_from_uniform(col, 2.5)
+            assert np.array_equal(whole[:, t].view(np.int64), want.view(np.int64))
+            alone = laplace_from_uniform(col.copy(), 2.5)
+            assert np.array_equal(alone.view(np.int64), want.view(np.int64))
+
+
 def test_lanes_need_fresh_sources():
     with pytest.raises(ValueError):
         RandomLanes([])
