@@ -5,8 +5,9 @@ randomized-response baseline is the classic per-bit local scheme: its error
 grows with the square root of the decay function's energy, which is what the
 tree mechanisms are designed to beat.  The running-difference baseline
 estimates a window sum as the difference of two private prefix sums from a
-single uniform-noise tree; its error grows with the stream position instead
-of staying bounded by the window.
+single uniform-noise tree, read by the window cursor over one block that
+spans the horizon; its error grows with the stream position instead of
+staying bounded by the window.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .dyadic import DyadicTree, PrefixCursor, block_levels
+from .dyadic import DyadicTree, WindowCursor, block_levels
 from .mechanisms import DecaySpec
 from .noise import RandomSource, check_epsilon
 
@@ -144,11 +145,10 @@ class RunningDiffBaseline:
     grows with the number of tiling nodes of the two prefixes, i.e. with
     log i, and for large i dwarfs the window range.
 
-    One prefix walk takes one node per step, the topmost node the update
-    closes, and a queue keeps its last W values, so prefix(i - W) is the
-    value it drops at step i: each published prefix is computed once.  The
-    store keeps one node per level of the horizon tree, beside the queue's
-    W values.
+    A :class:`~decaystream.dyadic.WindowCursor` over one block spanning the
+    horizon reads it: one prefix walk takes the topmost node each update
+    closes, and its queue of the walk's last W values gives prefix(i - W).
+    The store keeps one node per level of the horizon tree, beside the queue.
     """
 
     def __init__(
@@ -168,23 +168,18 @@ class RunningDiffBaseline:
         self._h = block_levels(horizon)  # levels of the padded horizon tree
         self.counter_scale = scale = self._h / epsilon
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
-        self._now = PrefixCursor()  # prefix(i)
-        self._past: deque = deque()  # prefix(i - W + 1) .. prefix(i)
-        self.i = 0
+        # one block over the horizon, or over a window longer than it
+        self._window = WindowCursor(W, max(self._h, block_levels(W)))
+        self.step = 0
 
     def push(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
-        i = self.i + 1
+        i = self.step + 1
         if i > self.horizon:
             raise ValueError(f"stream exceeds the declared horizon {self.horizon}")
-        self.i = i
-        est = self._now.advance(self._tree.add_path(i, x, self._h))
-        self._past.append(est)
-        if i <= self.W:
-            return est
-        lag = self._past.popleft()  # prefix(i - W)
-        return est - lag  # not -=: est is the cursor's memo
+        self.step = i
+        return self._window.advance(self._tree.add_path(i, x, self._h))
 
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless value of each level's newest node, keyed (level, index);

@@ -47,7 +47,7 @@ from .bounds import (
 )
 from .extensions import DecayedHistogram
 from .mechanisms import DecaySpec
-from .noise import RandomSource
+from .noise import RandomSource, check_epsilon
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -84,6 +84,17 @@ def _add_stream(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-noise", dest="noisy", action="store_false",
                    help="disable privacy noise (NOT private; for testing)")
     p.add_argument("--format", choices=["csv", "ndjson"], default="csv")
+
+
+def _eps_grid(text: str) -> list[float]:
+    """--eps-grid: comma-separated epsilons, refused unless finite and positive."""
+    try:
+        grid = [float(v) for v in text.split(",")]
+        for eps in grid:
+            check_epsilon(eps)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return grid
 
 
 def _config(args) -> ExperimentConfig:
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--D", type=int, required=True, help="block length")
     p_lb.add_argument("--delta", type=float, required=True,
                       help="target additive error to separate against")
-    p_lb.add_argument("--eps-grid", type=lambda s: [float(v) for v in s.split(",")],
+    p_lb.add_argument("--eps-grid", type=_eps_grid,
                       default=[0.1, 0.5, 1.0, 2.0],
                       help="comma-separated epsilons for the threshold table")
     p_lb.set_defaults(func=cmd_lbverify)

@@ -30,12 +30,14 @@ its index, ``c0`` and ``z``.  Creating a node overwrites its level's slot;
 its ``z`` is the level's scale times the next value of the store's buffer of
 unit Laplace draws, so which draw a node gets depends only on the order in
 which nodes are created; callers keep that order independent of the data.
-A :class:`PrefixCursor` walks the prefix sums of one block, and a
-:class:`WindowCursor` the window sums, each taking at every step the node
-``add_path`` just closed; no other code in the package splits a window or
-knows its blocks.  The polynomial estimator keeps its own archive of the
-closed nodes its age tiling reads, and the exponential sum reads the node
-each :meth:`DyadicTree.add` returns.
+Two readers take at every step the node ``add_path`` just closed: a
+:class:`PrefixCursor` walks the running sum's prefixes, and a
+:class:`WindowCursor` the window sums over blocks of the levels its owner
+gives (``W'`` for the window sum and fixed window view, the horizon for the
+baseline); no other code in the package splits a window or knows its
+blocks.  The polynomial estimator keeps its own archive of the closed nodes
+its age tiling reads, and the exponential sum reads the node each
+:meth:`DyadicTree.add` returns.
 """
 
 from __future__ import annotations
@@ -228,34 +230,37 @@ def block_levels(W: int) -> int:
 class WindowCursor:
     """Published window sums over [j - W + 1, j] for j = 1, 2, 3, ... in turn.
 
-    One prefix walk over aligned blocks of ``W' = 2**ceil(log2 W)`` takes
-    one node per step, as a :class:`PrefixCursor` does, for j's block
-    prefix, and a queue keeps the walk's last W values, so the one it drops
-    at step j is its value at m = j - W: each published prefix is computed
-    once and reused, as in a continual-observation counter (Dwork et al.
-    2010; Chan, Shi and Song 2011).  The window is j's block prefix when
-    m <= 0 or m ends a block, minus m's prefix when m is in j's block, else
-    plus the previous block's total (the walk's last value in it) minus m's
-    prefix.  The value returned may be a memo: do not update it in place
-    (lanes).
+    Its owner's aligned blocks have ``levels`` levels, so
+    ``B = 2**(levels - 1) >= W' = 2**ceil(log2 W)`` positions.  One prefix
+    walk over them takes one node per step, as a :class:`PrefixCursor`
+    does, for j's block prefix, and a queue keeps the walk's last W values,
+    so the one it drops at step j is its value at m = j - W: each published
+    prefix is computed once and reused, as in a continual-observation
+    counter (Dwork et al. 2010; Chan, Shi and Song 2011).  The window is
+    j's block prefix when m <= 0 or m ends a block, minus m's prefix when m
+    is in j's block, else plus the previous block's total (the walk's last
+    value in it) minus m's prefix.  The value returned may be a memo: do
+    not update it in place (lanes).
     """
 
     __slots__ = ("W", "_mask", "_top", "j", "_now", "_past", "_total")
 
-    def __init__(self, W: int):
+    def __init__(self, W: int, levels: int):
         if W < 1:
             raise ValueError(f"window size must be >= 1, got {W}")
+        if levels < block_levels(W):
+            raise ValueError(f"a block of {levels} levels is shorter than a window of {W}")
         self.W = W
-        self._top = top = block_levels(W)  # level of a whole block's node
-        self._mask = (1 << (top - 1)) - 1  # W' - 1
+        self._top = levels  # level of a whole block's node
+        self._mask = (1 << (levels - 1)) - 1  # B - 1
         self.j = 0
-        self._now = [0.0] * (top + 1)  # prefix sums by level, as in PrefixCursor
+        self._now = [0.0] * (levels + 1)  # prefix sums by level, as in PrefixCursor
         self._past: deque = deque()  # the walk's values at steps j - W + 1 .. j
         self._total = 0.0
 
     def advance(self, node):
         """Move to the next step j, given the published value ``node`` of the
-        node of length ``min(j & -j, W')`` ending at j; return the window sum
+        node of length ``min(j & -j, B)`` ending at j; return the window sum
         ending at j."""
         j = self.j + 1
         self.j = j
@@ -274,8 +279,8 @@ class WindowCursor:
         if m <= 0:
             return cur
         lag = past.popleft()  # the walk's value at step m
-        q = ((m - 1) & mask) + 1  # m's place in its block
-        if q > mask:
+        q = m & mask  # m's place in its block, 0 where m ends one
+        if not q:
             return cur  # m ends the block before j's
         if q < p:  # m lies in j's block
             return cur - lag

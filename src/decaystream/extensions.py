@@ -2,12 +2,13 @@
 
 A per-item predicate maps each universe element to [0, 1] independently, so
 feeding predicate values into a private decayed-sum estimator inherits its
-privacy and accuracy unchanged.  A stream-dependent (holistic) predicate that
-changes at most k output positions under one substituted input costs a k-fold
-privacy factor, paid here by constructing the inner estimator at budget
-epsilon / k.  First-occurrence indicators are 2-sensitive, which yields the
-private distinct count.  Histograms route each update to exactly one per-key
-estimator, so the input is partitioned and the overall budget stays epsilon.
+privacy and accuracy unchanged.  A stream-dependent (holistic) predicate
+that changes at most k output positions under one substituted input costs a
+k-fold privacy factor, paid by a predicate stream whose inner estimator runs
+at budget epsilon / k.  The distinct count is the 2-sensitive predicate sum
+of first-occurrence indicators.  Histograms route each update to exactly one
+per-key estimator, so the input is partitioned and the overall budget stays
+epsilon.
 """
 
 from __future__ import annotations
@@ -15,25 +16,26 @@ from __future__ import annotations
 import hashlib
 from typing import Callable
 
-from .mechanisms import DecaySpec, RunningSum, make_mechanism
+from .mechanisms import DecaySpec, make_mechanism
 from .noise import RandomSource, check_epsilon
 
 
 class PredicateStream:
-    """Applies a stateless per-item predicate and feeds a fresh estimator."""
+    """Applies a per-item predicate and feeds its values to the estimator
+    ``inner``."""
 
-    def __init__(self, predicate: Callable[[object], float], mechanism):
+    def __init__(self, predicate: Callable[[object], float], inner):
         self.predicate = predicate
-        self.mechanism = mechanism
+        self.inner = inner
 
     def push(self, u) -> float:
         p = self.predicate(u)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"predicate value {p!r} outside [0, 1] for input {u!r}")
-        return self.mechanism.push(p)
+        return self.inner.push(p)
 
 
-class KSensitiveStream:
+class KSensitiveStream(PredicateStream):
     """Holistic-predicate sum with a declared sensitivity k.
 
     ``predicate`` may keep state across calls but must change at most k
@@ -55,39 +57,32 @@ class KSensitiveStream:
         if k < 1:
             raise ValueError(f"sensitivity k must be >= 1, got {k}")
         check_epsilon(epsilon)
-        self.predicate = predicate
+        super().__init__(predicate, make_mechanism(decay, epsilon / k, rng, noisy=noisy))
         self.k = k
         self.epsilon = epsilon
-        self.inner = make_mechanism(decay, epsilon / k, rng, noisy=noisy)
         assert abs(self.k * self.inner.epsilon - self.epsilon) < 1e-12 * self.epsilon
 
-    def push(self, u) -> float:
-        p = self.predicate(u)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"predicate value {p!r} outside [0, 1] for input {u!r}")
-        return self.inner.push(p)
 
-
-class DistinctCount:
+class DistinctCount(KSensitiveStream):
     """Private running count of distinct elements seen so far.
 
     The first-occurrence predicate changes at most two output positions when
-    one update is substituted, so the inner running-sum estimator runs at
-    budget epsilon / 2.  The seen-set is exact; approximate membership would
-    add error the privacy analysis does not cover.
+    one update is substituted, so this is its 2-sensitive predicate sum: a
+    running-sum estimator at budget epsilon / 2.  The seen-set is exact;
+    approximate membership would add error the privacy analysis does not
+    cover.
     """
 
     def __init__(self, epsilon: float, rng: RandomSource, *, noisy: bool = True):
-        check_epsilon(epsilon)
-        self.epsilon = epsilon
-        self.seen: set = set()
-        self.inner = RunningSum(epsilon / 2.0, rng, noisy=noisy)
-        assert abs(2.0 * self.inner.epsilon - epsilon) < 1e-12 * epsilon
+        seen = self.seen = set()
 
-    def push(self, u) -> float:
-        bit = 0.0 if u in self.seen else 1.0
-        self.seen.add(u)
-        return self.inner.push(bit)
+        def first_occurrence(u) -> float:
+            if u in seen:
+                return 0.0
+            seen.add(u)
+            return 1.0
+
+        super().__init__(first_occurrence, 2, DecaySpec.running(), epsilon, rng, noisy=noisy)
 
 
 def _key_index(key) -> int:

@@ -13,19 +13,21 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
   value, and its noise still sums ``O(log W)`` counters.
 * :class:`AllWindowSum` -- one growing tree serving window estimates for
   every W simultaneously, with per-level budgets ``eps_k`` that sum to the
-  total budget; :class:`FixedWindowView` streams one window size from it
-  (the paper's all-window construction, ``--mech allwindow``).
+  total budget.  Its subclasses are post-processing of the one tree:
+  :class:`RunningSum` (undiscounted prefix sum), :class:`FixedWindowView`
+  (one window size: the paper's all-window construction, ``--mech
+  allwindow``) and :class:`PolynomialSum`.
 * :class:`ExponentialSum` -- geometrically discounted sum on a growing tree;
   each left node holds the discounted sum of its interval, written once when
   it closes (a binary counter's carry chain), and each estimate discounts the
   previous prefix estimate and adds one node.
-* :class:`PolynomialSum` -- power-law discounted sum read from one
-  :class:`AllWindowSum` (post-processing of its tree) as a weighted tiling
-  whose node lengths grow in proportion to age, each node weighted by its
-  oldest age; the noise-free output F' satisfies (1 - beta) * F <= F' <= F.
+* :class:`PolynomialSum` -- power-law discounted sum read from the
+  all-window tree as a weighted tiling whose node lengths grow in proportion
+  to age, each node weighted by its oldest age; the noise-free output F'
+  satisfies (1 - beta) * F <= F' <= F.
 
-Window estimates are read by :class:`~decaystream.dyadic.WindowCursor`;
-``RunningSum`` (undiscounted prefix sum) walks the growing tree's prefixes.
+Window estimates are read by :class:`~decaystream.dyadic.WindowCursor`,
+prefix sums by :class:`~decaystream.dyadic.PrefixCursor`.
 Estimates at step j read only counters whose intervals end at or before j,
 so the whole output sequence is a deterministic function of the noisy
 counter vector.  Every store keeps one node per level; the polynomial sum
@@ -178,15 +180,15 @@ class WindowSum:
         self.sensitivity = float(self._h)
         self.counter_scale = scale = self._h / epsilon
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
-        self._window = WindowCursor(W)
-        self.i = 0
+        self._window = WindowCursor(W, self._h)
+        self.step = 0
 
     def push(self, x: float) -> float:
         """Feed one update, return the window estimate at the new step."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
-        i = self.i + 1
-        self.i = i
+        i = self.step + 1
+        self.step = i
         return self._window.advance(self._tree.add_path(i, x, self._h))
 
     def counters(self) -> dict[tuple[int, int], float]:
@@ -206,9 +208,9 @@ class AllWindowSum:
     of the one level schedule ``eps_k = 6 epsilon / (pi**2 k**2)``
     (:func:`~decaystream.noise.level_epsilons` at ``SCHEDULE_BETA``), so the
     per-level budgets sum to ``epsilon`` over the infinite tree.  ``push``
-    returns the published value of the topmost node the update closed; the
-    estimators on it (running sum, fixed window view, polynomial sum) are
-    post-processing of the one tree.
+    returns the published value of the topmost node the update closed; each
+    subclass's ``push`` post-processes it, calling ``AllWindowSum.push(self,
+    x)`` (looked up at call time, so a wrapper of it sees every call).
     """
 
     def __init__(
@@ -240,34 +242,19 @@ class AllWindowSum:
         return self._tree.counters()
 
 
-class RunningSum:
-    """Streaming prefix-sum estimator (push returns the current estimate)."""
+class RunningSum(AllWindowSum):
+    """Streaming prefix-sum estimator: one prefix walk over the growing tree."""
 
-    def __init__(
-        self,
-        epsilon: float,
-        rng: RandomSource,
-        *,
-        noisy: bool = True,
-    ):
-        self.epsilon = epsilon
-        self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
+    def __init__(self, epsilon: float, rng: RandomSource, *, noisy: bool = True):
+        super().__init__(epsilon, rng, noisy=noisy)
         self._prefix = PrefixCursor()
 
-    @property
-    def step(self) -> int:
-        return self._aw.step
-
     def push(self, x: float) -> float:
-        # the growing tree's topmost node closed at i is the prefix walk's
-        return self._prefix.advance(self._aw.push(x))
-
-    def counters(self):
-        return self._aw.counters()
+        return self._prefix.advance(AllWindowSum.push(self, x))
 
 
-class FixedWindowView:
-    """Streaming adapter: one window size read from an AllWindowSum.
+class FixedWindowView(AllWindowSum):
+    """One window size read from the growing tree as post-processing.
 
     The paper's all-window construction for one W (``--mech allwindow``);
     :class:`WindowSum` answers the same window with less noise.  Its cursor
@@ -278,34 +265,19 @@ class FixedWindowView:
     level.
     """
 
-    def __init__(
-        self,
-        W: int,
-        epsilon: float,
-        rng: RandomSource,
-        *,
-        noisy: bool = True,
-    ):
+    def __init__(self, W: int, epsilon: float, rng: RandomSource, *, noisy: bool = True):
+        super().__init__(epsilon, rng, noisy=noisy)
         self.W = W
-        self.epsilon = epsilon
-        self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
-        self._window = WindowCursor(W)
-        self._top = block_levels(W)  # level of a whole block's node
-
-    @property
-    def step(self) -> int:
-        return self._aw.step
+        self._top = top = block_levels(W)  # level of a whole block's node
+        self._window = WindowCursor(W, top)
 
     def push(self, x: float) -> float:
-        node = self._aw.push(x)
-        j = self._aw.step
+        node = AllWindowSum.push(self, x)
+        j = self.step
         top = self._top
         if (j & -j) >> top:  # longer than a block: read the block's node
-            node = self._aw._tree.published(top, (j >> (top - 1)) - 1)
+            node = self._tree.published(top, (j >> (top - 1)) - 1)
         return self._window.advance(node)
-
-    def counters(self):
-        return self._aw.counters()
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +414,11 @@ def poly_read_ages(c: float, beta: float, level: int) -> tuple[int, int]:
     return lo, math.ceil(2 * L / rho) - 1 + L
 
 
-class PolynomialSum:
+class PolynomialSum(AllWindowSum):
     """Private power-law discounted sum as post-processing of one tree.
 
-    At step i the estimate walks the ends e = i, i - L, ... down to 0 of one
-    :class:`AllWindowSum` (the one level schedule), taking at each the
+    At step i the estimate walks the ends e = i, i - L, ... down to 0 of the
+    growing tree (the one level schedule), taking at each the
     largest aligned node ending there that its newest age i - e admits
     (:func:`poly_read_ages`), weighted by the decay weight
     ``(i - e + L)**-c`` of its oldest age.  Each node is read once, and the
@@ -459,22 +431,17 @@ class PolynomialSum:
     """
 
     def __init__(
-        self,
-        c: float,
-        beta: float,
-        epsilon: float,
-        rng: RandomSource,
-        *,
-        noisy: bool = True,
+        self, c: float, beta: float, epsilon: float, rng: RandomSource, *, noisy: bool = True
     ):
         if not c > 1.0:
             raise ValueError(f"c must exceed 1, got {c}")
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
+        if not (1.0 - beta) ** (-1.0 / c) - 1.0 > 0.0:  # poly_read_ages divides by it
+            raise ValueError(f"rho = (1 - beta)**(-1/c) - 1 rounds to 0 at c = {c}, beta = {beta}")
+        super().__init__(epsilon, rng, noisy=noisy)
         self.c = c
         self.beta = beta
-        self.epsilon = epsilon
-        self._aw = AllWindowSum(epsilon, rng, noisy=noisy)
         # read ranges [lo, hi) of levels 1, 2, ..., grown in push until one
         # level is not yet admitted at any age
         self._los: list[int] = []
@@ -484,13 +451,9 @@ class PolynomialSum:
         self._archive: list[list] = []
         self._base: list[int] = []
 
-    @property
-    def step(self) -> int:
-        return self._aw.step
-
     def _tiling(self):
         """(level, index, weight) of the nodes tiling [1, step], youngest first."""
-        i = self._aw.step
+        i = self.step
         negc = -self.c
         los = self._los
         cap = 1  # longest node the current age admits
@@ -507,8 +470,8 @@ class PolynomialSum:
 
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
-        node = self._aw.push(x)
-        i = self._aw.step
+        node = AllWindowSum.push(self, x)
+        i = self.step
         los, his = self._los, self._his
         while not los or los[-1] < i:
             lo, hi = poly_read_ages(self.c, self.beta, len(los) + 1)
@@ -521,7 +484,7 @@ class PolynomialSum:
         if top == len(archive):
             archive.append([])
             base.append(0)
-        published = self._aw._tree.published
+        published = self._tree.published
         for k in range(top):
             archive[k].append(published(k + 1, (i >> k) - 1))
         archive[top].append(node)
@@ -542,11 +505,6 @@ class PolynomialSum:
     def child_windows(self) -> list[int]:
         """Node lengths of the current step's tiling, youngest first."""
         return [1 << (level - 1) for level, _, _ in self._tiling()]
-
-    def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless value of each level's newest node in the all-window
-        tree, keyed (level, index); an open node reads 0.0."""
-        return self._aw.counters()
 
 
 # ---------------------------------------------------------------------------

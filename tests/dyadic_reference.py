@@ -255,7 +255,7 @@ def window_query(tree, j, W):
 
     W is aligned up to a power of two W' that only sets block boundaries;
     the estimate still targets the exact W-window.  W >= j degenerates to
-    the prefix [1, j].  ``WindowCursor(W)`` fed :func:`block_node` returns
+    the prefix [1, j].  ``WindowCursor(W, block_levels(W))`` fed :func:`block_node` returns
     these values bit for bit at j = 1, 2, 3, ...
     """
     if W < 1:

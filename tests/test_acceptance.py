@@ -30,7 +30,7 @@ from decaystream.bounds import (
     check_independence,
     laplace_tail,
 )
-from decaystream.dyadic import DyadicTree, WindowCursor
+from decaystream.dyadic import DyadicTree, WindowCursor, block_levels
 from decaystream.extensions import DecayedHistogram, DistinctCount, KSensitiveStream
 from decaystream.mechanisms import (
     AllWindowSum,
@@ -83,7 +83,7 @@ def test_criterion_01_oracle_equivalence():
         # fed its block's node ending at j
         aw = AllWindowSum(1.0, seed_rng.child(1), noisy=False)
         sizes = [1, 2, 3, 5, 8, 13, 100] + [1 + int(gen.uniform() * T) for _ in range(3)]
-        cursors = [WindowCursor(Wq) for Wq in sizes]
+        cursors = [WindowCursor(Wq, block_levels(Wq)) for Wq in sizes]
         csum = np.concatenate([[0.0], np.cumsum(xs)])
         run = RunningSum(1.0, seed_rng.child(2), noisy=False)
         want_r = np.cumsum(xs)

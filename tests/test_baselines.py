@@ -150,6 +150,15 @@ def test_running_diff_noiseless_matches_window_oracle():
         assert straw.push(float(x)) == pytest.approx(oracle.push(float(x)), abs=1e-9)
 
 
+@pytest.mark.parametrize("W", [300, 1000])
+def test_running_diff_window_longer_than_its_horizon_reads_the_prefix(W):
+    # its cursor's block then spans the window, not the horizon tree of 256
+    # positions; the window never slides within the 200 steps
+    xs = random_bits(6, 200)
+    straw = RunningDiffBaseline(W, 200, 1.0, RandomSource(5), noisy=False)
+    assert [straw.push(float(x)) for x in xs] == np.cumsum(xs).tolist()
+
+
 def test_running_diff_enforces_horizon():
     straw = RunningDiffBaseline(4, 8, 1.0, RandomSource(0))
     for _ in range(8):

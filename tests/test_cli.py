@@ -448,6 +448,20 @@ def test_lbverify_pass_and_fail(capsys):
     assert any(line.endswith("False") for line in out.splitlines())
 
 
+def test_lbverify_refuses_a_bad_eps_grid_before_printing(capsys):
+    # the grid is read last, so a bad value found there would follow the
+    # whole report
+    for grid, message in (("1,0", "epsilon must be finite and positive"),
+                          ("1,x", "could not convert")):
+        with pytest.raises(SystemExit) as exc:
+            main(["lbverify", "--mech", "window", "--W", "8", "--q", "4", "--D", "8",
+                  "--delta", "3.5", "--eps-grid", grid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_stream_round_trip_matches_memory(capsys):
     # records printed by run, re-parsed, equal the estimates of the config's
     # estimator (bench trial 0's noise) pushed over the config's stream
@@ -635,3 +649,24 @@ def test_run_writes_its_records_in_blocks(fmt, monkeypatch):
     else:
         want = "".join(json.dumps({"t": t, "estimate": v}) + "\n" for t, v in rows)
     assert out.buffer.getvalue() == want
+
+
+@pytest.mark.parametrize("decay", [
+    ["--c", "2", "--beta", "1e-17"],
+    ["--c", "1e300", "--beta", "0.25"],
+    ["--c", "inf", "--beta", "0.25"],
+], ids=["beta 1e-17", "c 1e300", "c inf"])
+@pytest.mark.parametrize("command", [
+    ["run", "--T", "4"],
+    ["bench", "--T", "4", "--trials", "30"],
+    ["bound", "--T", "4"],
+], ids=lambda c: c[0])
+def test_poly_refuses_a_slack_whose_rho_rounds_to_zero(command, decay, capsys):
+    # rho = (1 - beta)**(-1/c) - 1 rounds to 0, so no node longer than a
+    # leaf is ever admitted: refused before the header, not half-way through
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--mech", "poly", *decay, *command[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rounds to 0" in captured.err

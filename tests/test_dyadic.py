@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decaystream.baselines import RunningDiffBaseline
-from decaystream.dyadic import DyadicTree, PrefixCursor, WindowCursor
+from decaystream.dyadic import DyadicTree, PrefixCursor, WindowCursor, block_levels
 from decaystream.mechanisms import (
     AllWindowSum,
     ExponentialSum,
@@ -255,7 +255,7 @@ def test_window_cursor_matches_window_query_on_a_growing_tree(kind):
     xs = [gen.uniform() for _ in range(2200)]
     aw = AllWindowSum(1.0, _source(kind, 22))
     ref = on_full_store(lambda: AllWindowSum(1.0, _source(kind, 22)))
-    cursors = [WindowCursor(W) for W in CURSOR_WINDOWS]
+    cursors = [WindowCursor(W, block_levels(W)) for W in CURSOR_WINDOWS]
     for j, x in enumerate(xs, 1):
         aw.push(x)
         ref.push(x)
@@ -272,7 +272,7 @@ def test_window_cursor_matches_window_query_on_block_trees(kind, W):
     height = (W - 1).bit_length() + 1
     tree = DyadicTree(_source(kind, W), lambda level: 2.0)
     ref = FullStore(_source(kind, W), lambda level: 2.0)
-    cursor = WindowCursor(W)
+    cursor = WindowCursor(W, height)
     gen = RandomSource(23)
     for j in range(1, max(4 * W, 40) + 1):
         x = gen.uniform()
@@ -310,9 +310,9 @@ def test_window_estimates_read_one_node_per_push_and_queue_at_most_W(kind, W):
     rd = RunningDiffBaseline(W, T, 1.0, _source(kind, 34))
     rs = RunningSum(1.0, _source(kind, 35))
     for est, tree, past in ((ws, ws._tree, ws._window._past),
-                            (fv, fv._aw._tree, fv._window._past),
-                            (rd, rd._tree, rd._past),
-                            (rs, rs._aw._tree, None)):
+                            (fv, fv._tree, fv._window._past),
+                            (rd, rd._tree, rd._window._past),
+                            (rs, rs._tree, None)):
         reads = _count_reads(tree)
         for i, x in enumerate(xs, 1):
             est.push(x)
@@ -322,6 +322,18 @@ def test_window_estimates_read_one_node_per_push_and_queue_at_most_W(kind, W):
                 assert reads == [], (type(est).__name__, i)
             if past is not None:
                 assert len(past) == min(i, W), (type(est).__name__, i)
+
+
+@pytest.mark.parametrize("W, levels", [(1, 4), (5, 4), (5, 7), (8, 4), (8, 6)])
+def test_window_cursor_reads_blocks_longer_than_its_window(W, levels):
+    # as the prefix-difference baseline reads it, over blocks of
+    # 2**(levels - 1) >= W' positions; noise off, the sums of bits are exact
+    tree = DyadicTree(RandomSource(0), lambda level: 1.0, noisy=False)
+    cursor = WindowCursor(W, levels)
+    gen = RandomSource(24)
+    xs = [float(gen.uniform() < 0.5) for _ in range(200)]
+    for j, x in enumerate(xs, 1):
+        assert cursor.advance(tree.add_path(j, x, levels)) == sum(xs[max(j - W, 0):j]), j
 
 
 def test_noise_frozen_under_updates():
@@ -444,7 +456,7 @@ def test_cursors_refuse_positions_the_store_has_not_received():
     # cursors take the node add_path returns, so the store is what refuses a
     # position it has not received: the open node, or a position ahead
     aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
-    window = WindowCursor(4)
+    window = WindowCursor(4, block_levels(4))
     prefix = PrefixCursor()
     nodes = [aw.push(1.0) for _ in range(3)]
     assert [window.advance(v) for v in nodes] == [1.0, 2.0, 3.0]
@@ -499,8 +511,8 @@ def test_every_estimator_matches_its_full_store_reference(name, kind):
         for xs in streams.values():
             est = make(_source(kind, 42), noisy)
             ref = on_full_store(lambda: make(_source(kind, 42), noisy))
-            tree = getattr(est, "_aw", est)._tree
-            full = getattr(ref, "_aw", ref)._tree
+            tree = est._tree
+            full = ref._tree
             assert isinstance(tree, DyadicTree) and isinstance(full, FullStore)
             for i, x in enumerate(xs, 1):
                 assert _same(est.push(x), ref.push(x)), (noisy, i)

@@ -114,7 +114,7 @@ def test_histogram_keys_match_independent_oracles():
         total += 1
     # partitioning: every update reached exactly one child
     assert sum(counts.values()) == total
-    assert sum(m.i if hasattr(m, "i") else m.step for m in hist._mechs.values()) == total
+    assert sum(m.step for m in hist._mechs.values()) == total
 
 
 def test_histogram_single_key_equals_plain_mechanism():

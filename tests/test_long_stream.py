@@ -47,10 +47,10 @@ def test_long_stream_keeps_one_node_per_level_and_a_bounded_poly_archive():
         for name, got, want in outs:
             assert abs(got - want) <= 1e-9 * max(1.0, want), (name, i)
         for name, (est, _) in estimators.items():
-            tree = getattr(est, "_aw", est)._tree
+            tree = est._tree
             assert len(est.counters()) <= levels_reached(tree), (name, i)
         assert levels_reached(estimators["window"][0]._tree) == 11  # W' = 1024
-        assert levels_reached(estimators["running"][0]._aw._tree) == i.bit_length()
+        assert levels_reached(estimators["running"][0]._tree) == i.bit_length()
         assert len(poly.counters()) == i.bit_length()
         sizes = [len(values) for values in poly._archive]
         assert all(n <= b for n, b in zip(sizes, bound)), i

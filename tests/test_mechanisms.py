@@ -17,7 +17,7 @@ from dyadic_reference import (
 )
 
 from decaystream.bounds import worst_noise_profile
-from decaystream.dyadic import WindowCursor
+from decaystream.dyadic import WindowCursor, block_levels
 from decaystream.mechanisms import (
     AllWindowSum,
     DecaySpec,
@@ -168,7 +168,7 @@ def test_growing_trees_draw_each_level_at_the_one_schedule_scale(make):
     est = make(RandomSource(0))
     for _ in range(4096):
         est.push(0.5)
-    tree = getattr(est, "_aw", est)._tree
+    tree = est._tree
     eps = level_epsilons(1.0, SCHEDULE_BETA, levels_reached(tree))
     assert levels_reached(tree) == 13
     assert tree._scale == [1.0 / e for e in eps]
@@ -193,7 +193,7 @@ def test_allwindow_store_draws_each_level_at_its_schedule_scale(beta):
 def walk(tree, W, j):
     """A fresh W-window cursor's value at step j, walked over a store that
     keeps every node."""
-    cursor = WindowCursor(W)
+    cursor = WindowCursor(W, block_levels(W))
     for step in range(1, j + 1):
         value = cursor.advance(block_node(tree, step, W))
     return value
@@ -216,7 +216,7 @@ def test_allwindow_query_matches_brute_force_all_windows():
     xs = random_stream(3, 128, binary=False)
     aw = AllWindowSum(1.0, RandomSource(3), noisy=False)
     ref = on_full_store(lambda: AllWindowSum(1.0, RandomSource(3), noisy=False))
-    fixed = {W: WindowCursor(W) for W in (1, 2, 5, 8, 13)}
+    fixed = {W: WindowCursor(W, block_levels(W)) for W in (1, 2, 5, 8, 13)}
     gen = RandomSource(77)
     for j, x in enumerate(xs, 1):
         aw.push(x)
@@ -233,12 +233,14 @@ def test_allwindow_query_matches_brute_force_all_windows():
 def test_allwindow_query_validation():
     aw = AllWindowSum(1.0, RandomSource(0))
     aw.push(1.0)
-    cursor = WindowCursor(1)
+    cursor = WindowCursor(1, block_levels(1))
     cursor.advance(block_node(aw._tree, 1, 1))
     with pytest.raises(ValueError):
         block_node(aw._tree, 2, 1)  # beyond current step: leaf 2 was never created
     with pytest.raises(ValueError):
-        WindowCursor(0)
+        WindowCursor(0, block_levels(0))
+    with pytest.raises(ValueError, match="3 levels is shorter than a window of 5"):
+        WindowCursor(5, 3)  # a window of 5 needs blocks of 8
     with pytest.raises(ValueError):
         aw.push(2.0)
 
@@ -246,7 +248,7 @@ def test_allwindow_query_validation():
 def test_running_sum_examples():
     r = RunningSum(1.0, RandomSource(0), noisy=False)
     assert [r.push(x) for x in (1.0, 0.0, 1.0)] == [1.0, 1.0, 2.0]
-    assert prefix_value(r._aw._tree, 0) == 0.0
+    assert prefix_value(r._tree, 0) == 0.0
 
 
 def test_running_sum_matches_prefix_oracle():
@@ -277,7 +279,7 @@ def test_fixed_window_view_keeps_one_node_per_level():
         aw.push(x)
         assert v.push(x) == window_query(aw._tree, step, W)
         levels = [level for level, _ in v.counters()]
-        assert levels == list(range(1, levels_reached(v._aw._tree) + 1)), step
+        assert levels == list(range(1, levels_reached(v._tree) + 1)), step
     assert len(aw.counters()) > 2 * 20_000 - 100  # the full store keeps them all
 
 
@@ -322,7 +324,7 @@ def test_exp_matches_brute_force_noiseless():
             assert m.push(x) == pytest.approx(brute_exp(xs, j, alpha), abs=1e-9)
 
 
-def test_exp_eviction_keeps_one_node_per_level():
+def test_exp_keeps_one_node_per_level():
     m = ExponentialSum(0.9, 1.0, RandomSource(0))
     for i in range(1, 3000):
         m.push(1.0)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from decaystream import bench, dyadic
+from decaystream import bench, dyadic, mechanisms
+from decaystream.noise import RandomSource
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,6 +40,36 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     finally:
         tracer.uninstall()
     assert dict(vars(dyadic.DyadicTree)) == before
+
+
+def test_every_growing_tree_reader_push_traces_one_base_push():
+    # the readers subclass AllWindowSum and take their node from its push,
+    # looked up at call time: each traced push holds exactly one
+    # mechanisms.AllWindowSum.push span, so the benchmark's per-layer
+    # attribution sees the base push also after the subclassing
+    tracing = load("tracing")
+    readers = {
+        "RunningSum": mechanisms.RunningSum(1.0, RandomSource(0)),
+        "FixedWindowView": mechanisms.FixedWindowView(6, 1.0, RandomSource(1)),
+        "PolynomialSum": mechanisms.PolynomialSum(2.0, 0.25, 1.0, RandomSource(2)),
+    }
+    pushes = 40
+    tracer = tracing.Tracer().install()
+    try:
+        for est in readers.values():
+            for _ in range(pushes):
+                est.push(0.5)
+    finally:
+        tracer.uninstall()
+    names = np.array(tracer.names)[np.frombuffer(tracer.name_id, dtype=np.int64)]
+    parent = np.frombuffer(tracer.parent, dtype=np.int64)
+    base = np.flatnonzero(names == "mechanisms.AllWindowSum.push")
+    for name in readers:
+        spans = np.flatnonzero(names == f"mechanisms.{name}.push")
+        assert len(spans) == pushes, name
+        children = np.bincount(parent[base], minlength=len(parent))[spans]
+        assert children.tolist() == [1] * pushes, name
+    assert len(base) == pushes * len(readers)
 
 
 def test_poly_hooks_run_against_the_package():
