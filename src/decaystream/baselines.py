@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .dyadic import DyadicTree, WindowCursor, block_levels
+from .dyadic import DyadicTree, WindowCursor, block_levels, window_sums_at
 from .mechanisms import DecaySpec
 from .noise import RandomSource, check_epsilon
 
@@ -180,6 +180,15 @@ class RunningDiffBaseline:
             raise ValueError(f"stream exceeds the declared horizon {self.horizon}")
         self.step = i
         return self._window.advance(self._tree.add_path(i, x, self._h))
+
+    def estimates_at(self, xs, steps) -> list:
+        """The estimates ``push`` returns at ``steps`` when this fresh
+        baseline is fed ``xs``, read at those steps only
+        (:func:`~decaystream.dyadic.window_sums_at`).  The read uses up the
+        baseline's noise: a later push is refused."""
+        if len(xs) > self.horizon:
+            raise ValueError(f"stream exceeds the declared horizon {self.horizon}")
+        return window_sums_at(self._tree, self._h, self._window, xs, steps)
 
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless value of each level's newest node, keyed (level, index);

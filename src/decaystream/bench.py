@@ -17,6 +17,9 @@ trial, and the stream is pushed through it once.  A batch pays per batch,
 not per lane or per step: a refill of lane noise is one Laplace transform
 over all lanes, and randomized response flips a block of steps at once and
 is summed and rescaled only at the checkpoints (:func:`_rr_at_checkpoints`).
+The window mechanism and the running-difference baseline are read at the
+checkpoints only as well (:func:`~decaystream.dyadic.window_sums_at`); the
+other mechanisms are pushed step by step.
 The unit of work is one series on one lane batch.  With ``jobs`` = 1 the
 units run in turn in the calling process; with ``jobs`` > 1 they go, in
 series order, to a pool of at most ``jobs`` worker processes (never more
@@ -309,11 +312,13 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     (checkpoints, trials).
 
     The batch is one estimator of the series on lanes of the trials'
-    sub-streams (``trial.child(k)``, k from ``_SERIES_CHILD``), and the
-    stream is pushed through it once; each estimate is an array with one
-    lane per trial (a float when the series draws no noise).  Randomized
-    response is read at the checkpoints only (:func:`_rr_at_checkpoints`).
-    ``data`` is the pair (stream, :func:`_exact_at_checkpoints`).
+    sub-streams (``trial.child(k)``, k from ``_SERIES_CHILD``); each
+    estimate is an array with one lane per trial (a float when the series
+    draws no noise).  Randomized response (:func:`_rr_at_checkpoints`), the
+    window mechanism and ``running_diff`` (their ``estimates_at``) are read
+    at the checkpoints only, ``==`` to their per-step ``push``; the stream
+    is pushed through any other mechanism once.  ``data`` is the pair
+    (stream, :func:`_exact_at_checkpoints`).
     """
     stream, exact = data
     T = len(stream)
@@ -330,7 +335,12 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
         runner = RunningDiffBaseline(cfg.W, T, cfg.epsilon, rng, noisy=cfg.noisy)
     else:
         runner = build_mechanism(cfg, rng)
-    mark_index = {j: idx for idx, j in enumerate(checkpoints(T))}
+    marks = checkpoints(T)
+    if name in ("window", "running_diff"):
+        for idx, est in enumerate(runner.estimates_at(stream, marks)):
+            out[idx] = est - exact[idx]
+        return out
+    mark_index = {j: idx for idx, j in enumerate(marks)}
     for i, x in enumerate(stream, 1):
         est = runner.push(x)
         idx = mark_index.get(i)

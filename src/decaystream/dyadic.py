@@ -38,6 +38,13 @@ baseline); no other code in the package splits a window or knows its
 blocks.  The polynomial estimator keeps its own archive of the closed nodes
 its age tiling reads, and the exponential sum reads the node each
 :meth:`DyadicTree.add` returns.
+
+A window estimate is post-processing of O(log W) closed nodes, so
+:func:`window_sums_at` reads a fresh window store and cursor at chosen steps
+only, ``==`` to pushing every step: it sums each node's ``c0`` from the
+stream pairwise, level by level, and takes its noise from the node's
+creation rank (:meth:`DyadicTree._creation_rank`), drawing the store's
+refills and keeping only the units it reads.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from typing import Callable
+
+import numpy as np
 
 from .noise import RandomSource
 
@@ -108,6 +117,20 @@ class DyadicTree:
             draws = self._rng.laplace_vector(1.0, _DRAWS)
             units[:0] = array("d", draws.tobytes()) if isinstance(units, array) else list(draws)
         self._z[k] = self._scale[k] * units.pop()
+
+    @staticmethod
+    def _creation_rank(k: int, s: int, height: int) -> int:
+        """How many nodes a store fed by :meth:`add_path` at a constant
+        ``height`` creates before the node of 0-based level ``k`` starting
+        at offset ``s`` (position s + 1): so its unit draw is the buffer's
+        item of that rank, refill ``rank // _DRAWS`` popped from its end.
+
+        Offset 0 creates every level, leaf first; each offset s' >= 1 then
+        creates the levels k' < height with 2**k' dividing s', leaf first.
+        """
+        if not s:
+            return k
+        return height + sum((s - 1) >> kk for kk in range(height)) + k
 
     def add_path(self, i: int, x: float, height: int):
         """Receive ``x`` at position ``i``, the next one, on a tree of
@@ -285,3 +308,115 @@ class WindowCursor:
         if q < p:  # m lies in j's block
             return cur - lag
         return (self._total - lag) + cur
+
+
+def _level_sums(x: np.ndarray, height: int) -> list:
+    """The ``c0`` of every node closed by position ``len(x)``, per 0-based
+    level: level 0 is ``x``, and each level above is the pairwise sums
+    ``a[0::2] + a[1::2]`` of the one below, the operands of
+    :meth:`DyadicTree.add_path`'s carry chain."""
+    sums = [x]
+    for _ in range(1, height):
+        a = sums[-1]
+        n = len(a) // 2 * 2
+        sums.append(a[0:n:2] + a[1:n:2])
+    return sums
+
+
+def _units_at(rng: RandomSource, ranks) -> dict:
+    """The unit Laplace draw a store on ``rng`` gives its node of each
+    creation rank in ``ranks``.
+
+    The refills are drawn as the store draws them, ``_DRAWS`` units per
+    ``laplace_vector`` call, through the last one asked for, and only the
+    units (lanes: rows) of the ranks asked for are kept: rank r is item
+    ``r % _DRAWS`` from the end of refill ``r // _DRAWS``.
+    """
+    by_refill: dict = {}
+    for r in ranks:
+        by_refill.setdefault(r // _DRAWS, []).append(r)
+    units: dict = {}
+    for q in range(max(by_refill, default=-1) + 1):
+        draws = rng.laplace_vector(1.0, _DRAWS)
+        mine = by_refill.get(q)
+        if mine:
+            units.update(zip(mine, draws[[_DRAWS - 1 - r % _DRAWS for r in mine]]))
+    return units
+
+
+def window_sums_at(tree: DyadicTree, height: int, cursor: WindowCursor, xs, steps) -> list:
+    """What ``cursor.advance(tree.add_path(i, x, height))`` returns at each
+    of ``steps`` while i = 1, 2, 3, ... takes the values ``xs``, ``==`` to
+    it, read without pushing the steps in between.
+
+    ``tree`` and ``cursor`` must be fresh, and the cursor's blocks subtrees
+    of the store's, as for the per-step pair (the cursor's levels are
+    ``height``, or more over a stream of at most ``2**(height - 1)``
+    positions).  An update outside [0, 1] is refused before any noise is
+    drawn.  Only the nodes that the estimates at ``steps`` read are
+    computed, each as the store publishes it, ``c0 + z``: ``c0`` from
+    :func:`_level_sums`, ``z`` the level's scale times the unit of the
+    node's creation rank (:meth:`DyadicTree._creation_rank`).  They combine
+    by :meth:`WindowCursor.advance`'s rule, every block prefix folded from
+    0.0, largest node first.  The read uses up the store's noise and leaves
+    it at position ``len(xs)`` with no node, so a later ``add_path`` is
+    refused.
+    """
+    if tree.received or tree._index or cursor.j:
+        raise ValueError("the checkpoint reader needs a fresh store and cursor")
+    n = len(xs)
+    if not all(1 <= j <= n for j in steps):
+        raise ValueError(f"steps must lie in [1, {n}]")
+    x = np.asarray(xs, dtype=np.float64)
+    bad = ~((0.0 <= x) & (x <= 1.0))
+    if bad.any():
+        raise ValueError(f"update must lie in [0, 1], got {x[bad][0]}")
+    mask, levels = cursor._mask, cursor._top
+
+    def tiles(e: int, p: int) -> list:
+        """The nodes (0-based level, index) tiling the p positions ending
+        at e, largest first."""
+        out = []
+        a = e - p
+        while p:
+            k = p.bit_length() - 1
+            out.append((k, a >> k))
+            a += 1 << k
+            p -= 1 << k
+        return out
+
+    plans = []  # per step, the nodes of j's block prefix, m's and the previous block
+    for j in steps:
+        p = ((j - 1) & mask) + 1  # j's place in its block
+        m = j - cursor.W
+        q = m & mask if m > 0 else 0  # m's place in its block; 0: no lag is read
+        # the previous block's total is read when m lies in that block
+        top = [(levels - 1, ((j - 1) >> (levels - 1)) - 1)] if q >= p else []
+        plans.append((tiles(j, p), tiles(m, q), top))
+    nodes = {nd for plan in plans for part in plan for nd in part}
+    sums = _level_sums(x, height)
+    if tree.noisy:
+        rank = {(k, idx): DyadicTree._creation_rank(k, idx << k, height) for k, idx in nodes}
+        units = _units_at(tree._rng, rank.values())
+        scales = [tree._scale_for_level(k + 1) for k in range(height)]
+        value = {(k, idx): sums[k][idx] + scales[k] * units[rank[k, idx]] for k, idx in nodes}
+    else:
+        value = {(k, idx): sums[k][idx] + 0.0 for k, idx in nodes}
+    tree.received = n
+
+    def fold(part: list):
+        total = 0.0
+        for nd in part:
+            total = total + value[nd]
+        return total
+
+    out = []
+    for cur, lag, top in plans:
+        c = fold(cur)
+        if not lag:
+            out.append(c)
+        elif not top:
+            out.append(c - fold(lag))
+        else:
+            out.append((fold(top) - fold(lag)) + c)
+    return out

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dyadic import DyadicTree, PrefixCursor, WindowCursor, block_levels
+from .dyadic import DyadicTree, PrefixCursor, WindowCursor, block_levels, window_sums_at
 from .noise import SCHEDULE_BETA, RandomSource, check_epsilon, level_epsilons
 
 _TINY_WEIGHT = 1e-300  # discount weights below this clamp to zero
@@ -190,6 +190,13 @@ class WindowSum:
         i = self.step + 1
         self.step = i
         return self._window.advance(self._tree.add_path(i, x, self._h))
+
+    def estimates_at(self, xs, steps) -> list:
+        """The estimates ``push`` returns at ``steps`` when this fresh
+        estimator is fed ``xs``, read at those steps only
+        (:func:`~decaystream.dyadic.window_sums_at`).  The read uses up the
+        estimator's noise: a later push is refused."""
+        return window_sums_at(self._tree, self._h, self._window, xs, steps)
 
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless value of each level's newest node, keyed (level, index);

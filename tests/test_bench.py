@@ -92,9 +92,12 @@ MECHS = [
     ("poly", dict(c=2.0, beta=0.25)),
     ("running", {}),
 ]
+# a window longer than the stream, so longer than the horizon of running_diff
+WIDE_WINDOW = ("window", dict(W=100))
 
 
-@pytest.mark.parametrize("mech,kw", MECHS, ids=[m for m, _ in MECHS])
+@pytest.mark.parametrize("mech,kw", MECHS + [WIDE_WINDOW],
+                         ids=[m for m, _ in MECHS] + ["window_W100"])
 @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise_off"])
 @pytest.mark.parametrize("epsilon", [1.0, 0.5])
 def test_lockstep_rows_equal_scalar_replay(monkeypatch, mech, kw, noisy, epsilon):
@@ -105,7 +108,8 @@ def test_lockstep_rows_equal_scalar_replay(monkeypatch, mech, kw, noisy, epsilon
     assert_lockstep_matches_scalar(cfg, monkeypatch)
 
 
-@pytest.mark.parametrize("mech,kw", [MECHS[0], MECHS[2]], ids=["window", "exp"])
+@pytest.mark.parametrize("mech,kw", [MECHS[0], MECHS[2], WIDE_WINDOW],
+                         ids=["window", "exp", "window_W100"])
 def test_lockstep_rows_equal_scalar_replay_on_a_file_stream(tmp_path, monkeypatch, mech, kw):
     # values that are not bits: no randomized-response series
     path = tmp_path / "stream.txt"

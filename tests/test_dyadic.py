@@ -21,6 +21,7 @@ from dyadic_reference import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decaystream import dyadic
 from decaystream.baselines import RunningDiffBaseline
 from decaystream.dyadic import DyadicTree, PrefixCursor, WindowCursor, block_levels
 from decaystream.mechanisms import (
@@ -521,3 +522,119 @@ def test_every_estimator_matches_its_full_store_reference(name, kind):
                 for (level, index), c in tree.counters().items():
                     assert c == full._c0[level - 1][index], (noisy, i, level, index)
                     assert np.array_equal(zs[level, index], full._z[level - 1][index])
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint reader: window sums at chosen steps, without the steps between
+
+READER_WINDOWS = (1, 2, 3, 6, 100, 128, 1000, 1024)
+READER_LENGTHS = (1, 5, 300, 4096)  # below and above every window; not all powers of two
+READERS = {
+    "window": lambda W, T, rng, noisy: WindowSum(W, 0.7, rng, noisy=noisy),
+    "running_diff": lambda W, T, rng, noisy: RunningDiffBaseline(W, T, 0.7, rng, noisy=noisy),
+}
+
+
+def _lanes_source(lanes, seed):
+    if not lanes:
+        return RandomSource(seed)
+    return RandomLanes(RandomSource(seed).child(t) for t in range(lanes))
+
+
+def _bits_equal(a, b):
+    """Same shape and the same IEEE bit patterns, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 3], ids=["scalar", "lanes1", "lanes3"])
+@pytest.mark.parametrize("name", list(READERS))
+def test_checkpoint_reader_equals_per_step_push(name, lanes):
+    # at every step of the short streams and the checkpoints of the long one,
+    # on bits and on U[0,1), noisy and noise-off, with W below and above T
+    make = READERS[name]
+    for W in READER_WINDOWS:
+        for T in READER_LENGTHS:
+            gen = np.random.default_rng(W * 7 + T)
+            uniform = gen.random(T).tolist()
+            steps = list(range(1, T + 1)) if T <= 300 else [1 << k for k in range(T.bit_length())]
+            for xs in ([float(x < 0.5) for x in uniform], uniform):
+                for noisy in (True, False):
+                    est = make(W, T, _lanes_source(lanes, 5), noisy)
+                    per_step = [est.push(x) for x in xs]
+                    got = make(W, T, _lanes_source(lanes, 5), noisy).estimates_at(xs, steps)
+                    assert len(got) == len(steps)
+                    for j, v in zip(steps, got):
+                        assert _bits_equal(v, per_step[j - 1]), (W, T, noisy, j)
+
+
+@pytest.mark.parametrize("lanes", [0, 3], ids=["scalar", "lanes"])
+@pytest.mark.parametrize("height, T", [(1, 5), (3, 37), (8, 300), (13, 300)])
+def test_creation_rank_gives_every_node_its_full_store_sum_and_noise(height, T, lanes):
+    # a store that keeps every node, fed at a constant height as the window
+    # trees are: each node's noise is its level's scale times the unit of its
+    # creation rank, and each closed node's c0 is the level's pairwise sum
+    gen = RandomSource(43)
+    xs = [gen.uniform() for _ in range(T)]
+    full = FullStore(_lanes_source(lanes, 44), lambda level: 0.5 + level)
+    for i, x in enumerate(xs, 1):
+        full.add_path(i, x, height)
+    sums = dyadic._level_sums(np.asarray(xs), height)
+    ranks = {
+        (k, index): DyadicTree._creation_rank(k, index << k, height)
+        for k, zs in enumerate(full._z) for index in zs
+    }
+    assert sorted(ranks.values()) == list(range(len(ranks)))  # every creation, once
+    units = dyadic._units_at(_lanes_source(lanes, 44), ranks.values())
+    for (k, index), r in ranks.items():
+        assert _bits_equal(full._z[k][index], (1.5 + k) * units[r]), (k, index)
+        if (index + 1) << k <= T:  # closed
+            assert full._c0[k][index] == sums[k][index], (k, index)
+
+
+class _NegativeZeros:
+    """A source whose every unit Laplace draw is -0.0."""
+
+    def laplace_vector(self, b, n):
+        return np.full(n, -0.0)
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_checkpoint_reader_starts_every_fold_at_zero(name):
+    # -0.0 updates and -0.0 noise publish every node as -0.0, which only the
+    # cursor's 0.0 + turns into 0.0; the reader must repeat it bit for bit
+    xs = [-0.0] * 40
+    steps = list(range(1, 41))
+    est = READERS[name](3, 40, _NegativeZeros(), True)
+    per_step = [est.push(x) for x in xs]
+    got = READERS[name](3, 40, _NegativeZeros(), True).estimates_at(xs, steps)
+    for j, v in zip(steps, got):
+        assert _bits_equal(v, per_step[j - 1]), j
+    assert not np.signbit(got[0])
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+@pytest.mark.parametrize("name", list(READERS))
+def test_checkpoint_reader_refuses_a_bad_update_before_drawing_noise(name, bad):
+    rng = RandomSource(8)
+    est = READERS[name](3, 10, rng, True)
+    with pytest.raises(ValueError, match=r"update must lie in \[0, 1\]"):
+        est.estimates_at([0.5] * 9 + [bad], [1, 2])
+    assert _bits_equal(rng.laplace_vector(1.0, 4), RandomSource(8).laplace_vector(1.0, 4))
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_checkpoint_reader_reads_only_a_fresh_estimator_once(name):
+    xs = [0.5] * 10
+    pushed = READERS[name](3, 10, RandomSource(8), True)
+    pushed.push(0.5)
+    with pytest.raises(ValueError, match="fresh"):
+        pushed.estimates_at(xs, [1])
+    read = READERS[name](3, 10, RandomSource(8), True)
+    read.estimates_at(xs, [4])
+    with pytest.raises(ValueError):
+        read.push(0.5)  # its noise is used up
+    with pytest.raises(ValueError, match="fresh"):
+        read.estimates_at(xs, [4])
+    with pytest.raises(ValueError):
+        READERS[name](3, 10, RandomSource(8), True).estimates_at(xs, [11])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
+from decaystream.dyadic import _DRAWS
 from decaystream.noise import (
     LaplaceScale,
     RandomLanes,
@@ -176,6 +177,23 @@ def test_one_matrix_transform_equals_per_column_transforms_bit_for_bit(n, lanes)
             assert np.array_equal(whole[:, t].view(np.int64), want.view(np.int64))
             alone = laplace_from_uniform(col.copy(), 2.5)
             assert np.array_equal(alone.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("lanes", [0, 5], ids=["scalar", "lanes"])
+def test_one_long_laplace_call_equals_consecutive_store_refills(k, lanes):
+    # a store's refills of _DRAWS units may be drawn k at a time: one call
+    # must give the k refills' units bit for bit
+    def source():
+        if lanes:
+            return RandomLanes(RandomSource(17).child(t) for t in range(lanes))
+        return RandomSource(17)
+
+    whole = source().laplace_vector(1.0, k * _DRAWS)
+    src = source()
+    parts = np.concatenate([src.laplace_vector(1.0, _DRAWS) for _ in range(k)])
+    assert whole.shape == parts.shape
+    assert np.array_equal(whole.view(np.int64), parts.view(np.int64))
 
 
 def test_lanes_need_fresh_sources():
