@@ -169,7 +169,7 @@ def test_running_diff_enforces_horizon():
 
 @pytest.mark.parametrize("W", [1, 3, 8, 100, 128])
 @pytest.mark.parametrize("source", ["noisy", "noise_off", "lanes"])
-def test_running_diff_keeps_one_node_per_level_and_reads_as_a_full_store(W, source):
+def test_running_diff_evicts_behind_its_lag_and_reads_as_a_full_store(W, source):
     # the baseline keeps one node per level of its horizon tree, each older
     # one overwritten by the next on its level; the reference is a same-seed
     # store that keeps every node, read at random access
