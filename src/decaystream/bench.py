@@ -15,11 +15,14 @@ Trials run in lockstep: each series is built once per batch of at most
 ``_LANES`` trials on :class:`~decaystream.noise.RandomLanes`, one lane per
 trial, and the stream is pushed through it once.  A batch pays per batch,
 not per lane or per step: a refill of lane noise is one Laplace transform
-over all lanes, and randomized response flips a block of steps at once and
-is summed and rescaled only at the checkpoints (:func:`_rr_at_checkpoints`).
-The window mechanism and the running-difference baseline are read at the
-checkpoints only as well (:func:`~decaystream.dyadic.window_sums_at`); the
-other mechanisms are pushed step by step.
+over all lanes, and randomized response draws and flips a block of steps
+at once and is rescaled only at the checkpoints; over a window or running
+decay its flips are counted, one cumulative sum per block
+(:func:`_rr_at_checkpoints`).  The window mechanism and the
+running-difference baseline are read at the checkpoints only as well
+(:func:`~decaystream.dyadic.window_sums_at`), with one noise draw per
+lane that transforms only the units read; the other mechanisms are pushed
+step by step.
 The unit of work is one series on one lane batch.  With ``jobs`` = 1 the
 units run in turn in the calling process; with ``jobs`` > 1 they go, in
 series order, to a pool of at most ``jobs`` worker processes (never more
@@ -208,8 +211,8 @@ def make_stream(cfg: ExperimentConfig) -> list[float]:
         p = float(arg) if arg else 0.5
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli rate must lie in [0, 1], got {p}")
-        rng = RandomSource(cfg.seed).child(_STREAM_CHILD)
-        return [1.0 if rng.uniform() < p else 0.0 for _ in range(cfg.T)]
+        u = RandomSource(cfg.seed).child(_STREAM_CHILD).uniforms(cfg.T)
+        return (u < p).astype(np.float64).tolist()
     if name == "blocks":
         period = int(arg) if arg else max(1, cfg.W or 1)
         if period < 1:
@@ -276,35 +279,58 @@ def _rr_flip(cfg: ExperimentConfig, name: str) -> float:
     return rr_flip_parameter(cfg.epsilon) if name == "rr_matched" else cfg.epsilon
 
 
-def _flipped(rr: RandomizedResponse, rng, stream):
-    """Yield each step's flipped bit (a lane array on lanes), flipping a block
-    of ``_FLIP_ROWS`` steps at once: ``rng`` draws one uniform per step in
-    stream order, as ``rr.push`` does."""
+def _flip_blocks(rr: RandomizedResponse, rng, stream):
+    """Yield the flipped bits of each block of ``_FLIP_ROWS`` steps: shape
+    (rows,), or (rows, lanes) on lanes.  ``rng`` draws one uniform per step
+    in stream order, as ``rr.push`` does."""
     for i0 in range(0, len(stream), _FLIP_ROWS):
         bits = stream[i0:i0 + _FLIP_ROWS]
-        u = np.array([rng.uniform() for _ in bits])  # (rows,) or (rows, lanes)
-        yield from rr.flip(np.reshape(bits, (-1,) + (1,) * (u.ndim - 1)), u)
+        u = rng.uniforms(len(bits))
+        yield rr.flip(np.reshape(bits, (-1,) + (1,) * (u.ndim - 1)), u)
 
 
 def _rr_at_checkpoints(cfg: ExperimentConfig, f: float, rng, stream) -> list:
     """The estimates at the checkpoints of the bit ``stream`` of randomized
     response with keep bias ``f`` on ``rng``, ``==`` to its per-step ``push``.
 
-    The flipped stream (:func:`_flipped`) and the all-ones stream are summed by
-    :func:`_exact_at_checkpoints`, so the rescale runs only at the checkpoints.
-    A rolling decay holds one block of flips at a time; a polynomial decay
-    keeps them all, as the per-step oracle keeps its buffer.
+    A window or running decay sums flips that are exactly 0.0 or 1.0, so
+    every partial sum is an integer below 2**53 and its oracle's value at j
+    is ``count(j) - count(j - W)`` (the lag dropped for a running sum), with
+    ``count`` the running count of flips: each block's counts are one
+    ``np.cumsum``, and only those at the checkpoints and their lags are
+    kept.  Its all-ones sum is ``min(j, W)``.  Other decays sum the flips,
+    and the all-ones stream, with :func:`_exact_at_checkpoints`; a
+    polynomial decay keeps all flips, as the per-step oracle keeps its
+    buffer.  Either way the rescale runs only at the checkpoints.
     """
-    rr = RandomizedResponse(cfg.decay(), f, rng)
-    flips = _flipped(rr, rng, stream)
-    if cfg.decay().kind == "polynomial":
-        flips = list(flips)
-    ones = _exact_at_checkpoints(cfg, [1.0] * len(stream))
-    return [rr.rescale(s, g) for s, g in zip(_exact_at_checkpoints(cfg, flips), ones)]
+    decay = cfg.decay()
+    rr = RandomizedResponse(decay, f, rng)
+    blocks = _flip_blocks(rr, rng, stream)
+    T = len(stream)
+    marks = checkpoints(T)
+    if decay.kind in ("exponential", "polynomial"):
+        flips = (y for block in blocks for y in block)
+        if decay.kind == "polynomial":
+            flips = list(flips)
+        ones = _exact_at_checkpoints(cfg, [1.0] * T)
+        return [rr.rescale(s, g) for s, g in zip(_exact_at_checkpoints(cfg, flips), ones)]
+    W = decay.W if decay.kind == "window" else T
+    lag = [max(j - W, 0) for j in marks]
+    kept = set(marks + lag) - {0}
+    count = {0: 0.0}
+    end = 0  # steps counted so far
+    total = 0.0  # their count
+    for block in blocks:
+        c = total + np.cumsum(block, axis=0)
+        mine = [i for i in kept if end < i <= end + len(c)]
+        count.update(zip(mine, c[[i - end - 1 for i in mine]]))  # copies the rows kept
+        end += len(c)
+        total = c[-1]
+    return [rr.rescale(count[j] - count[m], float(min(j, W))) for j, m in zip(marks, lag)]
 
 
 def _is_binary(stream) -> bool:
-    return all(x in (0.0, 1.0) for x in stream)
+    return set(stream) <= {0.0, 1.0}
 
 
 def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.ndarray:
@@ -314,11 +340,13 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     The batch is one estimator of the series on lanes of the trials'
     sub-streams (``trial.child(k)``, k from ``_SERIES_CHILD``); each
     estimate is an array with one lane per trial (a float when the series
-    draws no noise).  Randomized response (:func:`_rr_at_checkpoints`), the
-    window mechanism and ``running_diff`` (their ``estimates_at``) are read
-    at the checkpoints only, ``==`` to their per-step ``push``; the stream
-    is pushed through any other mechanism once.  ``data`` is the pair
-    (stream, :func:`_exact_at_checkpoints`).
+    draws no noise).  Randomized response (:func:`_rr_at_checkpoints`:
+    counted over a window or running decay, summed over the others), the
+    window mechanism and ``running_diff`` (their ``estimates_at``, one
+    ``laplace_rows`` draw per lane) are read at the checkpoints only, ``==``
+    to their per-step ``push``; the stream is pushed through any other
+    mechanism once.  ``data`` is the pair (stream,
+    :func:`_exact_at_checkpoints`).
     """
     stream, exact = data
     T = len(stream)

@@ -43,8 +43,9 @@ A window estimate is post-processing of O(log W) closed nodes, so
 :func:`window_sums_at` reads a fresh window store and cursor at chosen steps
 only, ``==`` to pushing every step: it sums each node's ``c0`` from the
 stream pairwise, level by level, and takes its noise from the node's
-creation rank (:meth:`DyadicTree._creation_rank`), drawing the store's
-refills and keeping only the units it reads.
+creation rank (:meth:`DyadicTree._creation_rank`): one
+``laplace_rows`` call draws the uniforms of the store's refills, a bounded
+chunk at a time, and transforms only the units it reads.
 """
 
 from __future__ import annotations
@@ -327,21 +328,17 @@ def _units_at(rng: RandomSource, ranks) -> dict:
     """The unit Laplace draw a store on ``rng`` gives its node of each
     creation rank in ``ranks``.
 
-    The refills are drawn as the store draws them, ``_DRAWS`` units per
-    ``laplace_vector`` call, through the last one asked for, and only the
-    units (lanes: rows) of the ranks asked for are kept: rank r is item
-    ``r % _DRAWS`` from the end of refill ``r // _DRAWS``.
+    The store draws its refills one ``laplace_vector(1.0, _DRAWS)`` call
+    after another, and that is one ``laplace_vector(1.0, n)`` call over
+    them, so the refills through the last one asked for are read with one
+    ``laplace_rows(1.0, n, rows)`` call that transforms only the units
+    (lanes: rows) of the ranks asked for: rank r is item ``r % _DRAWS`` from
+    the end of refill ``r // _DRAWS``.
     """
-    by_refill: dict = {}
-    for r in ranks:
-        by_refill.setdefault(r // _DRAWS, []).append(r)
-    units: dict = {}
-    for q in range(max(by_refill, default=-1) + 1):
-        draws = rng.laplace_vector(1.0, _DRAWS)
-        mine = by_refill.get(q)
-        if mine:
-            units.update(zip(mine, draws[[_DRAWS - 1 - r % _DRAWS for r in mine]]))
-    return units
+    ranks = list(ranks)
+    rows = [r - r % _DRAWS + _DRAWS - 1 - r % _DRAWS for r in ranks]
+    n = (max(ranks, default=-1) // _DRAWS + 1) * _DRAWS
+    return dict(zip(ranks, rng.laplace_rows(1.0, n, rows)))
 
 
 def window_sums_at(tree: DyadicTree, height: int, cursor: WindowCursor, xs, steps) -> list:

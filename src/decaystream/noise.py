@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,8 +62,10 @@ class RandomSource:
 
     Identical seeds give identical draw sequences on every platform.
     ``child(i)`` derives an independent stream for each index ``i``, so
-    parallel trials never share state.  Single-owner: a source may be moved
-    between threads but must never be used concurrently.
+    parallel trials never share state.  The generator is built on the first
+    draw, so a source that only derives children (``base.child(t)`` in
+    ``base.child(t).child(k)``) builds none.  Single-owner: a source may be
+    moved between threads but must never be used concurrently.
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
@@ -71,11 +73,14 @@ class RandomSource:
             raise ValueError("seed must be a non-negative integer")
         self.seed = int(seed)
         self._path = tuple(_path)
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self._path))
-        )
         self._buf: list[float] = []
         self._pos = 0
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self._path))
+        )
 
     def child(self, index: int) -> "RandomSource":
         """Derive the ``index``-th independent sub-stream (index < 2**64)."""
@@ -92,6 +97,19 @@ class RandomSource:
         self._pos += 1
         return u
 
+    def uniforms(self, n: int) -> np.ndarray:
+        """What n calls of :meth:`uniform` return, as one array, from the
+        same buffer."""
+        out: list[float] = []
+        while len(out) < n:
+            if self._pos >= len(self._buf):
+                self._buf = self._gen.random(_BUFFER).tolist()
+                self._pos = 0
+            take = self._buf[self._pos:self._pos + n - len(out)]
+            self._pos += len(take)
+            out += take
+        return np.array(out, dtype=np.float64)
+
     def laplace(self, b: float) -> float:
         """One zero-mean Laplace(b) draw via the inverse CDF (the scalar
         form of :func:`_centred`)."""
@@ -101,6 +119,11 @@ class RandomSource:
     def laplace_vector(self, b: float, n: int) -> np.ndarray:
         """n independent Laplace(b) draws (vectorised, same transform)."""
         return laplace_from_uniform(_centred(self._gen.random(n)), b)
+
+    def laplace_rows(self, b: float, n: int, rows) -> np.ndarray:
+        """``laplace_vector(b, n)[rows]``, leaving the generator as that call
+        would (:func:`_laplace_rows`)."""
+        return _laplace_rows([self._gen], b, n, rows)[:, 0]
 
 
 class RandomLanes:
@@ -130,19 +153,62 @@ class RandomLanes:
         self._buf = np.empty((0, len(self._sources)))
         self._pos = 0
 
+    def _random(self, n: int) -> np.ndarray:
+        """n uniforms per lane from the lanes' generators, shape (n, lanes)."""
+        return np.stack([s._gen.random(n) for s in self._sources], axis=1)
+
     def uniform(self) -> np.ndarray:
         """One double in [0, 1) per lane, refilled as RandomSource.uniform is."""
         if self._pos >= len(self._buf):
-            self._buf = np.stack([s._gen.random(_BUFFER) for s in self._sources], axis=1)
+            self._buf = self._random(_BUFFER)
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
         return u
 
+    def uniforms(self, n: int) -> np.ndarray:
+        """What n calls of :meth:`uniform` return, stacked: shape (n, lanes)."""
+        parts = []
+        while n:
+            if self._pos >= len(self._buf):
+                self._buf = self._random(_BUFFER)
+                self._pos = 0
+            take = self._buf[self._pos:self._pos + n]
+            self._pos += len(take)
+            n -= len(take)
+            parts.append(take)
+        return np.concatenate(parts or [self._buf[:0]])
+
     def laplace_vector(self, b: float, n: int) -> np.ndarray:
         """n Laplace(b) draws per lane, shape (n, lanes)."""
-        u = np.stack([s._gen.random(n) for s in self._sources], axis=1)
-        return laplace_from_uniform(_centred(u), b)
+        return laplace_from_uniform(_centred(self._random(n)), b)
+
+    def laplace_rows(self, b: float, n: int, rows) -> np.ndarray:
+        """``laplace_vector(b, n)[rows]``, shape (len(rows), lanes), leaving
+        every lane's generator as that call would (:func:`_laplace_rows`)."""
+        return _laplace_rows([s._gen for s in self._sources], b, n, rows)
+
+
+def _laplace_rows(gens, b: float, n: int, rows) -> np.ndarray:
+    """The ``rows`` of n Laplace(b) draws per generator in ``gens``, shape
+    (len(rows), len(gens)).
+
+    Each generator draws its n uniforms in chunks of at most ``_BUFFER``,
+    so it ends as after one ``random(n)`` call, and keeps only the rows
+    read.  Only those are transformed: the transform is elementwise, and
+    rounds a value the same wherever it sits (see :class:`RandomLanes`).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size and not (0 <= rows.min() and rows.max() < n):
+        raise ValueError(f"rows must lie in [0, {n})")
+    u = np.empty((len(gens), len(rows)))
+    for c0 in range(0, n, _BUFFER):
+        m = min(_BUFFER, n - c0)
+        mine = (c0 <= rows) & (rows < c0 + m)
+        at = rows[mine] - c0
+        for gen, row in zip(gens, u):
+            row[mine] = gen.random(m)[at]
+    return laplace_from_uniform(_centred(u.T), b)
 
 
 @dataclass(frozen=True)

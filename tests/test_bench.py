@@ -147,13 +147,19 @@ def test_checkpoint_oracle_equals_the_per_step_oracle(mech, kw):
     assert bench._exact_at_checkpoints(cfg, stream) == want
 
 
-@pytest.mark.parametrize("mech,kw", MECHS, ids=[m for m, _ in MECHS])
+# windows longer than a 64-step flip block, as long as the 300-step stream, and longer
+RR_WINDOWS = [("window", dict(W=W)) for W in (100, 300, 1000)]
+
+
+@pytest.mark.parametrize("mech,kw", MECHS + RR_WINDOWS,
+                         ids=[m for m, _ in MECHS] + [f"window_W{kw['W']}" for _, kw in RR_WINDOWS])
 @pytest.mark.parametrize("epsilon", [1.0, 0.5])
 @pytest.mark.parametrize("lanes", [0, 5], ids=["scalar", "lanes"])
 def test_checkpoint_randomized_response_equals_the_per_step_one(monkeypatch, mech, kw,
                                                                 epsilon, lanes):
-    # the flips are made in blocks and summed only at the checkpoints; every
-    # value must still be push's, bit for bit, on a scalar source and on lanes
+    # window and running sums count the flips block by block, the other
+    # decays sum them, and all rescale only at the checkpoints; every value
+    # must still be push's, bit for bit, on a scalar source and on lanes
     monkeypatch.setattr(bench, "_FLIP_ROWS", 64)  # 300 steps: 4 full blocks and one of 44
     gen = RandomSource(6)
     stream = [1.0 if gen.uniform() < 0.5 else 0.0 for _ in range(300)]
@@ -174,7 +180,8 @@ def test_checkpoint_randomized_response_equals_the_per_step_one(monkeypatch, mec
         got = bench._rr_at_checkpoints(cfg, f, rng(), stream)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert np.array_equal(a, b), name
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def test_pool_has_no_more_workers_than_units(tmp_path, monkeypatch):

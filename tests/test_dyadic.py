@@ -598,6 +598,9 @@ class _NegativeZeros:
     def laplace_vector(self, b, n):
         return np.full(n, -0.0)
 
+    def laplace_rows(self, b, n, rows):
+        return np.full(len(rows), -0.0)
+
 
 @pytest.mark.parametrize("name", list(READERS))
 def test_checkpoint_reader_starts_every_fold_at_zero(name):

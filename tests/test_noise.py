@@ -203,3 +203,60 @@ def test_lanes_need_fresh_sources():
     used.uniform()
     with pytest.raises(ValueError):
         RandomLanes([RandomSource(2), used])
+
+
+def _lanes_or_source(lanes, seed):
+    if lanes:
+        return RandomLanes(RandomSource(seed).child(t) for t in range(lanes))
+    return RandomSource(seed)
+
+
+@pytest.mark.parametrize("lanes", [0, 3], ids=["scalar", "lanes"])
+def test_uniforms_equal_as_many_uniform_calls(lanes):
+    # blocks that end inside the 4096-uniform buffer, cross a refill, span
+    # several refills and are interleaved with single calls
+    sizes = [1, 100, 0, 4000, 4096, 9000, 5]
+    block, single = _lanes_or_source(lanes, 12), _lanes_or_source(lanes, 12)
+    for n in sizes:
+        got = block.uniforms(n)
+        want = np.array([single.uniform() for _ in range(n)]).reshape((n,) + got.shape[1:])
+        assert got.shape == ((n, lanes) if lanes else (n,))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+        assert np.array_equal(np.asarray(block.uniform()), np.asarray(single.uniform()))
+
+
+@pytest.mark.parametrize("n", [0, 7, 256, 4096, 4097, 9000])
+@pytest.mark.parametrize("lanes", [0, 3], ids=["scalar", "lanes"])
+def test_laplace_rows_are_the_rows_of_laplace_vector(n, lanes):
+    # the rows asked for, in the order asked (a repeat included), of the one
+    # long call, and the generator left where that call leaves it
+    rows = sorted({0, n // 2, n - 1, 4095, 4096, 8191} & set(range(n)), reverse=True)
+    rows += rows[:1]
+    whole, part = _lanes_or_source(lanes, 21), _lanes_or_source(lanes, 21)
+    want = whole.laplace_vector(1.0, n)[rows]
+    got = part.laplace_rows(1.0, n, rows)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    after, want_after = part.laplace_vector(1.0, 5), whole.laplace_vector(1.0, 5)
+    assert np.array_equal(after.view(np.int64), want_after.view(np.int64))
+
+
+def test_laplace_rows_refuses_a_row_outside_the_draws():
+    for rows in ([4], [-1]):
+        with pytest.raises(ValueError, match="rows must lie"):
+            RandomSource(2).laplace_rows(1.0, 4, rows)
+
+
+def test_a_child_draws_the_same_whether_or_not_its_parent_drew():
+    # a parent's generator is built on its first draw: one that only
+    # derives children builds none, and its draws never shift a child's
+    want = RandomSource(5).child(3).child(1).uniforms(10)
+    idle = RandomSource(5)
+    child = idle.child(3)
+    assert np.array_equal(child.child(1).uniforms(10), want)
+    assert "_gen" not in vars(idle) and "_gen" not in vars(child)
+    used = RandomSource(5)
+    used.uniform()
+    early = used.child(3).child(1)
+    used.laplace_vector(1.0, 7)
+    assert np.array_equal(early.uniforms(10), want)
