@@ -5,9 +5,9 @@ randomized-response baseline is the classic per-bit local scheme: its error
 grows with the square root of the decay function's energy, which is what the
 tree mechanisms are designed to beat.  The running-difference baseline
 estimates a window sum as the difference of two private prefix sums from a
-single uniform-noise tree, read by the window cursor over one block that
-spans the horizon; its error grows with the stream position instead of
-staying bounded by the window.
+single uniform-noise tree: it is the window sum whose one block spans the
+horizon, and its error grows with the stream position instead of staying
+bounded by the window.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .dyadic import DyadicTree, WindowCursor, block_levels, window_sums_at
-from .mechanisms import DecaySpec
+from .dyadic import WindowCursor
+from .mechanisms import DecaySpec, WindowSum
 from .noise import RandomSource, check_epsilon
 
 
@@ -135,20 +135,16 @@ class RandomizedResponse:
         return (1.0 - self.f * self.f) / (4.0 * self.f * self.f)
 
 
-class RunningDiffBaseline:
+class RunningDiffBaseline(WindowSum):
     """Window sum as a difference of private prefix sums (known horizon).
 
-    One dyadic counter store (:mod:`decaystream.dyadic`) holding the subtree
-    over the whole horizon, padded to a power of two ``horizon'``, with
-    uniform per-node noise of scale ``(log2(horizon') + 1) / epsilon``; the
-    window estimate at step i is prefix(i) - prefix(i - W).  Error at step i
-    grows with the number of tiling nodes of the two prefixes, i.e. with
-    log i, and for large i dwarfs the window range.
-
-    A :class:`~decaystream.dyadic.WindowCursor` over one block spanning the
-    horizon reads it: one prefix walk takes the topmost node each update
-    closes, and its queue of the walk's last W values gives prefix(i - W).
-    The store keeps one node per level of the horizon tree, beside the queue.
+    A :class:`~decaystream.mechanisms.WindowSum` whose one block spans the
+    horizon, padded to a power of two ``horizon'``: one dyadic counter store
+    with uniform per-node noise of scale ``(log2(horizon') + 1) / epsilon``,
+    whose window estimate at step i is prefix(i) - prefix(i - W).  Error at
+    step i grows with the number of tiling nodes of the two prefixes, i.e.
+    with log i, and for large i dwarfs the window range.  A window longer
+    than the horizon is clamped to it: it never slides, and reads prefix(i).
     """
 
     def __init__(
@@ -162,35 +158,17 @@ class RunningDiffBaseline:
     ):
         if W < 1 or horizon < 1:
             raise ValueError("window size and horizon must be >= 1")
-        check_epsilon(epsilon)
+        WindowSum.__init__(self, horizon, epsilon, rng, noisy=noisy)
+        self._window = WindowCursor(min(W, horizon), self._h)
         self.W = W
         self.horizon = horizon
-        self._h = block_levels(horizon)  # levels of the padded horizon tree
-        self.counter_scale = scale = self._h / epsilon
-        self._tree = DyadicTree(rng, lambda _level: scale, noisy)
-        # one block over the horizon, or over a window longer than it
-        self._window = WindowCursor(W, max(self._h, block_levels(W)))
-        self.step = 0
 
     def push(self, x: float) -> float:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"update must lie in [0, 1], got {x}")
-        i = self.step + 1
-        if i > self.horizon:
+        if self.step >= self.horizon:
             raise ValueError(f"stream exceeds the declared horizon {self.horizon}")
-        self.step = i
-        return self._window.advance(self._tree.add_path(i, x, self._h))
+        return WindowSum.push(self, x)
 
     def estimates_at(self, xs, steps) -> list:
-        """The estimates ``push`` returns at ``steps`` when this fresh
-        baseline is fed ``xs``, read at those steps only
-        (:func:`~decaystream.dyadic.window_sums_at`).  The read uses up the
-        baseline's noise: a later push is refused."""
         if len(xs) > self.horizon:
             raise ValueError(f"stream exceeds the declared horizon {self.horizon}")
-        return window_sums_at(self._tree, self._h, self._window, xs, steps)
-
-    def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless value of each level's newest node, keyed (level, index);
-        an open node reads 0.0."""
-        return self._tree.counters()
+        return WindowSum.estimates_at(self, xs, steps)

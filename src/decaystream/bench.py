@@ -58,7 +58,7 @@ from .bounds import (
     worst_noise_profile,
 )
 from .dyadic import block_levels
-from .mechanisms import DecaySpec, FixedWindowView, make_mechanism
+from .mechanisms import DecaySpec, FixedWindowView, WindowSum, make_mechanism
 from .noise import RandomLanes, RandomSource, check_epsilon
 
 _STREAM_CHILD = 0
@@ -341,12 +341,12 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     sub-streams (``trial.child(k)``, k from ``_SERIES_CHILD``); each
     estimate is an array with one lane per trial (a float when the series
     draws no noise).  Randomized response (:func:`_rr_at_checkpoints`:
-    counted over a window or running decay, summed over the others), the
-    window mechanism and ``running_diff`` (their ``estimates_at``, one
-    ``laplace_rows`` draw per lane) are read at the checkpoints only, ``==``
-    to their per-step ``push``; the stream is pushed through any other
-    mechanism once.  ``data`` is the pair (stream,
-    :func:`_exact_at_checkpoints`).
+    counted over a window or running decay, summed over the others) and
+    every :class:`~decaystream.mechanisms.WindowSum`, the window mechanism
+    and ``running_diff`` (its ``estimates_at``, one ``laplace_rows`` draw
+    per lane), are read at the checkpoints only, ``==`` to their per-step
+    ``push``; the stream is pushed through any other mechanism once.
+    ``data`` is the pair (stream, :func:`_exact_at_checkpoints`).
     """
     stream, exact = data
     T = len(stream)
@@ -364,7 +364,7 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     else:
         runner = build_mechanism(cfg, rng)
     marks = checkpoints(T)
-    if name in ("window", "running_diff"):
+    if isinstance(runner, WindowSum):
         for idx, est in enumerate(runner.estimates_at(stream, marks)):
             out[idx] = est - exact[idx]
         return out

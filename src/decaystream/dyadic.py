@@ -21,8 +21,8 @@ Every tree is a view of this store, chosen by its caller:
   and takes its value from its children when it closes, and the
   exponential sum writes its own discounted nodes with :meth:`DyadicTree.add`;
 * window trees use aligned subtrees of ``W' = 2**ceil(log2 W)`` leaves as
-  blocks (:func:`block_levels`);
-* the prefix-difference baseline uses one subtree spanning its horizon.
+  blocks (:func:`block_levels`); the prefix-difference baseline is the
+  window tree whose one block spans its horizon.
 
 As in the binary mechanism, each node is published once, when it closes, so
 the store keeps one node per level: the level's newest, in one slot holding
@@ -34,10 +34,10 @@ Two readers take at every step the node ``add_path`` just closed: a
 :class:`PrefixCursor` walks the running sum's prefixes, and a
 :class:`WindowCursor` the window sums over blocks of the levels its owner
 gives (``W'`` for the window sum and fixed window view, the horizon for the
-baseline); no other code in the package splits a window or knows its
-blocks.  The polynomial estimator keeps its own archive of the closed nodes
-its age tiling reads, and the exponential sum reads the node each
-:meth:`DyadicTree.add` returns.
+baseline, whose longer window is clamped to it); no other code in the
+package splits a window or knows its blocks.  The polynomial estimator
+keeps its own archive of the closed nodes its age tiling reads, and the
+exponential sum reads the node each :meth:`DyadicTree.add` returns.
 
 A window estimate is post-processing of O(log W) closed nodes, so
 :func:`window_sums_at` reads a fresh window store and cursor at chosen steps
@@ -341,16 +341,15 @@ def _units_at(rng: RandomSource, ranks) -> dict:
     return dict(zip(ranks, rng.laplace_rows(1.0, n, rows)))
 
 
-def window_sums_at(tree: DyadicTree, height: int, cursor: WindowCursor, xs, steps) -> list:
+def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps) -> list:
     """What ``cursor.advance(tree.add_path(i, x, height))`` returns at each
     of ``steps`` while i = 1, 2, 3, ... takes the values ``xs``, ``==`` to
     it, read without pushing the steps in between.
 
-    ``tree`` and ``cursor`` must be fresh, and the cursor's blocks subtrees
-    of the store's, as for the per-step pair (the cursor's levels are
-    ``height``, or more over a stream of at most ``2**(height - 1)``
-    positions).  An update outside [0, 1] is refused before any noise is
-    drawn.  Only the nodes that the estimates at ``steps`` read are
+    ``tree`` and ``cursor`` must be fresh, and ``height`` is the cursor's
+    levels, so its blocks are the store's subtrees, as for the per-step
+    pair of :class:`~decaystream.mechanisms.WindowSum`.  An update outside
+    [0, 1] is refused before any noise is drawn.  Only the nodes that the estimates at ``steps`` read are
     computed, each as the store publishes it, ``c0 + z``: ``c0`` from
     :func:`_level_sums`, ``z`` the level's scale times the unit of the
     node's creation rank (:meth:`DyadicTree._creation_rank`).  They combine
@@ -368,7 +367,7 @@ def window_sums_at(tree: DyadicTree, height: int, cursor: WindowCursor, xs, step
     bad = ~((0.0 <= x) & (x <= 1.0))
     if bad.any():
         raise ValueError(f"update must lie in [0, 1], got {x[bad][0]}")
-    mask, levels = cursor._mask, cursor._top
+    mask, height = cursor._mask, cursor._top
 
     def tiles(e: int, p: int) -> list:
         """The nodes (0-based level, index) tiling the p positions ending
@@ -388,7 +387,7 @@ def window_sums_at(tree: DyadicTree, height: int, cursor: WindowCursor, xs, step
         m = j - cursor.W
         q = m & mask if m > 0 else 0  # m's place in its block; 0: no lag is read
         # the previous block's total is read when m lies in that block
-        top = [(levels - 1, ((j - 1) >> (levels - 1)) - 1)] if q >= p else []
+        top = [(height - 1, ((j - 1) >> (height - 1)) - 1)] if q >= p else []
         plans.append((tiles(j, p), tiles(m, q), top))
     nodes = {nd for plan in plans for part in plan for nd in part}
     sums = _level_sums(x, height)

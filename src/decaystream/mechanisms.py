@@ -196,7 +196,7 @@ class WindowSum:
         estimator is fed ``xs``, read at those steps only
         (:func:`~decaystream.dyadic.window_sums_at`).  The read uses up the
         estimator's noise: a later push is refused."""
-        return window_sums_at(self._tree, self._h, self._window, xs, steps)
+        return window_sums_at(self._tree, self._window, xs, steps)
 
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless value of each level's newest node, keyed (level, index);

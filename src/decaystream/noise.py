@@ -159,12 +159,7 @@ class RandomLanes:
 
     def uniform(self) -> np.ndarray:
         """One double in [0, 1) per lane, refilled as RandomSource.uniform is."""
-        if self._pos >= len(self._buf):
-            self._buf = self._random(_BUFFER)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+        return self.uniforms(1)[0]
 
     def uniforms(self, n: int) -> np.ndarray:
         """What n calls of :meth:`uniform` return, stacked: shape (n, lanes)."""

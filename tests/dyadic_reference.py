@@ -13,7 +13,7 @@ from array import array
 from typing import NamedTuple
 from unittest import mock
 
-from decaystream import baselines, mechanisms
+from decaystream import mechanisms
 from decaystream.dyadic import _DRAWS
 from decaystream.mechanisms import _TINY_WEIGHT, ExponentialSum
 from decaystream.noise import RandomSource
@@ -195,9 +195,7 @@ class FullStore:
 
 def on_full_store(make):
     """``make()`` with every store it builds a :class:`FullStore`."""
-    with mock.patch.object(mechanisms, "DyadicTree", FullStore), mock.patch.object(
-        baselines, "DyadicTree", FullStore
-    ):
+    with mock.patch.object(mechanisms, "DyadicTree", FullStore):
         return make()
 
 

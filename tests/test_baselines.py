@@ -11,6 +11,7 @@ from decaystream.baselines import (
     decayed_sum,
     rr_flip_parameter,
 )
+from decaystream.dyadic import block_levels
 from decaystream.mechanisms import DecaySpec
 from decaystream.noise import RandomLanes, RandomSource
 
@@ -152,8 +153,8 @@ def test_running_diff_noiseless_matches_window_oracle():
 
 @pytest.mark.parametrize("W", [300, 1000])
 def test_running_diff_window_longer_than_its_horizon_reads_the_prefix(W):
-    # its cursor's block then spans the window, not the horizon tree of 256
-    # positions; the window never slides within the 200 steps
+    # the window is clamped to the horizon, whose one block of 256
+    # positions the cursor reads, so it never slides within the 200 steps
     xs = random_bits(6, 200)
     straw = RunningDiffBaseline(W, 200, 1.0, RandomSource(5), noisy=False)
     assert [straw.push(float(x)) for x in xs] == np.cumsum(xs).tolist()
@@ -167,12 +168,13 @@ def test_running_diff_enforces_horizon():
         straw.push(1.0)
 
 
-@pytest.mark.parametrize("W", [1, 3, 8, 100, 128])
+@pytest.mark.parametrize("W", [1, 3, 8, 100, 128, 1500])
 @pytest.mark.parametrize("source", ["noisy", "noise_off", "lanes"])
 def test_running_diff_evicts_behind_its_lag_and_reads_as_a_full_store(W, source):
     # the baseline keeps one node per level of its horizon tree, each older
     # one overwritten by the next on its level; the reference is a same-seed
-    # store that keeps every node, read at random access
+    # store that keeps every node, read at random access.  Its height and
+    # scale are the horizon's, also for a window longer than the horizon
     T = 1000
     xs = [x * 0.75 for x in random_bits(W, T)]
     noisy = source != "noise_off"
@@ -183,7 +185,7 @@ def test_running_diff_evicts_behind_its_lag_and_reads_as_a_full_store(W, source)
         return RandomSource(7)
 
     straw = RunningDiffBaseline(W, T, 0.5, rng(), noisy=noisy)
-    h = straw._h
+    h = block_levels(T)
     ref = FullStore(rng(), lambda _level: h / 0.5, noisy)
     for i, x in enumerate(xs, 1):
         est = straw.push(x)

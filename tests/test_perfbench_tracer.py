@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from decaystream import bench, dyadic, mechanisms
+from decaystream import baselines, bench, dyadic, mechanisms
 from decaystream.noise import RandomSource
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -70,6 +70,28 @@ def test_every_growing_tree_reader_push_traces_one_base_push():
         children = np.bincount(parent[base], minlength=len(parent))[spans]
         assert children.tolist() == [1] * pushes, name
     assert len(base) == pushes * len(readers)
+
+
+def test_every_running_diff_push_traces_one_window_sum_push():
+    # the baseline is a WindowSum whose one block spans its horizon, and its
+    # push calls WindowSum.push, looked up at call time: each traced
+    # baseline push holds exactly one mechanisms.WindowSum.push span
+    tracing = load("tracing")
+    straw = baselines.RunningDiffBaseline(5, 100, 1.0, RandomSource(0))
+    pushes = 40
+    tracer = tracing.Tracer().install()
+    try:
+        for _ in range(pushes):
+            straw.push(0.5)
+    finally:
+        tracer.uninstall()
+    names = np.array(tracer.names)[np.frombuffer(tracer.name_id, dtype=np.int64)]
+    parent = np.frombuffer(tracer.parent, dtype=np.int64)
+    base = np.flatnonzero(names == "mechanisms.WindowSum.push")
+    spans = np.flatnonzero(names == "baselines.RunningDiffBaseline.push")
+    assert len(spans) == len(base) == pushes
+    children = np.bincount(parent[base], minlength=len(parent))[spans]
+    assert children.tolist() == [1] * pushes
 
 
 def test_poly_hooks_run_against_the_package():
