@@ -57,7 +57,6 @@ from .bounds import (
     utility_delta,
     worst_noise_profile,
 )
-from .dyadic import block_levels
 from .mechanisms import DecaySpec, FixedWindowView, WindowSum, make_mechanism
 from .noise import RandomLanes, RandomSource, check_epsilon
 
@@ -386,7 +385,9 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(srt[rank - 1])
 
 
-def _delta_theory(cfg: ExperimentConfig, name: str, j: int, T: int) -> float | None:
+def _delta_theory(
+    cfg: ExperimentConfig, name: str, j: int, T: int, diff: RunningDiffBaseline | None
+) -> float | None:
     decay = cfg.decay()
     if name == cfg.mech:
         return utility_delta(theory_profile(cfg, T), cfg.gamma)
@@ -395,10 +396,8 @@ def _delta_theory(cfg: ExperimentConfig, name: str, j: int, T: int) -> float | N
         range2 = decay.energy(j) / (f * f)
         return hoeffding_delta(range2, cfg.gamma)
     if name == "running_diff":
-        h = block_levels(T)  # levels of the padded horizon tree
-        scale = h / cfg.epsilon
-        terms = max(1, 2 * (h - 1))
-        return utility_delta(NoiseProfile((scale,) * terms), cfg.gamma)
+        terms = max(1, 2 * (diff._h - 1))  # levels of the padded horizon tree
+        return utility_delta(NoiseProfile((diff.counter_scale,) * terms), cfg.gamma)
     return None
 
 
@@ -433,6 +432,9 @@ def run_bench(cfg: ExperimentConfig) -> list[ErrorSummary]:
         errors[s, :, b0:b1] = part
     decay = cfg.decay()
     lb = reference_delta(decay, cfg.gamma, cfg.epsilon)
+    # the baseline's noise scale and height, read from the baseline itself
+    diff = (RunningDiffBaseline(cfg.W, T, cfg.epsilon, RandomSource(0))
+            if "running_diff" in names else None)
     rows = []
     for s, name in enumerate(names):
         for idx, j in enumerate(marks):
@@ -445,7 +447,7 @@ def run_bench(cfg: ExperimentConfig) -> list[ErrorSummary]:
                     mean_err=float(np.mean(errs)),
                     sd_err=float(np.std(errs, ddof=1)),
                     q_err=nearest_rank_quantile(np.abs(errs), 1.0 - cfg.gamma),
-                    delta_theory=_delta_theory(cfg, name, j, T),
+                    delta_theory=_delta_theory(cfg, name, j, T, diff),
                     delta_lb_ref=lb,
                 )
             )

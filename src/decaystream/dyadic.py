@@ -18,8 +18,9 @@ Every tree is a view of this store, chosen by its caller:
 
 * growing trees (running, all-window and exponential sums) use the subtree
   rooted at ``[1, 2**(h-1)]``; when it fills up, the next root is created
-  and takes its value from its children when it closes, and the
-  exponential sum writes its own discounted nodes with :meth:`DyadicTree.add`;
+  and takes its value from its children when it closes.  The exponential
+  sum writes its own discounted left nodes with :meth:`DyadicTree.add`,
+  each created, drawing its noise, when it closes: one node per step;
 * window trees use aligned subtrees of ``W' = 2**ceil(log2 W)`` leaves as
   blocks (:func:`block_levels`); the prefix-difference baseline is the
   window tree whose one block spans its horizon.

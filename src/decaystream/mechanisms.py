@@ -18,9 +18,10 @@ Four estimators behind one contract (``push(x) -> estimate`` for inputs in
   (one window size: the paper's all-window construction, ``--mech
   allwindow``) and :class:`PolynomialSum`.
 * :class:`ExponentialSum` -- geometrically discounted sum on a growing tree;
-  each left node holds the discounted sum of its interval, written once when
-  it closes (a binary counter's carry chain), and each estimate discounts the
-  previous prefix estimate and adds one node.
+  each left node holds the discounted sum of its interval, created, drawing
+  its noise, and written once when it closes (a binary counter's carry
+  chain), and each estimate discounts the previous prefix estimate and adds
+  one node.
 * :class:`PolynomialSum` -- power-law discounted sum read from the
   all-window tree as a weighted tiling whose node lengths grow in proportion
   to age, each node weighted by its oldest age; the noise-free output F'
@@ -127,6 +128,10 @@ class DecaySpec:
 
     def energy(self, m: int) -> float:
         """Sum of squared weights over ages 0..m-1."""
+        if self.kind == "window":
+            return float(min(max(m, 0), self.W))
+        if self.kind == "running":
+            return float(max(m, 0))
         return sum(self.weight(i) ** 2 for i in range(m))
 
 
@@ -299,24 +304,17 @@ class ExponentialSum:
     of right nodes ending at u is folded upwards, each step discounting the
     left sibling's value by ``alpha**len`` and adding it, and the left node
     the chain reaches takes the sum.  Right nodes are never written or read,
-    and an open left node's :meth:`counters` entry reads 0.0 until it
-    closes.  One update enters the left nodes containing it, whose gaps grow
-    geometrically, so :func:`exp_decay_sensitivity` bounds the change.
+    and no open node is stored.  One update enters the left nodes containing
+    it, whose gaps grow geometrically, so :func:`exp_decay_sensitivity`
+    bounds the change.
 
     The estimate at step i is the estimate at ``i - low`` (``low = i & -i``)
     discounted by ``alpha**low``, plus the published node ending at i: one
-    node read per push, on nodes that ended by step i.  Nodes are created,
-    and draw their noise, in an order that does not depend on the data:
-    when the tree doubles, its new root; then, in ascending level order, the
-    left nodes whose first position is this step.  On a level whose nodes
-    are longer than ``n* + 1``, n* the largest age with ``alpha**n`` at
-    least ``_TINY_WEIGHT``, a node is created at position ``u - n*``
-    instead.  This is the order in which adding each update to every open
-    left node it weighs at least ``_TINY_WEIGHT`` in would first touch
-    them.  A level's next left node is created after its newest closes, so
-    the node read at step i is its level's newest, the one
-    :meth:`~decaystream.dyadic.DyadicTree.add` returns, and the store keeps
-    one node per level.
+    node read per push, on nodes that ended by step i.  Each left node is
+    created, and draws its noise, when it closes, by the one
+    :meth:`~decaystream.dyadic.DyadicTree.add` call of the push that closes
+    it, so the node closing at step u takes the store's unit draw of rank
+    u - 1, whatever the data, and the store keeps one node per level.
     """
 
     def __init__(
@@ -334,17 +332,10 @@ class ExponentialSum:
         self.counter_scale = scale = self.sensitivity / epsilon
         self.step = 0
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
-        n = int(math.log(_TINY_WEIGHT) / math.log(alpha))
-        while alpha**n < _TINY_WEIGHT:
-            n -= 1
-        while alpha ** (n + 1) >= _TINY_WEIGHT:
-            n += 1
-        self._reach = n  # n*
-        self._short = (n + 1).bit_length()  # last level of nodes <= n* + 1 long
-        # per level (index = level, 1 = leaves), grown when the tree doubles:
-        # alpha**(2**(level-1)), the last closed left node's noiseless value,
-        # and the estimate memoised under the level of its last node (slot 0
-        # is the empty prefix)
+        # per level (index = level, 1 = leaves), grown when a level's first
+        # node closes: alpha**(2**(level-1)), the last closed left node's
+        # noiseless value, and the estimate memoised under the level of its
+        # last node (slot 0 is the empty prefix)
         self._disc = [1.0, alpha]
         self._left = [0.0, 0.0]
         self._memo = [0.0, 0.0]
@@ -355,47 +346,27 @@ class ExponentialSum:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.step + 1
         self.step = i
-        add = self._tree.add
         disc, left, memo = self._disc, self._left, self._memo
-        reach = self._reach
-        off = i - 1
-        if off and not off & (off - 1):  # the tree doubles: create its root
-            height = off.bit_length() + 1
-            add(height, 0, 0.0)
-            disc.append(self.alpha ** (1 << (height - 1)))
-            left.append(0.0)
-            memo.append(0.0)
-        if i & 1:
-            # left nodes start here at levels 1 .. trailing zeros of off, up
-            # to the last short level; the leaf also closes here
-            node = add(1, off, x)
-            for k in range(2, min((off & -off).bit_length() - 1, self._short) + 1):
-                add(k, off >> (k - 1), 0.0)
-        # a long left node ending at s = i + n* gets its first weight of at
-        # least _TINY_WEIGHT here
-        s = i + reach
-        span = s & -s
-        if span > reach + 1 and s != span:
-            add(span.bit_length(), s // span - 1, 0.0)
         low = i & -i
         level = low.bit_length()
-        index = (i >> (level - 1)) - 1
+        if level == len(disc):  # the level's first node closes
+            disc.append(self.alpha**low)
+            left.append(0.0)
+            memo.append(0.0)
         v = x
         for k in range(1, level):
             # the level-k node ending at i is a right node: fold it into its
             # parent, which ends here too
             v = left[k] * disc[k] + v
         left[level] = v
-        if level > 1:
-            node = add(level, index, v)
+        node = self._tree.add(level, (i >> (level - 1)) - 1, v)
         rest = i - low
         est = memo[(rest & -rest).bit_length()] * disc[level] + node
         memo[level] = est
         return est
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless value of each level's newest node; an open left node
-        reads 0.0."""
+        """Noiseless value of each level's newest closed left node."""
         return self._tree.counters()
 
 

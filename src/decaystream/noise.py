@@ -134,14 +134,14 @@ class RandomLanes:
     per lane: the estimators create noise nodes in an order that does not
     depend on the data, and a scalar counter plus a lane array of noise
     repeats each trial's IEEE operations in the scalar order.  Every lane's
-    uniforms come from its own source's generator; a Laplace refill stacks
-    them into one (n, lanes) matrix and transforms it in one call.  numpy's
-    elementwise ``log`` rounds an element the same wherever it sits in the
-    array, so each lane equals its source's :meth:`RandomSource.laplace_vector`
-    bit for bit: ``tests/test_noise.py`` checks the one-matrix transform
-    against per-column transforms on the int64 bit patterns, at lengths
-    that are not multiples of the SIMD width, on contiguous and strided
-    input.
+    uniforms come from its own source's generator, drawn straight into its
+    row of one (lanes, n) matrix; a Laplace refill transforms the transpose
+    in one call.  numpy's elementwise ``log`` rounds an element the same
+    wherever it sits in the array, so each lane equals its source's
+    :meth:`RandomSource.laplace_vector` bit for bit: ``tests/test_noise.py``
+    checks the one-matrix transform against per-column transforms on the
+    int64 bit patterns, at lengths that are not multiples of the SIMD width,
+    on contiguous and strided input.
     """
 
     def __init__(self, sources):
@@ -155,7 +155,10 @@ class RandomLanes:
 
     def _random(self, n: int) -> np.ndarray:
         """n uniforms per lane from the lanes' generators, shape (n, lanes)."""
-        return np.stack([s._gen.random(n) for s in self._sources], axis=1)
+        out = np.empty((len(self._sources), n))
+        for s, row in zip(self._sources, out):
+            s._gen.random(out=row)
+        return out.T
 
     def uniform(self) -> np.ndarray:
         """One double in [0, 1) per lane, refilled as RandomSource.uniform is."""

@@ -307,30 +307,33 @@ class EagerExponentialSum(ExponentialSum):
     """:class:`ExponentialSum` on a :class:`FullStore` with every update
     added to each open left node.
 
-    Each push adds ``x * alpha**(u - i)`` to every left node [l, u] holding
-    position i (skipping weights below ``_TINY_WEIGHT``), seeds a new root
-    with the old root's value discounted by ``alpha**span`` when the tree
-    doubles, and reads the estimate as the tiles of [1, i] each discounted
-    by ``alpha**(i - right)``.  Nodes are created in the same order as by
-    :class:`ExponentialSum`, so both draw the same noise for every node.
+    Each push adds ``x * alpha**(u - i)`` to the eager value of every left
+    node [l, u] holding position i (skipping weights below
+    ``_TINY_WEIGHT``), seeds a new root with the old root's value discounted
+    by ``alpha**span`` when the tree doubles, and publishes a node into the
+    store with ``add`` only when it closes, so the node closing at step u
+    draws the store's unit u - 1, as in :class:`ExponentialSum`.  The
+    estimate is read as the tiles of [1, i], each discounted by
+    ``alpha**(i - right)``.
     """
 
     def __init__(self, alpha, epsilon, rng, *, noisy=True):
         super().__init__(alpha, epsilon, rng, noisy=noisy)
         scale = self.counter_scale
         self._tree = FullStore(rng, lambda _level: scale, noisy)
+        self._eager = {}  # (level, index) of each open left node: its value
 
     def push(self, x):
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.step + 1
         self.step = i
-        tree = self._tree
+        tree, eager = self._tree, self._eager
         alpha = self.alpha
         off = i - 1
         height = off.bit_length() + 1  # the tree [1, 2**(height-1)] holds i
         if off and not off & (off - 1):  # the tree doubles
-            tree.add(height, 0, alpha**off * c0_at(tree, height - 1, 0))
+            eager[height, 0] = alpha**off * c0_at(tree, height - 1, 0)
         for level in range(1, height + 1):
             idx = off >> (level - 1)
             if idx & 1:
@@ -338,7 +341,9 @@ class EagerExponentialSum(ExponentialSum):
             u = (idx + 1) << (level - 1)
             w = alpha ** (u - i)
             if w >= _TINY_WEIGHT:
-                tree.add(level, idx, x * w)
+                eager[level, idx] = eager.get((level, idx), 0.0) + x * w
+            if u == i:  # it closes
+                tree.add(level, idx, eager.pop((level, idx)))
         est = 0.0
         for level, idx, right in decompose_nodes(i):
             est += tree.published(level, idx) * alpha ** (i - right)

@@ -16,6 +16,7 @@ from dyadic_reference import (
     window_query,
 )
 
+from decaystream import dyadic
 from decaystream.bounds import worst_noise_profile
 from decaystream.dyadic import WindowCursor, block_levels
 from decaystream.mechanisms import (
@@ -336,8 +337,6 @@ def test_exp_keeps_one_node_per_level():
 @pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
 @pytest.mark.parametrize("alpha, T", [(0.7, 1 << 14), (0.9, 1 << 15)])
 def test_exp_draws_the_noise_of_the_eager_reference(alpha, T, lanes):
-    # both streams pass n*, the largest age weighing at least _TINY_WEIGHT
-    # (1936 at 0.7, 6556 at 0.9), where long levels create their nodes late
     def source():
         if lanes:
             return RandomLanes(RandomSource(21).child(t) for t in range(4))
@@ -347,7 +346,6 @@ def test_exp_draws_the_noise_of_the_eager_reference(alpha, T, lanes):
     new, ref = ExponentialSum(alpha, 1.0, source()), EagerExponentialSum(alpha, 1.0, source())
     off = ExponentialSum(alpha, 1.0, source(), noisy=False)
     off_ref = EagerExponentialSum(alpha, 1.0, source(), noisy=False)
-    assert new._reach == {0.7: 1936, 0.9: 6556}[alpha]
     seen = {}
     for i, x in enumerate(xs, 1):
         for a, b in ((new, ref), (off, off_ref)):
@@ -360,6 +358,28 @@ def test_exp_draws_the_noise_of_the_eager_reference(alpha, T, lanes):
             assert all(np.array_equal(z, zb[k - 1][index]) for (k, index), z in za.items()), i
     # every node is its level's newest for a while: both created the same
     assert seen.keys() == frozen_noise(ref._tree).keys()
+
+
+@pytest.mark.parametrize("lanes", [0, 3], ids=["scalar", "lanes"])
+@pytest.mark.parametrize("alpha", [0.7, 0.99])
+def test_exp_node_closing_at_each_step_draws_that_steps_unit(alpha, lanes):
+    # each left node is created when it closes, one per step, so the node
+    # closing at step i takes the store's unit draw of rank i - 1
+    def source():
+        if lanes:
+            return RandomLanes(RandomSource(23).child(t) for t in range(lanes))
+        return RandomSource(23)
+
+    T = 3000
+    units = dyadic._units_at(source(), range(T))
+    m = ExponentialSum(alpha, 1.0, source())
+    for i, x in enumerate(random_stream(17, T, binary=False), 1):
+        m.push(x)
+        level = (i & -i).bit_length()
+        index = (i >> (level - 1)) - 1
+        assert m._tree._index[level - 1] == index, i
+        z = frozen_noise(m._tree)[level, index]
+        assert np.array_equal(z, m.counter_scale * units[i - 1]), i
 
 
 # ---------------------------------------------------------------------------
