@@ -18,11 +18,11 @@ not per lane or per step: a refill of lane noise is one Laplace transform
 over all lanes, and randomized response draws and flips a block of steps
 at once and is rescaled only at the checkpoints; over a window or running
 decay its flips are counted, one cumulative sum per block
-(:func:`_rr_at_checkpoints`).  The window mechanism and the
-running-difference baseline are read at the checkpoints only as well
-(:func:`~decaystream.dyadic.window_sums_at`), with one noise draw per
-lane that transforms only the units read; the other mechanisms are pushed
-step by step.
+(:func:`_rr_at_checkpoints`).  The window, all-window and running
+mechanisms and the running-difference baseline are read at the checkpoints
+only as well (:func:`~decaystream.dyadic.window_sums_at`), with one noise
+draw per lane that transforms only the units read; the exponential and
+polynomial mechanisms are pushed step by step.
 The unit of work is one series on one lane batch.  With ``jobs`` = 1 the
 units run in turn in the calling process; with ``jobs`` > 1 they go, in
 series order, to a pool of at most ``jobs`` worker processes (never more
@@ -57,7 +57,7 @@ from .bounds import (
     utility_delta,
     worst_noise_profile,
 )
-from .mechanisms import DecaySpec, FixedWindowView, WindowSum, make_mechanism
+from .mechanisms import DecaySpec, FixedWindowView, make_mechanism
 from .noise import RandomLanes, RandomSource, check_epsilon
 
 _STREAM_CHILD = 0
@@ -341,10 +341,11 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     estimate is an array with one lane per trial (a float when the series
     draws no noise).  Randomized response (:func:`_rr_at_checkpoints`:
     counted over a window or running decay, summed over the others) and
-    every :class:`~decaystream.mechanisms.WindowSum`, the window mechanism
-    and ``running_diff`` (its ``estimates_at``, one ``laplace_rows`` draw
-    per lane), are read at the checkpoints only, ``==`` to their per-step
-    ``push``; the stream is pushed through any other mechanism once.
+    every estimator with an ``estimates_at`` (the window, all-window and
+    running mechanisms and ``running_diff``, one ``laplace_rows`` draw per
+    lane) are read at the checkpoints only, ``==`` to their per-step
+    ``push``; the stream is pushed once through the exponential and
+    polynomial mechanisms.
     ``data`` is the pair (stream, :func:`_exact_at_checkpoints`).
     """
     stream, exact = data
@@ -363,7 +364,7 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     else:
         runner = build_mechanism(cfg, rng)
     marks = checkpoints(T)
-    if isinstance(runner, WindowSum):
+    if hasattr(runner, "estimates_at"):
         for idx, est in enumerate(runner.estimates_at(stream, marks)):
             out[idx] = est - exact[idx]
         return out

@@ -8,19 +8,20 @@ created; the published value is always ``c0 + z`` and is never stored
 separately, so noise cannot drift.
 
 Updates reach the store in position order, and :meth:`DyadicTree.add_path`
-runs it as a binary counter (Chan, Shi and Song 2011): a node's ``c0`` is
-written once, when its interval ends, as its left child's plus its right
-child's, so an update writes about two nodes whatever the tree's height, and
-``add_path`` returns the published value of the topmost node it closed.  An
-open node reads 0.0.
+runs it as a binary counter (Chan, Shi and Song 2011): a node is created,
+drawing its noise, and its ``c0`` written once, when its interval ends, as
+its left child's plus its right child's, so an update writes about two
+nodes whatever the tree's height, and ``add_path`` returns the published
+value of the topmost node it closed.
 
 Every tree is a view of this store, chosen by its caller:
 
 * growing trees (running, all-window and exponential sums) use the subtree
-  rooted at ``[1, 2**(h-1)]``; when it fills up, the next root is created
-  and takes its value from its children when it closes.  The exponential
-  sum writes its own discounted left nodes with :meth:`DyadicTree.add`,
-  each created, drawing its noise, when it closes: one node per step;
+  rooted at ``[1, 2**(h-1)]``, whose root closes when it fills up; fed n
+  positions, such a store creates the nodes of a store of
+  ``block_levels(n)`` levels, in the same order.  The exponential sum
+  writes its own discounted left nodes with :meth:`DyadicTree.add`, each
+  created when it closes: one node per step;
 * window trees use aligned subtrees of ``W' = 2**ceil(log2 W)`` leaves as
   blocks (:func:`block_levels`); the prefix-difference baseline is the
   window tree whose one block spans its horizon.
@@ -30,7 +31,7 @@ the store keeps one node per level: the level's newest, in one slot holding
 its index, ``c0`` and ``z``.  Creating a node overwrites its level's slot;
 its ``z`` is the level's scale times the next value of the store's buffer of
 unit Laplace draws, so which draw a node gets depends only on the order in
-which nodes are created; callers keep that order independent of the data.
+which nodes close, which never depends on the data.
 Two readers take at every step the node ``add_path`` just closed: a
 :class:`PrefixCursor` walks the running sum's prefixes, and a
 :class:`WindowCursor` the window sums over blocks of the levels its owner
@@ -40,13 +41,14 @@ package splits a window or knows its blocks.  The polynomial estimator
 keeps its own archive of the closed nodes its age tiling reads, and the
 exponential sum reads the node each :meth:`DyadicTree.add` returns.
 
-A window estimate is post-processing of O(log W) closed nodes, so
-:func:`window_sums_at` reads a fresh window store and cursor at chosen steps
+A window estimate is post-processing of O(log n) closed nodes, so
+:func:`window_sums_at` reads a fresh store and window cursor at chosen steps
 only, ``==`` to pushing every step: it sums each node's ``c0`` from the
 stream pairwise, level by level, and takes its noise from the node's
 creation rank (:meth:`DyadicTree._creation_rank`): one
 ``laplace_rows`` call draws the uniforms of the store's refills, a bounded
-chunk at a time, and transforms only the units it reads.
+chunk at a time, and transforms only the units it reads.  A running sum is
+the window sum over one block that spans the stream.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ class DyadicTree:
     collection.  With ``noisy=False`` every ``z`` is pinned to zero (test
     mode, not private).  With a :class:`~decaystream.noise.RandomLanes`
     source every ``z``, and so every published value, is an array with one
-    lane per trial, while ``c0`` stays a float.  :meth:`add_path` takes the
-    positions 1, 2, 3, ... in order and writes each node once, when it
-    closes; :meth:`add` writes a level's newest node or creates the next one.
-    Single-owner mutable structure.
+    lane per trial, while ``c0`` stays a float.  Every node is created,
+    drawing its noise, and written once, when it closes: by :meth:`add_path`,
+    which takes the positions 1, 2, 3, ... in order, or by :meth:`add`,
+    which names the node.  Single-owner mutable structure.
     """
 
     def __init__(
@@ -107,109 +109,88 @@ class DyadicTree:
             self._z.append(0.0)
             self._left.append(0.0)
 
-    def _create(self, k: int, index: int) -> None:
-        """Make node ``index`` level ``k + 1``'s newest, drawing its noise."""
-        self._index[k] = index
-        self._c0[k] = 0.0
+    def _draw(self):
+        """The buffer's next unit Laplace draw, refilled when empty."""
         units = self._units
-        if not self.noisy:
-            self._z[k] = 0.0
-            return
         if not units:
             draws = self._rng.laplace_vector(1.0, _DRAWS)
             units[:0] = array("d", draws.tobytes()) if isinstance(units, array) else list(draws)
-        self._z[k] = self._scale[k] * units.pop()
+        return units.pop()
 
     @staticmethod
     def _creation_rank(k: int, s: int, height: int) -> int:
-        """How many nodes a store fed by :meth:`add_path` at a constant
-        ``height`` creates before the node of 0-based level ``k`` starting
-        at offset ``s`` (position s + 1): so its unit draw is the buffer's
-        item of that rank, refill ``rank // _DRAWS`` popped from its end.
-
-        Offset 0 creates every level, leaf first; each offset s' >= 1 then
-        creates the levels k' < height with 2**k' dividing s', leaf first.
+        """How many nodes a store of ``height`` levels fed by :meth:`add_path`
+        creates before the node of 0-based level ``k`` starting at offset
+        ``s``: so its unit draw is the buffer's item of that rank, refill
+        ``rank // _DRAWS`` popped from its end.  Each position i' creates
+        the levels k' < height with 2**k' dividing i', leaf first, so the
+        positions before the node's end e = s + 2**k create ``(e - 1) >> k'``
+        nodes on level k', and e creates k before it.
         """
-        if not s:
-            return k
-        return height + sum((s - 1) >> kk for kk in range(height)) + k
+        e = s + (1 << k)
+        return k + sum((e - 1) >> kk for kk in range(height))
 
     def add_path(self, i: int, x: float, height: int):
         """Receive ``x`` at position ``i``, the next one, on a tree of
         ``height`` levels, and return the published value of the topmost
         node that closes at i.
 
-        As in a binary counter, a node is written once, when it closes: the
-        leaf takes ``x``, and while the node just closed is a right child
-        below ``height``, its parent, which ends at i too, takes the left
-        sibling's value plus its own.  The topmost node closed at i is kept
-        in ``_left`` for its right sibling.  Nodes are created, so their
-        noise drawn, at their first position: when ``height`` grows, the new
-        levels' nodes that started before i first, then the nodes starting
-        at i, leaf first.  Until it closes, a node's ``c0`` reads 0.0.
+        As in a binary counter, each node closing at i is created, drawing
+        its noise, and written, leaf first: the leaf takes ``x``, and while
+        the node just closed is a right child below ``height``, its parent,
+        which ends at i too, takes the left sibling's value plus its own.
+        The topmost node closed at i is kept in ``_left`` for its right
+        sibling.
         """
         if i != self.received + 1:
             raise ValueError(f"position {i} is not the next one, {self.received + 1}")
-        off = i - 1
-        index, c0s = self._index, self._c0
-        if height > len(index):
-            first = len(index)
+        if height > len(self._index):
             self._reach(height)
-            for k in range(first, height):
-                if off >> k << k != off:  # a new top node, started before i
-                    self._create(k, off >> k)
-        units, zs, scales = self._units, self._z, self._scale
-        for k in range(min(height, (off & -off).bit_length()) if off else height):
-            if units:  # noise at hand
-                index[k] = off >> k
-                c0s[k] = 0.0
-                zs[k] = scales[k] * units.pop()
-            else:
-                self._create(k, off >> k)
-        left = self._left
+        index, c0s, zs, scales, units = self._index, self._c0, self._z, self._scale, self._units
         v = x
         k = 0
         while True:
+            index[k] = (i >> k) - 1
             c0s[k] = v
+            if self.noisy:
+                zs[k] = scales[k] * (units.pop() if units else self._draw())
             if k + 1 == height or i >> k & 1:
                 break  # a left child, or the top level
-            v = left[k] + v
+            v = self._left[k] + v
             k += 1
-        left[k] = v
+        self._left[k] = v
         self.received = i
         return v + zs[k]
 
     def add(self, level: int, index: int, w: float):
-        """Add the weighted value ``w`` at a level's newest node, or at the
-        node ``index`` created as its next one; return its published value."""
+        """Create node ``index`` of ``level`` as the level's newest, drawing
+        its noise, write the weighted value ``w`` to it and return its
+        published value.  A node is created once: an index not newer than
+        its level's newest is refused."""
         if level < 1:
             raise ValueError(f"levels start at 1, got {level}")
         if level > len(self._index):
             self._reach(level)
         k = level - 1
-        newest = self._index[k]
-        if index > newest:
-            self._create(k, index)
-        elif index < newest:
-            raise ValueError(f"node (level {level}, index {index}) is older than its level's newest")
-        c = self._c0[k] + w
-        self._c0[k] = c
-        return c + self._z[k]
+        if index <= self._index[k]:
+            raise ValueError(
+                f"node (level {level}, index {index}) is not newer than its level's newest"
+            )
+        self._index[k] = index
+        self._c0[k] = w
+        z = self._scale[k] * self._draw() if self.noisy else 0.0
+        self._z[k] = z
+        return w + z
 
     def published(self, level: int, index: int):
-        """Noisy counter value c0 + z of a level's newest node, once closed."""
+        """Noisy counter value c0 + z of a level's newest node."""
         k = level - 1
-        if not 0 <= k < len(self._index) or self._index[k] != index or (
-            (index + 1) << k > self.received
-        ):
-            raise ValueError(
-                f"node (level {level}, index {index}) is not a level's newest closed node"
-            )
+        if not (0 <= k < len(self._index) and self._index[k] == index >= 0):
+            raise ValueError(f"node (level {level}, index {index}) is not a level's newest node")
         return self._c0[k] + self._z[k]
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless value of each level's newest node, keyed (level, index);
-        a node that has not closed yet reads 0.0."""
+        """Noiseless value of each level's newest node, keyed (level, index)."""
         return {
             (k + 1, j): c for k, (j, c) in enumerate(zip(self._index, self._c0)) if j >= 0
         }
@@ -342,19 +323,20 @@ def _units_at(rng: RandomSource, ranks) -> dict:
     return dict(zip(ranks, rng.laplace_rows(1.0, n, rows)))
 
 
-def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps) -> list:
-    """What ``cursor.advance(tree.add_path(i, x, height))`` returns at each
-    of ``steps`` while i = 1, 2, 3, ... takes the values ``xs``, ``==`` to
-    it, read without pushing the steps in between.
+def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps, height: int) -> list:
+    """What ``cursor`` returns at each of ``steps`` while ``tree.add_path``
+    takes i = 1, 2, 3, ... and the values ``xs``, ``==`` to it, read without
+    pushing the steps in between.
 
-    ``tree`` and ``cursor`` must be fresh, and ``height`` is the cursor's
-    levels, so its blocks are the store's subtrees, as for the per-step
-    pair of :class:`~decaystream.mechanisms.WindowSum`.  An update outside
-    [0, 1] is refused before any noise is drawn.  Only the nodes that the estimates at ``steps`` read are
-    computed, each as the store publishes it, ``c0 + z``: ``c0`` from
-    :func:`_level_sums`, ``z`` the level's scale times the unit of the
-    node's creation rank (:meth:`DyadicTree._creation_rank`).  They combine
-    by :meth:`WindowCursor.advance`'s rule, every block prefix folded from
+    ``tree`` and ``cursor`` must be fresh.  ``height`` is the store's: a
+    window store's block levels, or ``block_levels(len(xs))`` for a growing
+    tree, which creates the same nodes in the same order.  An update
+    outside [0, 1] is refused before any noise is drawn.  Only the nodes
+    that the estimates at ``steps`` read are computed, each as the store
+    publishes it, ``c0 + z``: ``c0`` from :func:`_level_sums`, ``z`` the
+    level's scale times the unit of the node's creation rank
+    (:meth:`DyadicTree._creation_rank`).  They combine by
+    :meth:`WindowCursor.advance`'s rule, every block prefix folded from
     0.0, largest node first.  The read uses up the store's noise and leaves
     it at position ``len(xs)`` with no node, so a later ``add_path`` is
     refused.
@@ -368,7 +350,7 @@ def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps) -> list:
     bad = ~((0.0 <= x) & (x <= 1.0))
     if bad.any():
         raise ValueError(f"update must lie in [0, 1], got {x[bad][0]}")
-    mask, height = cursor._mask, cursor._top
+    mask, top = cursor._mask, cursor._top
 
     def tiles(e: int, p: int) -> list:
         """The nodes (0-based level, index) tiling the p positions ending
@@ -388,14 +370,14 @@ def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps) -> list:
         m = j - cursor.W
         q = m & mask if m > 0 else 0  # m's place in its block; 0: no lag is read
         # the previous block's total is read when m lies in that block
-        top = [(height - 1, ((j - 1) >> (height - 1)) - 1)] if q >= p else []
-        plans.append((tiles(j, p), tiles(m, q), top))
+        block = [(top - 1, ((j - 1) >> (top - 1)) - 1)] if q >= p else []
+        plans.append((tiles(j, p), tiles(m, q), block))
     nodes = {nd for plan in plans for part in plan for nd in part}
-    sums = _level_sums(x, height)
+    sums = _level_sums(x, top)
     if tree.noisy:
         rank = {(k, idx): DyadicTree._creation_rank(k, idx << k, height) for k, idx in nodes}
         units = _units_at(tree._rng, rank.values())
-        scales = [tree._scale_for_level(k + 1) for k in range(height)]
+        scales = [tree._scale_for_level(k + 1) for k in range(top)]
         value = {(k, idx): sums[k][idx] + scales[k] * units[rank[k, idx]] for k, idx in nodes}
     else:
         value = {(k, idx): sums[k][idx] + 0.0 for k, idx in nodes}
@@ -408,12 +390,12 @@ def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps) -> list:
         return total
 
     out = []
-    for cur, lag, top in plans:
+    for cur, lag, block in plans:
         c = fold(cur)
         if not lag:
             out.append(c)
-        elif not top:
+        elif not block:
             out.append(c - fold(lag))
         else:
-            out.append((fold(top) - fold(lag)) + c)
+            out.append((fold(block) - fold(lag)) + c)
     return out

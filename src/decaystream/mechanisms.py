@@ -201,11 +201,10 @@ class WindowSum:
         estimator is fed ``xs``, read at those steps only
         (:func:`~decaystream.dyadic.window_sums_at`).  The read uses up the
         estimator's noise: a later push is refused."""
-        return window_sums_at(self._tree, self._window, xs, steps)
+        return window_sums_at(self._tree, self._window, xs, steps, self._h)
 
     def counters(self) -> dict[tuple[int, int], float]:
-        """Noiseless value of each level's newest node, keyed (level, index);
-        an open node reads 0.0."""
+        """Noiseless value of each level's newest node, keyed (level, index)."""
         return self._tree.counters()
 
 
@@ -247,7 +246,7 @@ class AllWindowSum:
         i = self.step + 1
         self.step = i
         # the tree [1, 2**(height-1)] holds i; it doubles when i - 1 is a
-        # power of two, and its new root closes when its right child does
+        # power of two, and its new root is created when its right child closes
         return self._tree.add_path(i, x, (i - 1).bit_length() + 1)
 
     def counters(self) -> dict[tuple[int, int], float]:
@@ -263,6 +262,12 @@ class RunningSum(AllWindowSum):
 
     def push(self, x: float) -> float:
         return self._prefix.advance(AllWindowSum.push(self, x))
+
+    def estimates_at(self, xs, steps) -> list:
+        """As :meth:`WindowSum.estimates_at`: window sums over one block
+        that spans the stream."""
+        h = block_levels(len(xs))
+        return window_sums_at(self._tree, WindowCursor(1 << (h - 1), h), xs, steps, h)
 
 
 class FixedWindowView(AllWindowSum):
@@ -290,6 +295,10 @@ class FixedWindowView(AllWindowSum):
         if (j & -j) >> top:  # longer than a block: read the block's node
             node = self._tree.published(top, (j >> (top - 1)) - 1)
         return self._window.advance(node)
+
+    def estimates_at(self, xs, steps) -> list:
+        """As :meth:`WindowSum.estimates_at`."""
+        return window_sums_at(self._tree, self._window, xs, steps, block_levels(len(xs)))
 
 
 # ---------------------------------------------------------------------------

@@ -111,18 +111,19 @@ class FullStore:
     node it creates stays, in a dict per level, and any of them can be read.
 
     Same interface, same arithmetic and same noise as
-    :class:`~decaystream.dyadic.DyadicTree`: ``add_path`` writes each node
-    once, when it closes, and returns the published value of the topmost
-    node closed; ``add`` creates the named node if it is new and returns
-    its published value; each node created draws the next unit of the same
-    buffer.  ``published`` reads any node created, open or closed.
+    :class:`~decaystream.dyadic.DyadicTree`: every node is created, drawing
+    the next unit of the same buffer, and written once, when it closes.
+    ``add_path`` creates the nodes closing at its position, leaf first, and
+    returns the published value of the topmost; ``add`` creates the named
+    node, newer than its level's newest, and returns its published value.
+    ``published`` reads any node created.
     """
 
     def __init__(self, rng, scale_for_level, noisy=True):
         self._rng = rng
         self._scale_for_level = scale_for_level
         self.noisy = noisy
-        self._c0 = []  # per level (list index = level - 1): {index: c0}
+        self._c0 = []  # per level (list index = level - 1): {index: c0}, oldest first
         self._z = []  # per level: {index: z}
         self._scale = []
         self._left = []
@@ -137,8 +138,10 @@ class FullStore:
             self._z.append({})
             self._left.append(0.0)
 
-    def _create(self, k, index):
-        self._c0[k][index] = 0.0
+    def _create(self, k, index, c0):
+        if self._c0[k] and index <= next(reversed(self._c0[k])):
+            raise ValueError(f"node (level {k + 1}, index {index}) is not newer than the newest")
+        self._c0[k][index] = c0
         if not self.noisy:
             self._z[k][index] = 0.0
             return
@@ -151,19 +154,11 @@ class FullStore:
     def add_path(self, i, x, height):
         if i != self.received + 1:
             raise ValueError(f"position {i} is not the next one, {self.received + 1}")
-        off = i - 1
-        if height > len(self._c0):
-            first = len(self._c0)
-            self._reach(height)
-            for k in range(first, height):
-                if off >> k << k != off:  # a new top node, started before i
-                    self._create(k, off >> k)
-        for k in range(min(height, (off & -off).bit_length()) if off else height):
-            self._create(k, off >> k)
+        self._reach(height)
         v = x
         k = 0
         while True:
-            self._c0[k][(i >> k) - 1] = v
+            self._create(k, (i >> k) - 1, v)
             if k + 1 == height or i >> k & 1:
                 break
             v = self._left[k] + v
@@ -176,9 +171,7 @@ class FullStore:
         if level < 1:
             raise ValueError(f"levels start at 1, got {level}")
         self._reach(level)
-        if index not in self._c0[level - 1]:
-            self._create(level - 1, index)
-        self._c0[level - 1][index] += w
+        self._create(level - 1, index, w)
         return self.published(level, index)
 
     def published(self, level, index):

@@ -171,8 +171,9 @@ def test_running_diff_enforces_horizon():
 @pytest.mark.parametrize("W", [1, 3, 8, 100, 128, 1500])
 @pytest.mark.parametrize("source", ["noisy", "noise_off", "lanes"])
 def test_running_diff_evicts_behind_its_lag_and_reads_as_a_full_store(W, source):
-    # the baseline keeps one node per level of its horizon tree, each older
-    # one overwritten by the next on its level; the reference is a same-seed
+    # the baseline keeps one node per level of its horizon tree, created
+    # when it closes and overwritten by the next on its level, so after
+    # position i levels 1 .. min(h, bit_length(i)) hold one; the reference is a same-seed
     # store that keeps every node, read at random access.  Its height and
     # scale are the horizon's, also for a window longer than the horizon
     T = 1000
@@ -192,5 +193,6 @@ def test_running_diff_evicts_behind_its_lag_and_reads_as_a_full_store(W, source)
         ref.add_path(i, x, h)
         want = prefix_value(ref, i) - prefix_value(ref, max(i - W, 0))
         assert np.array_equal(est, want), i
-        assert [level for level, _ in straw.counters()] == list(range(1, h + 1)), i
-    assert len(ref.counters()) > 2 * T - 2  # the reference kept every node
+        closed = min(h, i.bit_length())  # levels with a closed node
+        assert [level for level, _ in straw.counters()] == list(range(1, closed + 1)), i
+    assert len(ref.counters()) == sum(T >> k for k in range(h))  # the reference kept every node

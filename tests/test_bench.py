@@ -228,3 +228,16 @@ def test_bench_refuses_mechs_without_a_tree(mech):
     # estimator to compare against the baselines
     with pytest.raises(ValueError, match="builds no tree estimator"):
         run_bench(ExperimentConfig(mech=mech, W=8, trials=30))
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 1.0])
+@pytest.mark.parametrize("mech,kw", [("running", {}), ("allwindow", dict(W=100))],
+                         ids=["running", "allwindow_W100"])
+def test_growing_tree_bound_dominates_at_scale(mech, kw, epsilon):
+    # both series are read at the checkpoints only, so 2000 trials over a
+    # stream of 4096 cost well under a second per config
+    cfg = ExperimentConfig(mech=mech, epsilon=epsilon, T=4096, trials=2000, seed=25, **kw)
+    rows = [r for r in run_bench(cfg) if r.series == mech]
+    assert [r.j for r in rows] == checkpoints(4096)
+    for r in rows:
+        assert r.q_err <= r.delta_theory, r

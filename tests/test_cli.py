@@ -690,6 +690,12 @@ PINNED_OUTPUT = [
      "fa0322308bb02945b043c2b3c4d098a5cd42254d57adac098767b1ad7a9e63d5"),
     ("bench --mech running --T 256 --no-noise --trials 30 --jobs 1 --seed 8",
      "f7f177d8420616780974395ecc0e49f8a58c98d82fdaab5a1ab64d38039d200d"),
+    # long enough that the growing tree's checkpoint reads cross many
+    # levels, and the all-window view reads block nodes below its root
+    ("bench --mech running --T 5000 --eps 0.5 --no-noise --trials 30 --jobs 1 --seed 17",
+     "1703bb13021fa5a4976e37571289cad477f1dc6dd2719ebb13964e48424cc8b6"),
+    ("bench --mech allwindow --W 1000 --T 5000 --no-noise --trials 30 --jobs 1 --seed 18",
+     "1f62cc9164690bd6d0a1b96dea661d4965733e0ea3cc7cbc633703eb2bf42a22"),
     ("run --mech window --W 8 --T 64 --no-noise --with-exact --seed 9",
      "19c2c0eb0a923e754bc7ddec28c5a92fd32842264d2e6e74c1209651b3053a3c"),
     ("run --mech allwindow --W 8 --T 64 --no-noise --with-exact --seed 10",

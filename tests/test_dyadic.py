@@ -99,9 +99,9 @@ def test_path_intervals_length_is_height():
 
 
 def test_add_path_touches_exactly_the_path():
-    # position i creates the path nodes starting at i and writes those
-    # ending at i, each with its interval sum; no other node changes, and
-    # each level holds one node, the one on i's path
+    # position i creates and writes the path nodes ending at i, each with
+    # its interval sum; no other node changes, and each level holds one
+    # node, its newest closed one
     for size in (1, 2, 8, 64):
         height = size.bit_length()
         tree = make_tree()
@@ -110,13 +110,12 @@ def test_add_path_touches_exactly_the_path():
             tree.add_path(i, 1.0, height)
             assert levels_reached(tree) == height
             after = tree.counters()
-            assert len(after) == height
             ivs = path_intervals(i, height)
-            starts = {node_of(iv) for iv in ivs if iv.l == i}
             ends = {node_of(iv): iv.u - iv.l + 1.0 for iv in ivs if iv.u == i}
-            assert set(after) - set(before) == starts
-            assert {key: c for key, c in after.items() if before.get(key, 0.0) != c} == ends
-            assert set(map(node_of, ivs)) <= set(after)
+            assert set(after) - set(before) == set(ends)
+            assert {key: c for key, c in after.items() if before.get(key) != c} == ends
+            assert sorted(after) == [(level, (i >> (level - 1)) - 1)
+                                     for level in range(1, min(height, i.bit_length()) + 1)]
 
 
 def test_add_path_refuses_any_position_but_the_next():
@@ -168,7 +167,7 @@ def test_grow_double_doubling_sequence():
             assert levels_reached(tree) == 4
             assert c0_at(tree, 4, 0) == 8.0  # the old root [1, 8], closed
     assert levels_reached(tree) == 5  # the tree over [1, 16]
-    assert c0_at(tree, 5, 0) == 0.0  # the new root [1, 16], open
+    assert (5, 0) not in tree.counters()  # the new root [1, 16], created when it closes
     for i in range(10, 17):
         tree.add_path(i, 1.0, 5)
     assert c0_at(tree, 5, 0) == 16.0
@@ -366,27 +365,24 @@ def test_node_noise_is_drawn_in_creation_order():
         a.add_path(i, 0.0, 6)
         b.add_path(i, 1.0 if i % 3 else 0.5, 6)
         assert frozen_noise(a) == frozen_noise(b)
-    # a growing tree creates, at each position, the new root first, then the
-    # nodes starting there, leaf first; the same creations through add draw
-    # the same noise
+    # a growing tree creates, at each position, the nodes closing there,
+    # leaf first, as a store of fixed height does; the same creations
+    # through add draw the same noise
     grown = make_tree(noisy=True, seed=14)
+    fixed = make_tree(noisy=True, seed=14)
     ref = make_tree(noisy=True, seed=14)
     for i in range(1, 300):
-        off = i - 1
-        height = off.bit_length() + 1
-        if height > levels_reached(ref) and off:
-            ref.add(height, 0, 0.0)
-        for level in range(1, height + 1):
-            if off % (1 << (level - 1)) == 0:
-                ref.add(level, off >> (level - 1), 0.0)
-        grown.add_path(i, 1.0, height)
-        assert frozen_noise(grown) == frozen_noise(ref)
+        for level in range(1, (i & -i).bit_length() + 1):
+            ref.add(level, (i >> (level - 1)) - 1, 0.0)
+        grown.add_path(i, 1.0, (i - 1).bit_length() + 1)
+        fixed.add_path(i, 1.0, block_levels(299))
+        assert frozen_noise(grown) == frozen_noise(ref) == frozen_noise(fixed)
 
 
 @pytest.mark.parametrize("inputs", ["uniform", "eighths"])
 @pytest.mark.parametrize("store", ["window", "growing", "running_diff"])
 def test_nodes_are_written_once_when_they_close(store, inputs):
-    # an open node reads 0.0; a closed one reads its left child plus its
+    # the store holds closed nodes only; each reads its left child plus its
     # right child, and on multiples of 1/8 the exact sum of its interval
     est = {
         "window": lambda: WindowSum(6, 1.0, RandomSource(1)),
@@ -402,9 +398,7 @@ def test_nodes_are_written_once_when_they_close(store, inputs):
         nodes = est.counters()
         for (level, index), c in nodes.items():
             iv = interval_of(level, index)
-            if iv.u > i:
-                assert c == 0.0, (i, level, index)
-                continue
+            assert iv.u <= i, (i, level, index)
             if (level - 1, 2 * index) in nodes and (level - 1, 2 * index + 1) in nodes:
                 assert c == nodes[level - 1, 2 * index] + nodes[level - 1, 2 * index + 1]
             if inputs == "eighths":
@@ -424,38 +418,42 @@ def test_left_ancestor_gaps_grow_geometrically():
 
 
 def test_store_keeps_one_node_per_level():
-    # after position 5 of the tree over [1, 8], each level holds the node on
-    # 5's path: the leaf [5, 5], [5, 6], [5, 8] and the root [1, 8]
+    # after position 5 of the tree over [1, 8], each level holds its newest
+    # closed node: the leaf [5, 5], [3, 4] and [1, 4]; the root [1, 8] is
+    # created when it closes
     tree = make_tree(noisy=True, seed=3)
     for i in range(1, 6):
         tree.add_path(i, 1.0, 4)
-    assert tree.counters() == {(1, 4): 1.0, (2, 2): 0.0, (3, 1): 0.0, (4, 0): 0.0}
+    assert tree.counters() == {(1, 4): 1.0, (2, 1): 2.0, (3, 0): 4.0}
     assert frozen_noise(tree).keys() == tree.counters().keys()
 
 
 def test_evicted_and_uncreated_nodes_raise():
     # the store keeps one node per level, so a node is evicted when the next
-    # on its level is created; only each level's newest closed node reads
+    # on its level is created, when it closes; only each level's newest reads
     tree = make_tree(noisy=True, seed=3)
     for i in range(1, 7):
         tree.add_path(i, 1.0, 4)
-    # [5, 6] and [6, 6] closed at 6; [5, 8] and [1, 8] are open, older
-    # nodes were overwritten, and levels 0, -1 and 5 do not exist
+    # [5, 6] and [6, 6] closed at 6 and [1, 4] at 4; [5, 8] and [1, 8] are
+    # not created yet, older nodes were overwritten, and levels 0, -1 and 5
+    # do not exist
     assert tree.published(1, 5) == node(tree, Interval(6, 6)).value
     assert node(tree, Interval(5, 6)).c0 == 2.0
-    for level, index in ((1, 4), (1, 0), (1, 6), (2, 1), (3, 1), (3, 0), (4, 0),
-                         (5, 0), (0, 0), (-1, 0)):
+    assert node(tree, Interval(1, 4)).c0 == 4.0
+    for level, index in ((1, 4), (1, 0), (1, 6), (2, 1), (2, 3), (3, 1), (4, 0),
+                         (5, 0), (0, 0), (-1, 0), (4, -1)):
         with pytest.raises(ValueError):
             tree.published(level, index)
-    with pytest.raises(ValueError):
-        tree.add(1, 4, 1.0)  # older than level 1's newest
+    for index in (4, 5):
+        with pytest.raises(ValueError, match="not newer"):
+            tree.add(1, index, 1.0)  # older than level 1's newest, or the newest itself
     with pytest.raises(ValueError):
         tree.add_path(2, 1.0, 4)
 
 
 def test_cursors_refuse_positions_the_store_has_not_received():
     # cursors take the node add_path returns, so the store is what refuses a
-    # position it has not received: the open node, or a position ahead
+    # position it has not received: a node not closed yet, or a position ahead
     aw = AllWindowSum(1.0, RandomSource(0), noisy=False)
     window = WindowCursor(4, block_levels(4))
     prefix = PrefixCursor()
@@ -476,13 +474,17 @@ def test_published_value_is_sum_of_c0_and_frozen_noise():
     tree = make_tree(noisy=True, seed=9, scale=3.0)
     v1 = tree.add_path(1, 0.0, 1)
     assert tree.published(1, 0) == v1
-    assert tree.add(1, 0, 2.5) == tree.published(1, 0) == v1 + 2.5
     view = node(tree, Interval(1, 1))
     assert view.value == view.c0 + view.z
-    # the same on a store written by add alone, which returns the value
+    # add creates the named node with the same noise, writes its value once
+    # and returns c0 + z; a second add at the same index is refused
     tree = make_tree(noisy=True, seed=9, scale=3.0)
-    assert tree.add(1, 0, 0.0) == v1
-    assert tree.add(1, 0, 2.5) == v1 + 2.5
+    assert tree.add(1, 0, 2.5) == tree.published(1, 0) == v1 + 2.5
+    view = node(tree, Interval(1, 1))
+    assert view.c0 == 2.5 and view.value == view.c0 + view.z
+    with pytest.raises(ValueError, match="not newer"):
+        tree.add(1, 0, 2.5)
+    assert tree.published(1, 0) == v1 + 2.5
 
 
 EQUIVALENCE_ESTIMATORS = {
@@ -532,6 +534,8 @@ READER_LENGTHS = (1, 5, 300, 4096)  # below and above every window; not all powe
 READERS = {
     "window": lambda W, T, rng, noisy: WindowSum(W, 0.7, rng, noisy=noisy),
     "running_diff": lambda W, T, rng, noisy: RunningDiffBaseline(W, T, 0.7, rng, noisy=noisy),
+    "running": lambda W, T, rng, noisy: RunningSum(0.7, rng, noisy=noisy),
+    "allwindow": lambda W, T, rng, noisy: FixedWindowView(W, 0.7, rng, noisy=noisy),
 }
 
 
@@ -569,16 +573,20 @@ def test_checkpoint_reader_equals_per_step_push(name, lanes):
 
 
 @pytest.mark.parametrize("lanes", [0, 3], ids=["scalar", "lanes"])
-@pytest.mark.parametrize("height, T", [(1, 5), (3, 37), (8, 300), (13, 300)])
+@pytest.mark.parametrize("height, T", [(1, 5), (3, 37), (8, 300), (13, 300),
+                                       (None, 37), (None, 300), (None, 1024)])
 def test_creation_rank_gives_every_node_its_full_store_sum_and_noise(height, T, lanes):
     # a store that keeps every node, fed at a constant height as the window
-    # trees are: each node's noise is its level's scale times the unit of its
-    # creation rank, and each closed node's c0 is the level's pairwise sum
+    # trees are, or at (i - 1).bit_length() + 1 as the growing trees are,
+    # which takes the ranks of block_levels(T) levels: each node's noise is
+    # its level's scale times the unit of its creation rank, and its c0 is
+    # the level's pairwise sum
     gen = RandomSource(43)
     xs = [gen.uniform() for _ in range(T)]
     full = FullStore(_lanes_source(lanes, 44), lambda level: 0.5 + level)
     for i, x in enumerate(xs, 1):
-        full.add_path(i, x, height)
+        full.add_path(i, x, height or (i - 1).bit_length() + 1)
+    height = height or block_levels(T)
     sums = dyadic._level_sums(np.asarray(xs), height)
     ranks = {
         (k, index): DyadicTree._creation_rank(k, index << k, height)
@@ -588,8 +596,7 @@ def test_creation_rank_gives_every_node_its_full_store_sum_and_noise(height, T, 
     units = dyadic._units_at(_lanes_source(lanes, 44), ranks.values())
     for (k, index), r in ranks.items():
         assert _bits_equal(full._z[k][index], (1.5 + k) * units[r]), (k, index)
-        if (index + 1) << k <= T:  # closed
-            assert full._c0[k][index] == sums[k][index], (k, index)
+        assert full._c0[k][index] == sums[k][index], (k, index)
 
 
 class _NegativeZeros:
