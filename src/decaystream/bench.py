@@ -13,16 +13,14 @@ also validates it), its stream and its theory profile (:func:`theory_profile`).
 
 Trials run in lockstep: each series is built once per batch of at most
 ``_LANES`` trials on :class:`~decaystream.noise.RandomLanes`, one lane per
-trial, and the stream is pushed through it once.  A batch pays per batch,
-not per lane or per step: a refill of lane noise is one Laplace transform
-over all lanes, and randomized response draws and flips a block of steps
-at once and is rescaled only at the checkpoints; over a window or running
-decay its flips are counted, one cumulative sum per block
-(:func:`_rr_at_checkpoints`).  The window, all-window and running
-mechanisms and the running-difference baseline are read at the checkpoints
-only as well (:func:`~decaystream.dyadic.window_sums_at`), with one noise
-draw per lane that transforms only the units read; the exponential and
-polynomial mechanisms are pushed step by step.
+trial, and read at the checkpoints only.  A batch pays per batch, not per
+lane or per step.  Every tree mechanism and the running-difference
+baseline is read by its ``estimates_at``
+(:func:`~decaystream.dyadic.read_at`), with one noise draw per lane that
+transforms only the units read.  Randomized response draws and flips a
+block of steps at once and is rescaled only at the checkpoints; over a
+window or running decay its flips are counted, one cumulative sum per block
+(:func:`_rr_at_checkpoints`).
 The unit of work is one series on one lane batch.  With ``jobs`` = 1 the
 units run in turn in the calling process; with ``jobs`` > 1 they go, in
 series order, to a pool of at most ``jobs`` worker processes (never more
@@ -337,15 +335,11 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     (checkpoints, trials).
 
     The batch is one estimator of the series on lanes of the trials'
-    sub-streams (``trial.child(k)``, k from ``_SERIES_CHILD``); each
-    estimate is an array with one lane per trial (a float when the series
-    draws no noise).  Randomized response (:func:`_rr_at_checkpoints`:
-    counted over a window or running decay, summed over the others) and
-    every estimator with an ``estimates_at`` (the window, all-window and
-    running mechanisms and ``running_diff``, one ``laplace_rows`` draw per
-    lane) are read at the checkpoints only, ``==`` to their per-step
-    ``push``; the stream is pushed once through the exponential and
-    polynomial mechanisms.
+    sub-streams (``trial.child(k)``, k from ``_SERIES_CHILD``), read at the
+    checkpoints only, ``==`` to its per-step ``push``: randomized response
+    by :func:`_rr_at_checkpoints`, every tree estimator and
+    ``running_diff`` by its ``estimates_at``.  Each estimate is an array
+    with one lane per trial (a float when the series draws no noise).
     ``data`` is the pair (stream, :func:`_exact_at_checkpoints`).
     """
     stream, exact = data
@@ -354,26 +348,15 @@ def _run_series(cfg: ExperimentConfig, s: int, t0: int, t1: int, data) -> np.nda
     base = RandomSource(cfg.seed).child(_TRIAL_CHILD)
     k = _SERIES_CHILD.get(name, 0)
     rng = RandomLanes([base.child(t).child(k) for t in range(t0, t1)])
-    out = np.empty((len(exact), t1 - t0), dtype=np.float64)
     if name.startswith("rr"):
-        for idx, est in enumerate(_rr_at_checkpoints(cfg, _rr_flip(cfg, name), rng, stream)):
-            out[idx] = est - exact[idx]
-        return out
-    if name == "running_diff":
-        runner = RunningDiffBaseline(cfg.W, T, cfg.epsilon, rng, noisy=cfg.noisy)
+        ests = _rr_at_checkpoints(cfg, _rr_flip(cfg, name), rng, stream)
     else:
-        runner = build_mechanism(cfg, rng)
-    marks = checkpoints(T)
-    if hasattr(runner, "estimates_at"):
-        for idx, est in enumerate(runner.estimates_at(stream, marks)):
-            out[idx] = est - exact[idx]
-        return out
-    mark_index = {j: idx for idx, j in enumerate(marks)}
-    for i, x in enumerate(stream, 1):
-        est = runner.push(x)
-        idx = mark_index.get(i)
-        if idx is not None:
-            out[idx] = est - exact[idx]
+        runner = (RunningDiffBaseline(cfg.W, T, cfg.epsilon, rng, noisy=cfg.noisy)
+                  if name == "running_diff" else build_mechanism(cfg, rng))
+        ests = runner.estimates_at(stream, checkpoints(T))
+    out = np.empty((len(exact), t1 - t0), dtype=np.float64)
+    for idx, est in enumerate(ests):
+        out[idx] = est - exact[idx]
     return out
 
 

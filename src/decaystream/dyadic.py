@@ -41,14 +41,13 @@ package splits a window or knows its blocks.  The polynomial estimator
 keeps its own archive of the closed nodes its age tiling reads, and the
 exponential sum reads the node each :meth:`DyadicTree.add` returns.
 
-A window estimate is post-processing of O(log n) closed nodes, so
-:func:`window_sums_at` reads a fresh store and window cursor at chosen steps
-only, ``==`` to pushing every step: it sums each node's ``c0`` from the
-stream pairwise, level by level, and takes its noise from the node's
-creation rank (:meth:`DyadicTree._creation_rank`): one
-``laplace_rows`` call draws the uniforms of the store's refills, a bounded
-chunk at a time, and transforms only the units it reads.  A running sum is
-the window sum over one block that spans the stream.
+Every estimate is post-processing of O(log n) closed nodes, so
+:func:`read_at` reads a fresh store at chosen steps only, ``==`` to pushing
+every step: it sums each node's ``c0`` from the stream level by level, takes
+its noise from the node's creation rank, and transforms only the units it
+reads.  :func:`window_sums_at` plans the window and running sums; the
+exponential and polynomial sums plan their own tilings.  A store on
+:class:`~decaystream.noise.RandomLanes`, one lane per trial, is only read.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .noise import RandomSource
+from .noise import RandomLanes, RandomSource
 
 _DRAWS = 256  # unit Laplace draws fetched per refill of a store's buffer
 
@@ -72,12 +71,11 @@ class DyadicTree:
     is first reached.  It must not refer to the store's owner: that cycle
     would keep a discarded owner's counters alive until a full garbage
     collection.  With ``noisy=False`` every ``z`` is pinned to zero (test
-    mode, not private).  With a :class:`~decaystream.noise.RandomLanes`
-    source every ``z``, and so every published value, is an array with one
-    lane per trial, while ``c0`` stays a float.  Every node is created,
-    drawing its noise, and written once, when it closes: by :meth:`add_path`,
-    which takes the positions 1, 2, 3, ... in order, or by :meth:`add`,
-    which names the node.  Single-owner mutable structure.
+    mode, not private).  Every node is created, drawing its noise, and
+    written once, when it closes: by :meth:`add_path`, which takes the
+    positions 1, 2, 3, ... in order, or by :meth:`add`, which names the
+    node.  A store on lanes is only read (:func:`read_at`).  Single-owner
+    mutable structure.
     """
 
     def __init__(
@@ -95,9 +93,8 @@ class DyadicTree:
         self._z: list[float] = []
         self._scale: list[float] = []
         self._left: list[float] = []  # last closed left node's c0, per level
-        # unit Laplace draws not yet given to a node, taken from the end: packed
-        # doubles from a scalar source, else one draw (lanes: a row) per item
-        self._units = array("d") if isinstance(rng, RandomSource) else []
+        # unit Laplace draws not yet given to a node, taken from the end
+        self._units = array("d")
         self.received = 0  # the last position add_path has received
 
     def _reach(self, height: int) -> None:
@@ -109,12 +106,15 @@ class DyadicTree:
             self._z.append(0.0)
             self._left.append(0.0)
 
-    def _draw(self):
-        """The buffer's next unit Laplace draw, refilled when empty."""
+    def _draw(self) -> float:
+        """The buffer's next unit Laplace draw, refilled when empty.  A
+        store on lanes is refused here, at its first draw: it is read with
+        ``estimates_at`` (:func:`read_at`), never pushed."""
         units = self._units
         if not units:
-            draws = self._rng.laplace_vector(1.0, _DRAWS)
-            units[:0] = array("d", draws.tobytes()) if isinstance(units, array) else list(draws)
+            if isinstance(self._rng, RandomLanes):
+                raise ValueError("a store on RandomLanes is not pushed: read it with estimates_at")
+            units.frombytes(self._rng.laplace_vector(1.0, _DRAWS).tobytes())
         return units.pop()
 
     @staticmethod
@@ -166,7 +166,8 @@ class DyadicTree:
         """Create node ``index`` of ``level`` as the level's newest, drawing
         its noise, write the weighted value ``w`` to it and return its
         published value.  A node is created once: an index not newer than
-        its level's newest is refused."""
+        its level's newest is refused, and so is any node once
+        :meth:`add_path` or :func:`read_at` has fed the store."""
         if level < 1:
             raise ValueError(f"levels start at 1, got {level}")
         if level > len(self._index):
@@ -176,6 +177,8 @@ class DyadicTree:
             raise ValueError(
                 f"node (level {level}, index {index}) is not newer than its level's newest"
             )
+        if self.received:
+            raise ValueError("a store fed by position, by add_path or a reader, takes no add")
         self._index[k] = index
         self._c0[k] = w
         z = self._scale[k] * self._draw() if self.noisy else 0.0
@@ -204,9 +207,7 @@ class PrefixCursor:
     position p of the block.  Memoising each prefix sum under the level of
     its last node makes every step take one node, the one
     :meth:`DyadicTree.add_path` just closed; the tiles, of distinct
-    power-of-two lengths, are added to 0.0 largest first.  The value
-    returned is the cursor's own memo: callers must not update it in place
-    (on lanes it is an array).
+    power-of-two lengths, are added to 0.0 largest first.
     """
 
     __slots__ = ("p", "_memo")
@@ -245,8 +246,7 @@ class WindowCursor:
     counter (Dwork et al. 2010; Chan, Shi and Song 2011).  The window is
     j's block prefix when m <= 0 or m ends a block, minus m's prefix when m
     is in j's block, else plus the previous block's total (the walk's last
-    value in it) minus m's prefix.  The value returned may be a memo: do
-    not update it in place (lanes).
+    value in it) minus m's prefix.
     """
 
     __slots__ = ("W", "_mask", "_top", "j", "_now", "_past", "_total")
@@ -293,56 +293,60 @@ class WindowCursor:
         return (self._total - lag) + cur
 
 
-def _level_sums(x: np.ndarray, height: int) -> list:
+def _level_sums(x: np.ndarray, disc: list) -> list:
     """The ``c0`` of every node closed by position ``len(x)``, per 0-based
-    level: level 0 is ``x``, and each level above is the pairwise sums
-    ``a[0::2] + a[1::2]`` of the one below, the operands of
-    :meth:`DyadicTree.add_path`'s carry chain."""
+    level below ``len(disc)``: level 0 is ``x``, and level k is ``a[0::2] *
+    disc[k-1] + a[1::2]`` of level k - 1, the operands of a push's carry
+    chain (:meth:`DyadicTree.add_path`'s with ``disc`` all 1.0)."""
     sums = [x]
-    for _ in range(1, height):
+    for k in range(1, len(disc)):
         a = sums[-1]
         n = len(a) // 2 * 2
-        sums.append(a[0:n:2] + a[1:n:2])
+        sums.append(a[0:n:2] * disc[k - 1] + a[1:n:2])
     return sums
 
 
 def _units_at(rng: RandomSource, ranks) -> dict:
     """The unit Laplace draw a store on ``rng`` gives its node of each
-    creation rank in ``ranks``.
-
-    The store draws its refills one ``laplace_vector(1.0, _DRAWS)`` call
-    after another, and that is one ``laplace_vector(1.0, n)`` call over
-    them, so the refills through the last one asked for are read with one
-    ``laplace_rows(1.0, n, rows)`` call that transforms only the units
-    (lanes: rows) of the ranks asked for: rank r is item ``r % _DRAWS`` from
-    the end of refill ``r // _DRAWS``.
-    """
+    creation rank in ``ranks``.  The store's refills of ``_DRAWS`` units are
+    one ``laplace_vector(1.0, n)`` call, read by one ``laplace_rows`` call
+    that transforms only the units (lanes: rows) asked for: rank r is item
+    ``r % _DRAWS`` from the end of refill ``r // _DRAWS``."""
     ranks = list(ranks)
     rows = [r - r % _DRAWS + _DRAWS - 1 - r % _DRAWS for r in ranks]
     n = (max(ranks, default=-1) // _DRAWS + 1) * _DRAWS
     return dict(zip(ranks, rng.laplace_rows(1.0, n, rows)))
 
 
-def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps, height: int) -> list:
-    """What ``cursor`` returns at each of ``steps`` while ``tree.add_path``
-    takes i = 1, 2, 3, ... and the values ``xs``, ``==`` to it, read without
-    pushing the steps in between.
+def _tiles(e: int, p: int) -> list:
+    """The nodes (0-based level, index, weight 1.0) tiling the p positions
+    ending at e, largest first."""
+    out = []
+    a = e - p
+    while p:
+        k = p.bit_length() - 1
+        out.append((k, a >> k, 1.0))
+        a += 1 << k
+        p -= 1 << k
+    return out
 
-    ``tree`` and ``cursor`` must be fresh.  ``height`` is the store's: a
-    window store's block levels, or ``block_levels(len(xs))`` for a growing
-    tree, which creates the same nodes in the same order.  An update
-    outside [0, 1] is refused before any noise is drawn.  Only the nodes
-    that the estimates at ``steps`` read are computed, each as the store
-    publishes it, ``c0 + z``: ``c0`` from :func:`_level_sums`, ``z`` the
-    level's scale times the unit of the node's creation rank
-    (:meth:`DyadicTree._creation_rank`).  They combine by
-    :meth:`WindowCursor.advance`'s rule, every block prefix folded from
-    0.0, largest node first.  The read uses up the store's noise and leaves
-    it at position ``len(xs)`` with no node, so a later ``add_path`` is
-    refused.
+
+def read_at(tree: DyadicTree, xs, steps, plan, rank, disc: list) -> list:
+    """What an estimator on the fresh store ``tree`` returns at each of
+    ``steps`` when pushed ``xs``, ``==`` to it, without the steps between.
+
+    ``plan(j)`` gives the parts ``(cur, lag, block)`` of step j, each a list
+    of ``(0-based level, index, weight)`` in push's order.  Each part folds
+    from 0.0, ``v = v * disc[k] + node * weight``, and they combine by
+    :meth:`WindowCursor.advance`'s rule: ``cur``, ``cur - lag``, or
+    ``(block - lag) + cur``.  A node is ``c0 + z`` as the store publishes
+    it: ``c0`` from :func:`_level_sums`, ``z`` its level's scale times the
+    unit of rank ``rank(level, index)``.  Multiplying by 1.0 is exact.  A
+    bad update is refused before any noise is drawn; the read uses up the
+    store, at position ``len(xs)`` with no node, so a later push is refused.
     """
-    if tree.received or tree._index or cursor.j:
-        raise ValueError("the checkpoint reader needs a fresh store and cursor")
+    if tree.received or tree._index:
+        raise ValueError("the checkpoint reader needs a fresh store")
     n = len(xs)
     if not all(1 <= j <= n for j in steps):
         raise ValueError(f"steps must lie in [1, {n}]")
@@ -350,44 +354,23 @@ def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps, height: in
     bad = ~((0.0 <= x) & (x <= 1.0))
     if bad.any():
         raise ValueError(f"update must lie in [0, 1], got {x[bad][0]}")
-    mask, top = cursor._mask, cursor._top
-
-    def tiles(e: int, p: int) -> list:
-        """The nodes (0-based level, index) tiling the p positions ending
-        at e, largest first."""
-        out = []
-        a = e - p
-        while p:
-            k = p.bit_length() - 1
-            out.append((k, a >> k))
-            a += 1 << k
-            p -= 1 << k
-        return out
-
-    plans = []  # per step, the nodes of j's block prefix, m's and the previous block
-    for j in steps:
-        p = ((j - 1) & mask) + 1  # j's place in its block
-        m = j - cursor.W
-        q = m & mask if m > 0 else 0  # m's place in its block; 0: no lag is read
-        # the previous block's total is read when m lies in that block
-        block = [(top - 1, ((j - 1) >> (top - 1)) - 1)] if q >= p else []
-        plans.append((tiles(j, p), tiles(m, q), block))
-    nodes = {nd for plan in plans for part in plan for nd in part}
-    sums = _level_sums(x, top)
+    plans = [plan(j) for j in steps]
+    nodes = {(k, idx) for parts in plans for part in parts for k, idx, _ in part}
+    sums = _level_sums(x, disc)
     if tree.noisy:
-        rank = {(k, idx): DyadicTree._creation_rank(k, idx << k, height) for k, idx in nodes}
-        units = _units_at(tree._rng, rank.values())
-        scales = [tree._scale_for_level(k + 1) for k in range(top)]
-        value = {(k, idx): sums[k][idx] + scales[k] * units[rank[k, idx]] for k, idx in nodes}
+        ranks = {nd: rank(*nd) for nd in nodes}
+        units = _units_at(tree._rng, ranks.values())
+        scales = [tree._scale_for_level(k + 1) for k in range(len(disc))]
+        value = {(k, idx): sums[k][idx] + scales[k] * units[ranks[k, idx]] for k, idx in nodes}
     else:
         value = {(k, idx): sums[k][idx] + 0.0 for k, idx in nodes}
     tree.received = n
 
     def fold(part: list):
-        total = 0.0
-        for nd in part:
-            total = total + value[nd]
-        return total
+        v = 0.0
+        for k, idx, w in part:
+            v = v * disc[k] + value[k, idx] * w
+        return v
 
     out = []
     for cur, lag, block in plans:
@@ -399,3 +382,25 @@ def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps, height: in
         else:
             out.append((fold(block) - fold(lag)) + c)
     return out
+
+
+def window_sums_at(tree: DyadicTree, cursor: WindowCursor, xs, steps, height: int) -> list:
+    """What ``cursor`` returns at each of ``steps`` while ``tree.add_path``
+    takes ``xs``, by :func:`read_at`: j's block prefix, m = j - W's prefix
+    and the previous block's total, largest node first, ``disc`` and every
+    weight 1.0.  Of ``cursor`` only its window and blocks are read.
+    ``height`` is the store's: a window store's block levels, or
+    ``block_levels(len(xs))`` for a growing tree, which creates the same
+    nodes in the same order (:meth:`DyadicTree._creation_rank`)."""
+    W, mask, top = cursor.W, cursor._mask, cursor._top
+
+    def plan(j: int):
+        p = ((j - 1) & mask) + 1  # j's place in its block
+        m = j - W
+        q = m & mask if m > 0 else 0  # m's place in its block; 0: no lag is read
+        # the previous block's total is read when m lies in that block
+        block = [(top - 1, ((j - 1) >> (top - 1)) - 1, 1.0)] if q >= p else []
+        return _tiles(j, p), _tiles(m, q), block
+
+    return read_at(tree, xs, steps, plan,
+                   lambda k, index: DyadicTree._creation_rank(k, index << k, height), [1.0] * top)

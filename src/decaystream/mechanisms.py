@@ -1,7 +1,8 @@
 """Private streaming estimators for decayed sums.
 
 Four estimators behind one contract (``push(x) -> estimate`` for inputs in
-[0, 1]):
+[0, 1], and ``estimates_at(xs, steps)``, the estimates push returns at
+chosen steps, read by :func:`~decaystream.dyadic.read_at`):
 
 * :class:`WindowSum` -- sum of the last W updates, for any W >= 1.  The
   stream is cut into blocks of ``W' = 2**ceil(log2 W)`` positions, each an
@@ -48,7 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dyadic import DyadicTree, PrefixCursor, WindowCursor, block_levels, window_sums_at
+from .dyadic import (DyadicTree, PrefixCursor, WindowCursor, _tiles, block_levels, read_at,
+                     window_sums_at)
 from .noise import SCHEDULE_BETA, RandomSource, check_epsilon, level_epsilons
 
 _TINY_WEIGHT = 1e-300  # discount weights below this clamp to zero
@@ -374,6 +376,14 @@ class ExponentialSum:
         memo[level] = est
         return est
 
+    def estimates_at(self, xs, steps) -> list:
+        """As :meth:`WindowSum.estimates_at`: each estimate folds its prefix
+        tiling largest first, ``v = v * alpha**len + node``, as push does, and
+        the node closing at u has rank u - 1."""
+        disc = [self.alpha ** (1 << k) for k in range(block_levels(len(xs)))]
+        return read_at(self._tree, xs, steps, lambda j: (_tiles(j, j), [], []),
+                       lambda k, index: ((index + 1) << k) - 1, disc)
+
     def counters(self) -> dict[tuple[int, int], float]:
         """Noiseless value of each level's newest closed left node."""
         return self._tree.counters()
@@ -429,8 +439,7 @@ class PolynomialSum(AllWindowSum):
         super().__init__(epsilon, rng, noisy=noisy)
         self.c = c
         self.beta = beta
-        # read ranges [lo, hi) of levels 1, 2, ..., grown in push until one
-        # level is not yet admitted at any age
+        # read ranges [lo, hi) of levels 1, 2, ..., grown by _read_ranges
         self._los: list[int] = []
         self._his: list[int] = []
         # per level: published values of its closed nodes still read, and
@@ -438,9 +447,16 @@ class PolynomialSum(AllWindowSum):
         self._archive: list[list] = []
         self._base: list[int] = []
 
-    def _tiling(self):
-        """(level, index, weight) of the nodes tiling [1, step], youngest first."""
-        i = self.step
+    def _read_ranges(self, i: int) -> None:
+        """Grow the read ranges until a level is not yet admitted at age i."""
+        los, his = self._los, self._his
+        while not los or los[-1] < i:
+            lo, hi = poly_read_ages(self.c, self.beta, len(los) + 1)
+            los.append(lo)
+            his.append(hi)
+
+    def _tiling(self, i: int):
+        """(0-based level, index, weight) of the nodes tiling [1, i], youngest first."""
         negc = -self.c
         los = self._los
         cap = 1  # longest node the current age admits
@@ -451,19 +467,15 @@ class PolynomialSum(AllWindowSum):
                 cap <<= 1
             low = e & -e
             L = low if low < cap else cap
-            level = L.bit_length()
-            yield level, (e >> (level - 1)) - 1, (a + L) ** negc
+            k = L.bit_length() - 1
+            yield k, (e >> k) - 1, (a + L) ** negc
             e -= L
 
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
         node = AllWindowSum.push(self, x)
         i = self.step
-        los, his = self._los, self._his
-        while not los or los[-1] < i:
-            lo, hi = poly_read_ages(self.c, self.beta, len(los) + 1)
-            los.append(lo)
-            his.append(hi)
+        self._read_ranges(i)
         archive, base = self._archive, self._base
         # the nodes closing at i, one per level below the topmost, which
         # the tree returned
@@ -476,11 +488,11 @@ class PolynomialSum(AllWindowSum):
             archive[k].append(published(k + 1, (i >> k) - 1))
         archive[top].append(node)
         est = 0.0
-        for level, index, weight in self._tiling():
-            est += archive[level - 1][index - base[level - 1]] * weight
+        for k, index, weight in self._tiling(i):
+            est += archive[k][index - base[k]] * weight
         # a level-k node is dead once its newest age reaches hi_k; that
         # bound moves past one more node whenever 2**(k-1) divides i - hi_k
-        for k, hi in enumerate(his):
+        for k, hi in enumerate(self._his):
             m = i - hi
             if m < 0:
                 break
@@ -489,9 +501,18 @@ class PolynomialSum(AllWindowSum):
                 base[k] += 1
         return est
 
+    def estimates_at(self, xs, steps) -> list:
+        """As :meth:`RunningSum.estimates_at`: each estimate folds its age
+        tiling youngest first, ``est += node * weight``."""
+        n = len(xs)
+        self._read_ranges(n)
+        h = block_levels(n)
+        return read_at(self._tree, xs, steps, lambda j: (list(self._tiling(j)), [], []),
+                       lambda k, index: DyadicTree._creation_rank(k, index << k, h), [1.0] * h)
+
     def child_windows(self) -> list[int]:
         """Node lengths of the current step's tiling, youngest first."""
-        return [1 << (level - 1) for level, _, _ in self._tiling()]
+        return [1 << k for k, _, _ in self._tiling(self.step)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ All randomness in the library flows through :class:`RandomSource`, a splittable
 counter-based generator (Philox) so that any experiment is reproducible from a
 single 64-bit seed and independent sub-streams can be handed to parallel
 trials, tree nodes or histogram keys.  :class:`RandomLanes` draws from many
-fresh sources in lockstep, one numpy lane per source, so one estimator can
-run many Monte-Carlo trials at once.
+fresh sources in lockstep, one numpy lane per source, so one checkpoint
+reader can read many Monte-Carlo trials at once.
 
 This generator is NOT cryptographically secure and the Laplace sampler works
 in plain IEEE double precision (no snapping / discretisation).  The library
@@ -130,18 +130,19 @@ class RandomLanes:
     """Fresh random sources drawn in lockstep, one lane per source.
 
     Each draw is a numpy array whose lane t holds exactly what source t
-    would have drawn alone, so an estimator built on lanes runs one trial
-    per lane: the estimators create noise nodes in an order that does not
-    depend on the data, and a scalar counter plus a lane array of noise
-    repeats each trial's IEEE operations in the scalar order.  Every lane's
+    would have drawn alone, so a checkpoint reader (``estimates_at``) on
+    lanes reads one trial per lane: the estimators create noise nodes in an
+    order that does not depend on the data, and a scalar counter plus a
+    lane array of noise repeats each trial's IEEE operations in the scalar
+    order.  Estimators on lanes are read, never pushed.  Every lane's
     uniforms come from its own source's generator, drawn straight into its
-    row of one (lanes, n) matrix; a Laplace refill transforms the transpose
-    in one call.  numpy's elementwise ``log`` rounds an element the same
-    wherever it sits in the array, so each lane equals its source's
-    :meth:`RandomSource.laplace_vector` bit for bit: ``tests/test_noise.py``
-    checks the one-matrix transform against per-column transforms on the
-    int64 bit patterns, at lengths that are not multiples of the SIMD width,
-    on contiguous and strided input.
+    row of one (lanes, n) matrix, and :meth:`laplace_rows` transforms the
+    units read in one call.  numpy's elementwise ``log`` rounds an element
+    the same wherever it sits in the array, so each lane equals its
+    source's :meth:`RandomSource.laplace_vector` bit for bit:
+    ``tests/test_noise.py`` checks the one-matrix transform against
+    per-column transforms on the int64 bit patterns, at lengths that are not
+    multiples of the SIMD width, on contiguous and strided input.
     """
 
     def __init__(self, sources):
@@ -153,37 +154,26 @@ class RandomLanes:
         self._buf = np.empty((0, len(self._sources)))
         self._pos = 0
 
-    def _random(self, n: int) -> np.ndarray:
-        """n uniforms per lane from the lanes' generators, shape (n, lanes)."""
-        out = np.empty((len(self._sources), n))
-        for s, row in zip(self._sources, out):
-            s._gen.random(out=row)
-        return out.T
-
-    def uniform(self) -> np.ndarray:
-        """One double in [0, 1) per lane, refilled as RandomSource.uniform is."""
-        return self.uniforms(1)[0]
-
     def uniforms(self, n: int) -> np.ndarray:
-        """What n calls of :meth:`uniform` return, stacked: shape (n, lanes)."""
+        """What n calls of :meth:`RandomSource.uniform` return per lane,
+        stacked: shape (n, lanes)."""
         parts = []
         while n:
             if self._pos >= len(self._buf):
-                self._buf = self._random(_BUFFER)
-                self._pos = 0
+                buf = np.empty((len(self._sources), _BUFFER))
+                for s, row in zip(self._sources, buf):
+                    s._gen.random(out=row)
+                self._buf, self._pos = buf.T, 0
             take = self._buf[self._pos:self._pos + n]
             self._pos += len(take)
             n -= len(take)
             parts.append(take)
         return np.concatenate(parts or [self._buf[:0]])
 
-    def laplace_vector(self, b: float, n: int) -> np.ndarray:
-        """n Laplace(b) draws per lane, shape (n, lanes)."""
-        return laplace_from_uniform(_centred(self._random(n)), b)
-
     def laplace_rows(self, b: float, n: int, rows) -> np.ndarray:
-        """``laplace_vector(b, n)[rows]``, shape (len(rows), lanes), leaving
-        every lane's generator as that call would (:func:`_laplace_rows`)."""
+        """The ``rows`` of n Laplace(b) draws per lane, shape (len(rows),
+        lanes), leaving every lane's generator as
+        :meth:`RandomSource.laplace_vector` would (:func:`_laplace_rows`)."""
         return _laplace_rows([s._gen for s in self._sources], b, n, rows)
 
 

@@ -16,7 +16,6 @@ from unittest import mock
 from decaystream import mechanisms
 from decaystream.dyadic import _DRAWS
 from decaystream.mechanisms import _TINY_WEIGHT, ExponentialSum
-from decaystream.noise import RandomSource
 
 
 class Interval(NamedTuple):
@@ -127,7 +126,7 @@ class FullStore:
         self._z = []  # per level: {index: z}
         self._scale = []
         self._left = []
-        self._units = array("d") if isinstance(rng, RandomSource) else []
+        self._units = array("d")
         self.received = 0
 
     def _reach(self, height):
@@ -147,8 +146,7 @@ class FullStore:
             return
         units = self._units
         if not units:
-            draws = self._rng.laplace_vector(1.0, _DRAWS)
-            units[:0] = array("d", draws.tobytes()) if isinstance(units, array) else list(draws)
+            units.frombytes(self._rng.laplace_vector(1.0, _DRAWS).tobytes())
         self._z[k][index] = self._scale[k] * units.pop()
 
     def add_path(self, i, x, height):

@@ -28,6 +28,16 @@ def random_bits(seed, T):
     return [1 if gen.uniform() < 0.5 else 0 for _ in range(T)]
 
 
+def rr_read_on_lanes(rr, xs):
+    """What ``rr.push`` returns at step ``len(xs)`` on each lane of its
+    RandomLanes source: the flips of every step, one uniform per step,
+    summed by oracles over lane arrays and rescaled as push does."""
+    stored, ones = ExactOracle(rr.decay), ExactOracle(rr.decay)
+    for x, u in zip(xs, rr._rng.uniforms(len(xs))):
+        s, g = stored.push(rr.flip(float(x), u)), ones.push(1.0)
+    return rr.rescale(s, g)
+
+
 def test_oracle_examples():
     w = ExactOracle(DecaySpec.window(3))
     assert [w.push(float(x)) for x in (1, 0, 1, 1, 0)][-1] == 2.0
@@ -118,9 +128,7 @@ def test_rr_unbiased_at_fixed_step():
     for t0 in range(0, trials, 1000):  # lanes buffer 4096 uniforms each
         lanes = RandomLanes(base.child(t) for t in range(t0, t0 + 1000))
         rr = RandomizedResponse(DecaySpec.window(W), f, lanes)
-        for x in xs:
-            est = rr.push(x)
-        errs[t0 : t0 + 1000] = est - exact
+        errs[t0 : t0 + 1000] = rr_read_on_lanes(rr, xs) - exact
     per_bit_var = (1 - f * f) / (4 * f * f)
     se = math.sqrt(W * per_bit_var / trials)
     assert abs(errs.mean()) < 5.0 * se
@@ -132,8 +140,7 @@ def test_rr_standard_deviation_matches_theory():
     base = RandomSource(21)
     lanes = RandomLanes(base.child(t) for t in range(trials))
     rr = RandomizedResponse(DecaySpec.window(W), f, lanes)
-    for _ in range(W):
-        vals = rr.push(1)
+    vals = rr_read_on_lanes(rr, [1] * W)
     theory = math.sqrt(W * (1 / f**2 - 1)) / 2
     assert abs(vals.std(ddof=1) - theory) < 0.1 * theory
 
@@ -175,24 +182,35 @@ def test_running_diff_evicts_behind_its_lag_and_reads_as_a_full_store(W, source)
     # when it closes and overwritten by the next on its level, so after
     # position i levels 1 .. min(h, bit_length(i)) hold one; the reference is a same-seed
     # store that keeps every node, read at random access.  Its height and
-    # scale are the horizon's, also for a window longer than the horizon
+    # scale are the horizon's, also for a window longer than the horizon.
+    # On lanes each trial is pushed alone, and lane t of the reader is
+    # trial t's pushes
     T = 1000
     xs = [x * 0.75 for x in random_bits(W, T)]
     noisy = source != "noise_off"
+    lanes = 3 if source == "lanes" else 0
 
-    def rng():
-        if source == "lanes":
-            return RandomLanes([RandomSource(7).child(t) for t in range(3)])
-        return RandomSource(7)
+    def rng(t):
+        return RandomSource(7).child(t) if lanes else RandomSource(7)
 
-    straw = RunningDiffBaseline(W, T, 0.5, rng(), noisy=noisy)
     h = block_levels(T)
-    ref = FullStore(rng(), lambda _level: h / 0.5, noisy)
-    for i, x in enumerate(xs, 1):
-        est = straw.push(x)
-        ref.add_path(i, x, h)
-        want = prefix_value(ref, i) - prefix_value(ref, max(i - W, 0))
-        assert np.array_equal(est, want), i
-        closed = min(h, i.bit_length())  # levels with a closed node
-        assert [level for level, _ in straw.counters()] == list(range(1, closed + 1)), i
-    assert len(ref.counters()) == sum(T >> k for k in range(h))  # the reference kept every node
+    pushed = []
+    for t in range(lanes or 1):
+        straw = RunningDiffBaseline(W, T, 0.5, rng(t), noisy=noisy)
+        ref = FullStore(rng(t), lambda _level: h / 0.5, noisy)
+        pushed.append([])
+        for i, x in enumerate(xs, 1):
+            pushed[-1].append(straw.push(x))
+            ref.add_path(i, x, h)
+            want = prefix_value(ref, i) - prefix_value(ref, max(i - W, 0))
+            assert np.array_equal(pushed[-1][-1], want), i
+            closed = min(h, i.bit_length())  # levels with a closed node
+            assert [level for level, _ in straw.counters()] == list(range(1, closed + 1)), i
+        assert len(ref.counters()) == sum(T >> k for k in range(h))  # it kept every node
+    if lanes:
+        rngs = RandomLanes(rng(t) for t in range(lanes))
+        got = RunningDiffBaseline(W, T, 0.5, rngs, noisy=noisy).estimates_at(xs, range(1, T + 1))
+        for i, v in enumerate(got):
+            want = np.array([p[i] for p in pushed])
+            assert np.array_equal(np.broadcast_to(v, want.shape).view(np.int64),
+                                  want.view(np.int64)), i + 1

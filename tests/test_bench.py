@@ -159,7 +159,8 @@ def test_checkpoint_randomized_response_equals_the_per_step_one(monkeypatch, mec
                                                                 epsilon, lanes):
     # window and running sums count the flips block by block, the other
     # decays sum them, and all rescale only at the checkpoints; every value
-    # must still be push's, bit for bit, on a scalar source and on lanes
+    # must still be push's, bit for bit, on a scalar source, and on lanes
+    # lane t must be the pushes of trial t alone
     monkeypatch.setattr(bench, "_FLIP_ROWS", 64)  # 300 steps: 4 full blocks and one of 44
     gen = RandomSource(6)
     stream = [1.0 if gen.uniform() < 0.5 else 0.0 for _ in range(300)]
@@ -174,9 +175,13 @@ def test_checkpoint_randomized_response_equals_the_per_step_one(monkeypatch, mec
     assert len(names) == (1 if epsilon == 1.0 else 2)
     for name in names:
         f = bench._rr_flip(cfg, name)
-        rr = RandomizedResponse(cfg.decay(), f, rng())
-        per_step = [rr.push(x) for x in stream]
-        want = [per_step[j - 1] for j in checkpoints(len(stream))]
+        per_step = []
+        for t in range(lanes or 1):
+            rr = RandomizedResponse(cfg.decay(), f, RandomSource(9).child(t) if lanes else rng())
+            per_step.append([rr.push(x) for x in stream])
+        marks = checkpoints(len(stream))
+        want = [np.array([p[j - 1] for p in per_step]) if lanes else per_step[0][j - 1]
+                for j in marks]
         got = bench._rr_at_checkpoints(cfg, f, rng(), stream)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -231,12 +236,16 @@ def test_bench_refuses_mechs_without_a_tree(mech):
 
 
 @pytest.mark.parametrize("epsilon", [0.5, 1.0])
-@pytest.mark.parametrize("mech,kw", [("running", {}), ("allwindow", dict(W=100))],
-                         ids=["running", "allwindow_W100"])
+@pytest.mark.parametrize("mech,kw", [("running", {}), ("allwindow", dict(W=100)),
+                                     ("exp", dict(alpha=0.9)), ("exp", dict(alpha=0.99))],
+                         ids=["running", "allwindow_W100", "exp_a0.9", "exp_a0.99"])
 def test_growing_tree_bound_dominates_at_scale(mech, kw, epsilon):
-    # both series are read at the checkpoints only, so 2000 trials over a
-    # stream of 4096 cost well under a second per config
-    cfg = ExperimentConfig(mech=mech, epsilon=epsilon, T=4096, trials=2000, seed=25, **kw)
+    # every series is read at the checkpoints only, so 2000 trials over a
+    # stream of 4096 cost well under a second per config.  Each epsilon
+    # draws its own noise: at one seed the error and delta_theory would
+    # both scale as 1/epsilon, and the two configs would check one thing
+    seed = {1.0: 31, 0.5: 32}[epsilon]
+    cfg = ExperimentConfig(mech=mech, epsilon=epsilon, T=4096, trials=2000, seed=seed, **kw)
     rows = [r for r in run_bench(cfg) if r.series == mech]
     assert [r.j for r in rows] == checkpoints(4096)
     for r in rows:

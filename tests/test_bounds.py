@@ -220,21 +220,19 @@ def test_worst_noise_profiles():
 
 
 class UnitVectors:
-    """Stand-in random source: the n-th unit Laplace draw is the n-th unit
-    vector, so a store's published values, and any estimate read from them
-    on an all-zero stream, are vectors of per-node noise coefficients times
-    the node scales."""
+    """Stand-in random source: the unit Laplace draw of row r is the r-th
+    unit vector, so the nodes a checkpoint reader computes, and any estimate
+    it reads from them on an all-zero stream, are vectors of per-node noise
+    coefficients times the node scales."""
 
     def __init__(self, dim):
         self.dim = dim
-        self.n = 0
 
-    def laplace_vector(self, scale, n):
-        out = np.empty(n, dtype=object)
-        for q in range(n):
+    def laplace_rows(self, scale, n, rows):
+        out = np.empty(len(rows), dtype=object)
+        for q, r in enumerate(rows):
             out[q] = np.zeros(self.dim)
-            out[q][self.n] = 1.0
-            self.n += 1
+            out[q][r] = 1.0
         return out
 
 
@@ -247,8 +245,7 @@ def test_poly_profile_dominates_every_step():
         profile = worst_noise_profile(DecaySpec.polynomial(c, beta), 1.0, T)
         bound2 = sum(b * b for b in profile.scales)
         m = PolynomialSum(c, beta, 1.0, UnitVectors(4 * T))  # draws come 256 at a time
-        for i in range(1, T + 1):
-            a = m.push(0.0)
+        for i, a in enumerate(m.estimates_at([0.0] * T, range(1, T + 1)), 1):
             assert a @ a <= bound2 * (1 + 1e-12), (c, beta, i)
             assert np.abs(a).max() <= profile.max_scale * (1 + 1e-12), (c, beta, i)
 

@@ -696,6 +696,12 @@ PINNED_OUTPUT = [
      "1703bb13021fa5a4976e37571289cad477f1dc6dd2719ebb13964e48424cc8b6"),
     ("bench --mech allwindow --W 1000 --T 5000 --no-noise --trials 30 --jobs 1 --seed 18",
      "1f62cc9164690bd6d0a1b96dea661d4965733e0ea3cc7cbc633703eb2bf42a22"),
+    # the exponential and polynomial readers over many levels; at alpha 0.7
+    # the discount underflows to 0.0 on the top levels
+    ("bench --mech exp --alpha 0.7 --T 5000 --no-noise --trials 30 --jobs 1 --seed 19",
+     "7c75ca80bbb5285d88d2947c0345120cd8124b6d119ca4ab9b2b69ebd690b29d"),
+    ("bench --mech poly --c 2 --beta 0.25 --T 5000 --no-noise --trials 30 --jobs 1 --seed 20",
+     "232db6563c616757d8d899c73ae46402129a4ce69e8ce089df7090e1724588da"),
     ("run --mech window --W 8 --T 64 --no-noise --with-exact --seed 9",
      "19c2c0eb0a923e754bc7ddec28c5a92fd32842264d2e6e74c1209651b3053a3c"),
     ("run --mech allwindow --W 8 --T 64 --no-noise --with-exact --seed 10",

@@ -243,6 +243,14 @@ def _source(kind, seed):
     return RandomSource(seed)
 
 
+def _trials(kind, seed):
+    """The scalar sources whose draws the lanes of ``_source(kind, seed)``
+    repeat, one per trial: the source itself when it is scalar."""
+    if kind == "lanes":
+        return [RandomSource(seed).child(t) for t in range(3)]
+    return [RandomSource(seed)]
+
+
 def _same(a, b):
     return a.tolist() == b.tolist() if hasattr(a, "tolist") else a == b
 
@@ -250,9 +258,22 @@ def _same(a, b):
 @pytest.mark.parametrize("kind", ["scalar", "lanes"])
 def test_window_cursor_matches_window_query_on_a_growing_tree(kind):
     # every window size streams from one all-window tree at once, each
-    # cursor fed its block's node ending at j, which the store still holds
+    # cursor fed its block's node ending at j, which the store still holds;
+    # on lanes, the reader of each window over the growing tree (the fixed
+    # view) gives lane t the random-access reads of trial t's full store
     gen = RandomSource(21)
     xs = [gen.uniform() for _ in range(2200)]
+    if kind == "lanes":
+        refs = [on_full_store(lambda rng=rng: AllWindowSum(1.0, rng)) for rng in _trials(kind, 22)]
+        for ref in refs:
+            for x in xs:
+                ref.push(x)
+        steps = range(1, len(xs) + 1)
+        for W in CURSOR_WINDOWS:
+            got = FixedWindowView(W, 1.0, _source(kind, 22)).estimates_at(xs, steps)
+            for j, v in zip(steps, got):
+                assert _bits_equal(v, [window_query(ref._tree, j, W) for ref in refs]), (j, W)
+        return
     aw = AllWindowSum(1.0, _source(kind, 22))
     ref = on_full_store(lambda: AllWindowSum(1.0, _source(kind, 22)))
     cursors = [WindowCursor(W, block_levels(W)) for W in CURSOR_WINDOWS]
@@ -268,16 +289,26 @@ def test_window_cursor_matches_window_query_on_a_growing_tree(kind):
 @pytest.mark.parametrize("W", CURSOR_WINDOWS)
 def test_window_cursor_matches_window_query_on_block_trees(kind, W):
     # aligned blocks of W' leaves, each a subtree of fixed height (as
-    # WindowSum): the cursor takes the node each add_path closes
+    # WindowSum): the cursor takes the node each add_path closes; on lanes,
+    # the reader over the same blocks gives lane t trial t's reads
     height = (W - 1).bit_length() + 1
-    tree = DyadicTree(_source(kind, W), lambda level: 2.0)
-    ref = FullStore(_source(kind, W), lambda level: 2.0)
     cursor = WindowCursor(W, height)
     gen = RandomSource(23)
-    for j in range(1, max(4 * W, 40) + 1):
-        x = gen.uniform()
-        ref.add_path(j, x, height)
-        assert _same(cursor.advance(tree.add_path(j, x, height)), window_query(ref, j, W)), j
+    xs = [gen.uniform() for _ in range(max(4 * W, 40))]
+    refs = [FullStore(rng, lambda level: 2.0) for rng in _trials(kind, W)]
+    for ref in refs:
+        for j, x in enumerate(xs, 1):
+            ref.add_path(j, x, height)
+    if kind == "lanes":
+        steps = range(1, len(xs) + 1)
+        tree = DyadicTree(_source(kind, W), lambda level: 2.0)
+        got = dyadic.window_sums_at(tree, cursor, xs, steps, height)
+        for j, v in zip(steps, got):
+            assert _bits_equal(v, [window_query(ref, j, W) for ref in refs]), j
+        return
+    tree = DyadicTree(_source(kind, W), lambda level: 2.0)
+    for j, x in enumerate(xs, 1):
+        assert _same(cursor.advance(tree.add_path(j, x, height)), window_query(refs[0], j, W)), j
 
 
 def _count_reads(tree):
@@ -300,28 +331,39 @@ def test_window_estimates_read_one_node_per_push_and_queue_at_most_W(kind, W):
     # sum, the running sum and the prefix-difference baseline never call
     # published; the fixed view reads the store only when the node closed
     # at j spans more than a block.  The lagged prefix is the walk's own
-    # value W steps back, from a queue of its last W values.
+    # value W steps back, from a queue of its last W values.  On lanes each
+    # trial is pushed alone, and the lane reader, which reads no node
+    # through published either, gives lane t trial t's pushes.
     T = 4 * max(W, 8) + 5
     Wp = 1 << (W - 1).bit_length()
     gen = RandomSource(31)
     xs = [gen.uniform() for _ in range(T)]
-    ws = WindowSum(W, 1.0, _source(kind, 32))
-    fv = FixedWindowView(W, 1.0, _source(kind, 33))
-    rd = RunningDiffBaseline(W, T, 1.0, _source(kind, 34))
-    rs = RunningSum(1.0, _source(kind, 35))
-    for est, tree, past in ((ws, ws._tree, ws._window._past),
-                            (fv, fv._tree, fv._window._past),
-                            (rd, rd._tree, rd._window._past),
-                            (rs, rs._tree, None)):
-        reads = _count_reads(tree)
-        for i, x in enumerate(xs, 1):
-            est.push(x)
-            if est is fv:
-                assert len(reads) == sum(j & -j > Wp for j in range(1, i + 1)), i
-            else:
-                assert reads == [], (type(est).__name__, i)
-            if past is not None:
-                assert len(past) == min(i, W), (type(est).__name__, i)
+    makes = {32: lambda rng: WindowSum(W, 1.0, rng),
+             33: lambda rng: FixedWindowView(W, 1.0, rng),
+             34: lambda rng: RunningDiffBaseline(W, T, 1.0, rng),
+             35: lambda rng: RunningSum(1.0, rng)}
+    for seed, make in makes.items():
+        pushed = []
+        for rng in _trials(kind, seed):
+            est = make(rng)
+            past = est._window._past if hasattr(est, "_window") else None
+            reads = _count_reads(est._tree)
+            pushed.append([])
+            for i, x in enumerate(xs, 1):
+                pushed[-1].append(est.push(x))
+                if isinstance(est, FixedWindowView):
+                    assert len(reads) == sum(j & -j > Wp for j in range(1, i + 1)), i
+                else:
+                    assert reads == [], (type(est).__name__, i)
+                if past is not None:
+                    assert len(past) == min(i, W), (type(est).__name__, i)
+        if kind == "lanes":
+            est = make(_source(kind, seed))
+            reads = _count_reads(est._tree)
+            got = est.estimates_at(xs, range(1, T + 1))
+            assert reads == []
+            for j, v in enumerate(got):
+                assert _bits_equal(v, [p[j] for p in pushed]), (type(est).__name__, j + 1)
 
 
 @pytest.mark.parametrize("W, levels", [(1, 4), (5, 4), (5, 7), (8, 4), (8, 6)])
@@ -504,7 +546,8 @@ def test_every_estimator_matches_its_full_store_reference(name, kind):
     # the same estimator on a store that keeps every node gives == outputs,
     # and every node the one-slot store holds carries the full store's c0
     # and noise; the streams cross two blocks of every window, and reach
-    # fixed view's reads of a block node below the topmost one closed
+    # fixed view's reads of a block node below the topmost one closed.  On
+    # lanes, lane t of the reader is trial t's pushes on the full store.
     make = EQUIVALENCE_ESTIMATORS[name]
     gen = RandomSource(41)
     T = 2400 if name in ("window 1000", "window 1024") else 600
@@ -512,6 +555,14 @@ def test_every_estimator_matches_its_full_store_reference(name, kind):
     streams = {"binary": [float(x < 0.5) for x in uniform], "uniform": uniform}
     for noisy in (True, False):
         for xs in streams.values():
+            if kind == "lanes":
+                refs = [on_full_store(lambda rng=rng: make(rng, noisy))
+                        for rng in _trials(kind, 42)]
+                want = [[ref.push(x) for x in xs] for ref in refs]
+                got = make(_source(kind, 42), noisy).estimates_at(xs, range(1, T + 1))
+                for j, v in enumerate(got):
+                    assert _lanes_equal(v, [w[j] for w in want]), (noisy, j + 1)
+                continue
             est = make(_source(kind, 42), noisy)
             ref = on_full_store(lambda: make(_source(kind, 42), noisy))
             tree = est._tree
@@ -536,6 +587,13 @@ READERS = {
     "running_diff": lambda W, T, rng, noisy: RunningDiffBaseline(W, T, 0.7, rng, noisy=noisy),
     "running": lambda W, T, rng, noisy: RunningSum(0.7, rng, noisy=noisy),
     "allwindow": lambda W, T, rng, noisy: FixedWindowView(W, 0.7, rng, noisy=noisy),
+    # these read no window: at alpha 0.7 the discount underflows to 0.0 on
+    # the top levels of the longest stream
+    **{f"exp {a}": lambda W, T, rng, noisy, a=a: ExponentialSum(a, 0.7, rng, noisy=noisy)
+       for a in (0.7, 0.9, 0.99)},
+    **{f"poly {c}, {b}": lambda W, T, rng, noisy, c=c, b=b: PolynomialSum(c, b, 0.7, rng,
+                                                                          noisy=noisy)
+       for c, b in ((2.0, 0.25), (1.5, 0.5), (2.7, 0.1))},
 }
 
 
@@ -551,25 +609,37 @@ def _bits_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _lanes_equal(v, trials):
+    """A reader's lane array ``v`` holds each trial's value, bit for bit; a
+    noise-free read is one float for every lane."""
+    return _bits_equal(np.broadcast_to(v, (len(trials),)), trials)
+
+
 @pytest.mark.parametrize("lanes", [0, 1, 3], ids=["scalar", "lanes1", "lanes3"])
 @pytest.mark.parametrize("name", list(READERS))
 def test_checkpoint_reader_equals_per_step_push(name, lanes):
     # at every step of the short streams and the checkpoints of the long one,
-    # on bits and on U[0,1), noisy and noise-off, with W below and above T
+    # on bits and on U[0,1), noisy and noise-off, with W below and above T;
+    # on lanes, lane t equals the pushes of trial t alone
     make = READERS[name]
-    for W in READER_WINDOWS:
-        for T in READER_LENGTHS:
+    for W in (1,) if name.startswith(("exp", "poly")) else READER_WINDOWS:
+        # a poly push costs tens of microseconds, so its long stream is shorter
+        for T in (1, 5, 300, 1029) if name.startswith("poly") else READER_LENGTHS:
             gen = np.random.default_rng(W * 7 + T)
             uniform = gen.random(T).tolist()
             steps = list(range(1, T + 1)) if T <= 300 else [1 << k for k in range(T.bit_length())]
             for xs in ([float(x < 0.5) for x in uniform], uniform):
                 for noisy in (True, False):
-                    est = make(W, T, _lanes_source(lanes, 5), noisy)
-                    per_step = [est.push(x) for x in xs]
+                    per_step = []
+                    for rng in _trials("lanes", 5)[:lanes] if lanes else [RandomSource(5)]:
+                        est = make(W, T, rng, noisy)
+                        per_step.append([est.push(x) for x in xs])
                     got = make(W, T, _lanes_source(lanes, 5), noisy).estimates_at(xs, steps)
                     assert len(got) == len(steps)
                     for j, v in zip(steps, got):
-                        assert _bits_equal(v, per_step[j - 1]), (W, T, noisy, j)
+                        want = [p[j - 1] for p in per_step]
+                        ok = _lanes_equal(v, want) if lanes else _bits_equal(v, want[0])
+                        assert ok, (W, T, noisy, j)
 
 
 @pytest.mark.parametrize("lanes", [0, 3], ids=["scalar", "lanes"])
@@ -580,23 +650,27 @@ def test_creation_rank_gives_every_node_its_full_store_sum_and_noise(height, T, 
     # trees are, or at (i - 1).bit_length() + 1 as the growing trees are,
     # which takes the ranks of block_levels(T) levels: each node's noise is
     # its level's scale times the unit of its creation rank, and its c0 is
-    # the level's pairwise sum
+    # the level's pairwise sum.  On lanes, lane t of the units read is the
+    # noise of trial t's full store.
     gen = RandomSource(43)
     xs = [gen.uniform() for _ in range(T)]
-    full = FullStore(_lanes_source(lanes, 44), lambda level: 0.5 + level)
-    for i, x in enumerate(xs, 1):
-        full.add_path(i, x, height or (i - 1).bit_length() + 1)
+    fulls = [FullStore(RandomSource(44).child(t) if lanes else RandomSource(44),
+                       lambda level: 0.5 + level) for t in range(lanes or 1)]
+    for full in fulls:
+        for i, x in enumerate(xs, 1):
+            full.add_path(i, x, height or (i - 1).bit_length() + 1)
     height = height or block_levels(T)
-    sums = dyadic._level_sums(np.asarray(xs), height)
+    sums = dyadic._level_sums(np.asarray(xs), [1.0] * height)
     ranks = {
         (k, index): DyadicTree._creation_rank(k, index << k, height)
-        for k, zs in enumerate(full._z) for index in zs
+        for k, zs in enumerate(fulls[0]._z) for index in zs
     }
     assert sorted(ranks.values()) == list(range(len(ranks)))  # every creation, once
     units = dyadic._units_at(_lanes_source(lanes, 44), ranks.values())
     for (k, index), r in ranks.items():
-        assert _bits_equal(full._z[k][index], (1.5 + k) * units[r]), (k, index)
-        assert full._c0[k][index] == sums[k][index], (k, index)
+        zs = [full._z[k][index] for full in fulls]
+        assert _bits_equal(zs if lanes else zs[0], (1.5 + k) * units[r]), (k, index)
+        assert all(full._c0[k][index] == sums[k][index] for full in fulls), (k, index)
 
 
 class _NegativeZeros:
@@ -648,3 +722,21 @@ def test_checkpoint_reader_reads_only_a_fresh_estimator_once(name):
         read.estimates_at(xs, [4])
     with pytest.raises(ValueError):
         READERS[name](3, 10, RandomSource(8), True).estimates_at(xs, [11])
+
+
+@pytest.mark.parametrize("name", ["window", "running_diff", "running", "allwindow", "exp 0.9",
+                                  "poly 2.0, 0.25"])
+def test_a_push_on_lanes_is_refused_and_the_lanes_are_read(name):
+    # lanes are read by estimates_at only: the first push refills the empty
+    # buffer of unit draws, and the refill refuses a lane source
+    make = READERS[name]
+    with pytest.raises(ValueError, match="estimates_at"):
+        make(3, 40, _lanes_source(2, 6), True).push(0.5)
+    xs = [0.25, 1.0, 0.0, 0.5] * 10
+    trials = []
+    for rng in (RandomSource(6).child(t) for t in range(2)):
+        est = make(3, 40, rng, True)
+        trials.append([est.push(x) for x in xs])
+    got = make(3, 40, _lanes_source(2, 6), True).estimates_at(xs, [1, 7, 40])
+    for j, v in zip([1, 7, 40], got):
+        assert _lanes_equal(v, [p[j - 1] for p in trials]), j

@@ -338,15 +338,33 @@ def test_exp_keeps_one_node_per_level():
 @pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
 @pytest.mark.parametrize("alpha, T", [(0.7, 1 << 14), (0.9, 1 << 15)])
 def test_exp_draws_the_noise_of_the_eager_reference(alpha, T, lanes):
-    def source():
-        if lanes:
-            return RandomLanes(RandomSource(21).child(t) for t in range(4))
-        return RandomSource(21)
-
     xs = random_stream(13, T, binary=False)
-    new, ref = ExponentialSum(alpha, 1.0, source()), EagerExponentialSum(alpha, 1.0, source())
-    off = ExponentialSum(alpha, 1.0, source(), noisy=False)
-    off_ref = EagerExponentialSum(alpha, 1.0, source(), noisy=False)
+    if lanes:
+        # lane t of the reader is the eager reference of trial t, noisy and
+        # noise-off, and each node the reference closes at u carries the
+        # reader's unit of rank u - 1
+        trials = [RandomSource(21).child(t) for t in range(2)]
+        lane = RandomLanes(RandomSource(21).child(t) for t in range(2))
+        steps = range(1, T + 1)
+        refs = [EagerExponentialSum(alpha, 1.0, rng) for rng in trials]
+        offs = [EagerExponentialSum(alpha, 1.0, RandomSource(0), noisy=False) for _ in trials]
+        for got, eager in ((ExponentialSum(alpha, 1.0, lane).estimates_at(xs, steps), refs),
+                           (ExponentialSum(alpha, 1.0, lane, noisy=False).estimates_at(xs, steps),
+                            offs)):
+            want = np.array([[ref.push(x) for x in xs] for ref in eager]).T
+            got = np.array(got).reshape(T, -1)  # noise-off: one float for every lane
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        units = dyadic._units_at(RandomLanes(RandomSource(21).child(t) for t in range(2)),
+                                 range(T))
+        for t, ref in enumerate(refs):
+            for (level, index), z in frozen_noise(ref._tree).items():
+                u = (index + 1) << (level - 1)
+                assert z == ref.counter_scale * units[u - 1][t], (t, level, index)
+        return
+    new = ExponentialSum(alpha, 1.0, RandomSource(21))
+    ref = EagerExponentialSum(alpha, 1.0, RandomSource(21))
+    off = ExponentialSum(alpha, 1.0, RandomSource(21), noisy=False)
+    off_ref = EagerExponentialSum(alpha, 1.0, RandomSource(21), noisy=False)
     seen = {}
     for i, x in enumerate(xs, 1):
         for a, b in ((new, ref), (off, off_ref)):
@@ -365,22 +383,25 @@ def test_exp_draws_the_noise_of_the_eager_reference(alpha, T, lanes):
 @pytest.mark.parametrize("alpha", [0.7, 0.99])
 def test_exp_node_closing_at_each_step_draws_that_steps_unit(alpha, lanes):
     # each left node is created when it closes, one per step, so the node
-    # closing at step i takes the store's unit draw of rank i - 1
-    def source():
-        if lanes:
-            return RandomLanes(RandomSource(23).child(t) for t in range(lanes))
-        return RandomSource(23)
-
+    # closing at step i takes the store's unit draw of rank i - 1; on lanes,
+    # trial t pushed alone takes lane t of the units read
     T = 3000
-    units = dyadic._units_at(source(), range(T))
-    m = ExponentialSum(alpha, 1.0, source())
-    for i, x in enumerate(random_stream(17, T, binary=False), 1):
-        m.push(x)
-        level = (i & -i).bit_length()
-        index = (i >> (level - 1)) - 1
-        assert m._tree._index[level - 1] == index, i
-        z = frozen_noise(m._tree)[level, index]
-        assert np.array_equal(z, m.counter_scale * units[i - 1]), i
+    if lanes:
+        units = dyadic._units_at(RandomLanes(RandomSource(23).child(t) for t in range(lanes)),
+                                 range(T))
+        trials = [RandomSource(23).child(t) for t in range(lanes)]
+    else:
+        units = {r: [u] for r, u in dyadic._units_at(RandomSource(23), range(T)).items()}
+        trials = [RandomSource(23)]
+    for t, rng in enumerate(trials):
+        m = ExponentialSum(alpha, 1.0, rng)
+        for i, x in enumerate(random_stream(17, T, binary=False), 1):
+            m.push(x)
+            level = (i & -i).bit_length()
+            index = (i >> (level - 1)) - 1
+            assert m._tree._index[level - 1] == index, i
+            z = frozen_noise(m._tree)[level, index]
+            assert np.array_equal(z, m.counter_scale * units[i - 1][t]), i
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +510,7 @@ def test_window_estimates_unbiased():
     exact = brute_window(xs, j_star, W)
     base = RandomSource(17)
     w = WindowSum(W, 1.0, RandomLanes(base.child(t) for t in range(trials)))
-    for x in xs:
-        est = w.push(x)
-    errs = est - exact
+    errs = w.estimates_at(xs, [j_star])[0] - exact
     se = _window_sigma_at(j_star, W, 1.0) / math.sqrt(trials)
     assert abs(errs.mean()) < 5.0 * se
 
@@ -511,9 +530,7 @@ def test_exp_estimates_unbiased():
     sigma = probe.counter_scale * math.sqrt(2.0 * sum(w * w for w in weights))
     base = RandomSource(18)
     m = ExponentialSum(alpha, 1.0, RandomLanes(base.child(t) for t in range(trials)))
-    for x in xs:
-        est = m.push(x)
-    errs = est - exact
+    errs = m.estimates_at(xs, [j_star])[0] - exact
     assert abs(errs.mean()) < 5.0 * sigma / math.sqrt(trials)
 
 
@@ -527,9 +544,7 @@ def test_poly_estimates_unbiased_for_band_target():
     sigma = worst_noise_profile(DecaySpec.polynomial(c, beta), 1.0, j_star).sigma
     base = RandomSource(19)
     m = PolynomialSum(c, beta, 1.0, RandomLanes(base.child(t) for t in range(trials)))
-    for x in xs:
-        est = m.push(x)
-    errs = est - target
+    errs = m.estimates_at(xs, [j_star])[0] - target
     assert abs(errs.mean()) < 5.0 * sigma / math.sqrt(trials)
 
 
@@ -603,17 +618,31 @@ def _lane_factories():
     }
 
 
+def _read_every_step(est, xs):
+    """Every step's estimate of an estimator on lanes: its checkpoint reader
+    at every step, or for randomized response its flips of every step,
+    summed and rescaled over lane arrays as its push sums them."""
+    from decaystream.baselines import ExactOracle, RandomizedResponse
+
+    if not isinstance(est, RandomizedResponse):
+        return est.estimates_at(xs, range(1, len(xs) + 1))
+    stored, ones = ExactOracle(est.decay), ExactOracle(est.decay)
+    return [est.rescale(stored.push(est.flip(x, u)), ones.push(1.0))
+            for x, u in zip(xs, est._rng.uniforms(len(xs)))]
+
+
 @pytest.mark.parametrize("name", list(_lane_factories()))
 def test_lanes_repeat_scalar_trials_at_every_step(name):
-    # lane t of an estimator on RandomLanes outputs, at every step, exactly
-    # what the same estimator on source t alone outputs; 300 steps refill
-    # each store's buffer of 256 unit draws
+    # lane t of an estimator read on RandomLanes outputs, at every step,
+    # exactly what the same estimator pushed on source t alone outputs; 300
+    # steps span two refills of a store's buffer of 256 unit draws
     make = _lane_factories()[name]
     xs = random_stream(12, 300)
-    lanes = make(RandomLanes(RandomSource(8).child(t) for t in range(4)))
     alone = [make(RandomSource(8).child(t)) for t in range(4)]
-    for i, x in enumerate(xs, 1):
-        assert lanes.push(x).tolist() == [m.push(x) for m in alone], (name, i)
+    want = [[m.push(x) for x in xs] for m in alone]
+    got = _read_every_step(make(RandomLanes(RandomSource(8).child(t) for t in range(4))), xs)
+    for i, v in enumerate(got):
+        assert v.tolist() == [w[i] for w in want], (name, i + 1)
 
 
 def test_noise_does_not_depend_on_the_data():

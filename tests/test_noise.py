@@ -152,8 +152,8 @@ def test_lanes_repeat_each_source_bit_for_bit():
     lanes = RandomLanes(RandomSource(31).child(t) for t in range(5))
     alone = [RandomSource(31).child(t) for t in range(5)]
     for _ in range(3):
-        u = np.array([lanes.uniform() for _ in range(5000)])
-        lap = lanes.laplace_vector(2.5, 300)
+        u = lanes.uniforms(5000)
+        lap = lanes.laplace_rows(2.5, 300, range(300))
         assert u.shape == (5000, 5) and lap.shape == (300, 5)
         for t, src in enumerate(alone):
             assert u[:, t].tolist() == [src.uniform() for _ in range(5000)]
@@ -183,15 +183,15 @@ def test_one_matrix_transform_equals_per_column_transforms_bit_for_bit(n, lanes)
 @pytest.mark.parametrize("lanes", [0, 5], ids=["scalar", "lanes"])
 def test_one_long_laplace_call_equals_consecutive_store_refills(k, lanes):
     # a store's refills of _DRAWS units may be drawn k at a time: one call
-    # must give the k refills' units bit for bit
-    def source():
-        if lanes:
-            return RandomLanes(RandomSource(17).child(t) for t in range(lanes))
-        return RandomSource(17)
-
-    whole = source().laplace_vector(1.0, k * _DRAWS)
-    src = source()
-    parts = np.concatenate([src.laplace_vector(1.0, _DRAWS) for _ in range(k)])
+    # must give the k refills' units bit for bit; on lanes, lane t of one
+    # read of every row gives source t's refills
+    if lanes:
+        rows = range(k * _DRAWS)
+        whole = _lanes_or_source(lanes, 17).laplace_rows(1.0, k * _DRAWS, rows)
+    else:
+        whole = RandomSource(17).laplace_vector(1.0, k * _DRAWS)
+    parts = _stacked([np.concatenate([src.laplace_vector(1.0, _DRAWS) for _ in range(k)])
+                      for src in _sources(lanes, 17)], lanes)
     assert whole.shape == parts.shape
     assert np.array_equal(whole.view(np.int64), parts.view(np.int64))
 
@@ -211,18 +211,33 @@ def _lanes_or_source(lanes, seed):
     return RandomSource(seed)
 
 
+def _sources(lanes, seed):
+    """The sources whose draws the lanes of ``_lanes_or_source`` repeat: one
+    per lane, or the scalar source itself."""
+    if lanes:
+        return [RandomSource(seed).child(t) for t in range(lanes)]
+    return [RandomSource(seed)]
+
+
+def _stacked(draws, lanes):
+    """Per-source draws stacked as lanes draw them: one column per lane."""
+    return np.stack(draws, axis=-1) if lanes else draws[0]
+
+
 @pytest.mark.parametrize("lanes", [0, 3], ids=["scalar", "lanes"])
 def test_uniforms_equal_as_many_uniform_calls(lanes):
     # blocks that end inside the 4096-uniform buffer, cross a refill, span
-    # several refills and are interleaved with single calls
+    # several refills and are interleaved with single calls; lane t's are
+    # source t's uniform calls
     sizes = [1, 100, 0, 4000, 4096, 9000, 5]
-    block, single = _lanes_or_source(lanes, 12), _lanes_or_source(lanes, 12)
+    block, singles = _lanes_or_source(lanes, 12), _sources(lanes, 12)
     for n in sizes:
         got = block.uniforms(n)
-        want = np.array([single.uniform() for _ in range(n)]).reshape((n,) + got.shape[1:])
+        want = _stacked([np.array([s.uniform() for _ in range(n)]) for s in singles], lanes)
         assert got.shape == ((n, lanes) if lanes else (n,))
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
-        assert np.array_equal(np.asarray(block.uniform()), np.asarray(single.uniform()))
+        one = block.uniforms(1)[0] if lanes else block.uniform()
+        assert np.array_equal(np.asarray(one), _stacked([s.uniform() for s in singles], lanes))
 
 
 @pytest.mark.parametrize("n", [0, 7, 256, 4096, 4097, 9000])
@@ -232,12 +247,13 @@ def test_laplace_rows_are_the_rows_of_laplace_vector(n, lanes):
     # long call, and the generator left where that call leaves it
     rows = sorted({0, n // 2, n - 1, 4095, 4096, 8191} & set(range(n)), reverse=True)
     rows += rows[:1]
-    whole, part = _lanes_or_source(lanes, 21), _lanes_or_source(lanes, 21)
-    want = whole.laplace_vector(1.0, n)[rows]
+    wholes, part = _sources(lanes, 21), _lanes_or_source(lanes, 21)
+    want = _stacked([whole.laplace_vector(1.0, n)[rows] for whole in wholes], lanes)
     got = part.laplace_rows(1.0, n, rows)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    after, want_after = part.laplace_vector(1.0, 5), whole.laplace_vector(1.0, 5)
+    after = part.laplace_rows(1.0, 5, range(5)) if lanes else part.laplace_vector(1.0, 5)
+    want_after = _stacked([whole.laplace_vector(1.0, 5) for whole in wholes], lanes)
     assert np.array_equal(after.view(np.int64), want_after.view(np.int64))
 
 
