@@ -17,7 +17,7 @@ from collections import deque
 
 from .dyadic import WindowCursor
 from .mechanisms import DecaySpec, WindowSum
-from .noise import RandomSource, check_epsilon
+from .noise import RandomLanes, RandomSource, check_epsilon
 
 
 def decayed_sum(decay: DecaySpec, xs, j: int | None = None) -> float:
@@ -110,6 +110,9 @@ class RandomizedResponse:
         self.step = 0
 
     def push(self, x) -> float:
+        if isinstance(self._rng, RandomLanes):
+            raise ValueError("randomized response on RandomLanes is not pushed: "
+                             "read it with bench._rr_at_checkpoints")
         if x not in (0, 1):
             raise ValueError(f"randomized response takes bits, got {x}")
         self.step += 1

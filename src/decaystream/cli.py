@@ -65,11 +65,13 @@ def _add_decay(p: argparse.ArgumentParser, mechs) -> None:
     p.add_argument("--beta", type=float, help="polynomial multiplicative slack (poly only)")
 
 
-def _add_budget(p: argparse.ArgumentParser) -> None:
-    """Privacy budget, error probability and horizon (run, bench, bound)."""
+def _add_budget(p: argparse.ArgumentParser, gamma: bool = True) -> None:
+    """Privacy budget, horizon and, where the command reads it (bench,
+    bound; not run), the error probability."""
     p.add_argument("--eps", dest="epsilon", metavar="EPS", type=float, default=1.0,
                    help="privacy budget")
-    p.add_argument("--gamma", type=float, default=0.05, help="error probability")
+    if gamma:
+        p.add_argument("--gamma", type=float, default=0.05, help="error probability")
     p.add_argument("--T", type=int, default=1024,
                    help="generated stream length (bound: the horizon)")
 
@@ -174,7 +176,7 @@ def cmd_run(args) -> int:
 
     def records():
         for t, x in enumerate(xs, 1):
-            est = runner.push(int(x) if args.mech == "rr" else x)
+            est = runner.push(x)
             rec = [t, est]
             if oracle is not None:
                 exact = oracle.push(x)
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="stream through one estimator")
     _add_decay(p_run, MECHS)
-    _add_budget(p_run)
+    _add_budget(p_run, gamma=False)
     _add_stream(p_run)
     p_run.add_argument("--rr-flip", type=float,
                        help="explicit randomized-response keep bias in (0,1) (--mech rr only)")

@@ -19,9 +19,9 @@ Every tree is a view of this store, chosen by its caller:
 * growing trees (running, all-window and exponential sums) use the subtree
   rooted at ``[1, 2**(h-1)]``, whose root closes when it fills up; fed n
   positions, such a store creates the nodes of a store of
-  ``block_levels(n)`` levels, in the same order.  The exponential sum
-  writes its own discounted left nodes with :meth:`DyadicTree.add`, each
-  created when it closes: one node per step;
+  ``block_levels(n)`` levels, in the same order.  The exponential sum's
+  store is fed by :meth:`DyadicTree.add`, the same counter over discounted
+  left nodes: one node, the left one closing there, per position;
 * window trees use aligned subtrees of ``W' = 2**ceil(log2 W)`` leaves as
   blocks (:func:`block_levels`); the prefix-difference baseline is the
   window tree whose one block spans its horizon.
@@ -72,9 +72,9 @@ class DyadicTree:
     would keep a discarded owner's counters alive until a full garbage
     collection.  With ``noisy=False`` every ``z`` is pinned to zero (test
     mode, not private).  Every node is created, drawing its noise, and
-    written once, when it closes: by :meth:`add_path`, which takes the
-    positions 1, 2, 3, ... in order, or by :meth:`add`, which names the
-    node.  A store on lanes is only read (:func:`read_at`).  Single-owner
+    written once, when it closes, as the positions 1, 2, 3, ... reach it
+    in order: by :meth:`add_path`, or by :meth:`add` for discounted left
+    nodes.  A store on lanes is only read (:func:`read_at`).  Single-owner
     mutable structure.
     """
 
@@ -92,10 +92,9 @@ class DyadicTree:
         self._c0: list[float] = []
         self._z: list[float] = []
         self._scale: list[float] = []
-        self._left: list[float] = []  # last closed left node's c0, per level
         # unit Laplace draws not yet given to a node, taken from the end
         self._units = array("d")
-        self.received = 0  # the last position add_path has received
+        self.received = 0  # the last position received
 
     def _reach(self, height: int) -> None:
         while len(self._index) < height:
@@ -104,7 +103,6 @@ class DyadicTree:
             self._index.append(-1)
             self._c0.append(0.0)
             self._z.append(0.0)
-            self._left.append(0.0)
 
     def _draw(self) -> float:
         """The buffer's next unit Laplace draw, refilled when empty.  A
@@ -138,9 +136,8 @@ class DyadicTree:
         As in a binary counter, each node closing at i is created, drawing
         its noise, and written, leaf first: the leaf takes ``x``, and while
         the node just closed is a right child below ``height``, its parent,
-        which ends at i too, takes the left sibling's value plus its own.
-        The topmost node closed at i is kept in ``_left`` for its right
-        sibling.
+        which ends at i too, takes the left sibling's value, read from the
+        level's slot before the right child overwrites it, plus its own.
         """
         if i != self.received + 1:
             raise ValueError(f"position {i} is not the next one, {self.received + 1}")
@@ -151,39 +148,44 @@ class DyadicTree:
         k = 0
         while True:
             index[k] = (i >> k) - 1
+            left = c0s[k]
             c0s[k] = v
             if self.noisy:
                 zs[k] = scales[k] * (units.pop() if units else self._draw())
             if k + 1 == height or i >> k & 1:
                 break  # a left child, or the top level
-            v = self._left[k] + v
+            v = left + v
             k += 1
-        self._left[k] = v
         self.received = i
         return v + zs[k]
 
-    def add(self, level: int, index: int, w: float):
-        """Create node ``index`` of ``level`` as the level's newest, drawing
-        its noise, write the weighted value ``w`` to it and return its
-        published value.  A node is created once: an index not newer than
-        its level's newest is refused, and so is any node once
-        :meth:`add_path` or :func:`read_at` has fed the store."""
-        if level < 1:
-            raise ValueError(f"levels start at 1, got {level}")
+    def add(self, i: int, x: float, disc: list):
+        """Receive ``x`` at position ``i``, the next one, on a tree of
+        discounted left nodes, and return the published value of the one
+        node that closes at i, the left node of length ``i & -i``.
+
+        ``disc[k]`` is the discount ``alpha**(2**(k-1))`` of a level-k node.
+        As in :meth:`add_path`, the chain of right nodes ending at i is
+        folded upwards, leaf first, ``v = c0[k - 1] * disc[k] + v`` with the
+        level's newest (left) node, and the node the chain reaches is
+        created, drawing its noise, and takes ``v``.  Right nodes are never
+        written."""
+        if i != self.received + 1:
+            raise ValueError(f"position {i} is not the next one, {self.received + 1}")
+        level = (i & -i).bit_length()
         if level > len(self._index):
             self._reach(level)
+        c0s = self._c0
+        v = x
+        for k in range(1, level):
+            v = c0s[k - 1] * disc[k] + v
         k = level - 1
-        if index <= self._index[k]:
-            raise ValueError(
-                f"node (level {level}, index {index}) is not newer than its level's newest"
-            )
-        if self.received:
-            raise ValueError("a store fed by position, by add_path or a reader, takes no add")
-        self._index[k] = index
-        self._c0[k] = w
+        self._index[k] = (i >> k) - 1
+        c0s[k] = v
         z = self._scale[k] * self._draw() if self.noisy else 0.0
         self._z[k] = z
-        return w + z
+        self.received = i
+        return v + z
 
     def published(self, level: int, index: int):
         """Noisy counter value c0 + z of a level's newest node."""
@@ -249,7 +251,7 @@ class WindowCursor:
     value in it) minus m's prefix.
     """
 
-    __slots__ = ("W", "_mask", "_top", "j", "_now", "_past", "_total")
+    __slots__ = ("W", "_mask", "_top", "j", "_now", "_past")
 
     def __init__(self, W: int, levels: int):
         if W < 1:
@@ -262,7 +264,6 @@ class WindowCursor:
         self.j = 0
         self._now = [0.0] * (levels + 1)  # prefix sums by level, as in PrefixCursor
         self._past: deque = deque()  # the walk's values at steps j - W + 1 .. j
-        self._total = 0.0
 
     def advance(self, node):
         """Move to the next step j, given the published value ``node`` of the
@@ -273,8 +274,6 @@ class WindowCursor:
         mask = self._mask
         memo = self._now
         p = ((j - 1) & mask) + 1  # j's place in its block
-        if p == 1:
-            self._total = memo[self._top]  # the block just ended
         low = p & -p
         rest = p - low
         cur = memo[(rest & -rest).bit_length()] + node
@@ -290,7 +289,8 @@ class WindowCursor:
             return cur  # m ends the block before j's
         if q < p:  # m lies in j's block
             return cur - lag
-        return (self._total - lag) + cur
+        # the previous block's total: only its last step, p = B > q, overwrites it
+        return (memo[self._top] - lag) + cur
 
 
 def _level_sums(x: np.ndarray, disc: list) -> list:
@@ -345,7 +345,7 @@ def read_at(tree: DyadicTree, xs, steps, plan, rank, disc: list) -> list:
     bad update is refused before any noise is drawn; the read uses up the
     store, at position ``len(xs)`` with no node, so a later push is refused.
     """
-    if tree.received or tree._index:
+    if tree.received:
         raise ValueError("the checkpoint reader needs a fresh store")
     n = len(xs)
     if not all(1 <= j <= n for j in steps):

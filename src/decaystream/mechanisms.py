@@ -321,11 +321,11 @@ class ExponentialSum:
 
     The estimate at step i is the estimate at ``i - low`` (``low = i & -i``)
     discounted by ``alpha**low``, plus the published node ending at i: one
-    node read per push, on nodes that ended by step i.  Each left node is
-    created, and draws its noise, when it closes, by the one
-    :meth:`~decaystream.dyadic.DyadicTree.add` call of the push that closes
-    it, so the node closing at step u takes the store's unit draw of rank
-    u - 1, whatever the data, and the store keeps one node per level.
+    node read per push, on nodes that ended by step i.  Each push feeds its
+    position to the store's :meth:`~decaystream.dyadic.DyadicTree.add`,
+    which folds the chain and creates the left node closing there, drawing
+    its noise, so the node closing at step u takes the store's unit draw of
+    rank u - 1, whatever the data, and the store keeps one node per level.
     """
 
     def __init__(
@@ -344,11 +344,9 @@ class ExponentialSum:
         self.step = 0
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         # per level (index = level, 1 = leaves), grown when a level's first
-        # node closes: alpha**(2**(level-1)), the last closed left node's
-        # noiseless value, and the estimate memoised under the level of its
-        # last node (slot 0 is the empty prefix)
+        # node closes: alpha**(2**(level-1)), and the estimate memoised
+        # under the level of its last node (slot 0 is the empty prefix)
         self._disc = [1.0, alpha]
-        self._left = [0.0, 0.0]
         self._memo = [0.0, 0.0]
 
     def push(self, x: float) -> float:
@@ -357,20 +355,13 @@ class ExponentialSum:
             raise ValueError(f"update must lie in [0, 1], got {x}")
         i = self.step + 1
         self.step = i
-        disc, left, memo = self._disc, self._left, self._memo
+        disc, memo = self._disc, self._memo
         low = i & -i
         level = low.bit_length()
         if level == len(disc):  # the level's first node closes
             disc.append(self.alpha**low)
-            left.append(0.0)
             memo.append(0.0)
-        v = x
-        for k in range(1, level):
-            # the level-k node ending at i is a right node: fold it into its
-            # parent, which ends here too
-            v = left[k] * disc[k] + v
-        left[level] = v
-        node = self._tree.add(level, (i >> (level - 1)) - 1, v)
+        node = self._tree.add(i, x, disc)
         rest = i - low
         est = memo[(rest & -rest).bit_length()] * disc[level] + node
         memo[level] = est

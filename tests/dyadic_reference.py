@@ -113,9 +113,11 @@ class FullStore:
     :class:`~decaystream.dyadic.DyadicTree`: every node is created, drawing
     the next unit of the same buffer, and written once, when it closes.
     ``add_path`` creates the nodes closing at its position, leaf first, and
-    returns the published value of the topmost; ``add`` creates the named
-    node, newer than its level's newest, and returns its published value.
-    ``published`` reads any node created.
+    returns the published value of the topmost; ``add`` creates the left
+    node closing at its position, folding the discounted chain over the
+    left siblings it keeps, and returns its published value; ``_create``
+    creates a named node, newer than its level's newest.  ``published``
+    reads any node created.
     """
 
     def __init__(self, rng, scale_for_level, noisy=True):
@@ -125,7 +127,6 @@ class FullStore:
         self._c0 = []  # per level (list index = level - 1): {index: c0}, oldest first
         self._z = []  # per level: {index: z}
         self._scale = []
-        self._left = []
         self._units = array("d")
         self.received = 0
 
@@ -135,9 +136,9 @@ class FullStore:
             self._scale.append(self._scale_for_level(level) if self.noisy else 0.0)
             self._c0.append({})
             self._z.append({})
-            self._left.append(0.0)
 
     def _create(self, k, index, c0):
+        self._reach(k + 1)
         if self._c0[k] and index <= next(reversed(self._c0[k])):
             raise ValueError(f"node (level {k + 1}, index {index}) is not newer than the newest")
         self._c0[k][index] = c0
@@ -159,17 +160,22 @@ class FullStore:
             self._create(k, (i >> k) - 1, v)
             if k + 1 == height or i >> k & 1:
                 break
-            v = self._left[k] + v
+            v = self._c0[k][(i >> k) - 2] + v  # the left sibling
             k += 1
-        self._left[k] = v
         self.received = i
         return self.published(k + 1, (i >> k) - 1)
 
-    def add(self, level, index, w):
-        if level < 1:
-            raise ValueError(f"levels start at 1, got {level}")
-        self._reach(level)
-        self._create(level - 1, index, w)
+    def add(self, i, x, disc):
+        if i != self.received + 1:
+            raise ValueError(f"position {i} is not the next one, {self.received + 1}")
+        level = (i & -i).bit_length()
+        v = x
+        for k in range(1, level):
+            # the level-k node ending at i is a right node: add its left sibling
+            v = self._c0[k - 1][(i >> (k - 1)) - 2] * disc[k] + v
+        index = (i >> (level - 1)) - 1
+        self._create(level - 1, index, v)
+        self.received = i
         return self.published(level, index)
 
     def published(self, level, index):
@@ -301,10 +307,10 @@ class EagerExponentialSum(ExponentialSum):
     Each push adds ``x * alpha**(u - i)`` to the eager value of every left
     node [l, u] holding position i (skipping weights below
     ``_TINY_WEIGHT``), seeds a new root with the old root's value discounted
-    by ``alpha**span`` when the tree doubles, and publishes a node into the
-    store with ``add`` only when it closes, so the node closing at step u
-    draws the store's unit u - 1, as in :class:`ExponentialSum`.  The
-    estimate is read as the tiles of [1, i], each discounted by
+    by ``alpha**span`` when the tree doubles, and creates a node in the
+    store (``FullStore._create``) only when it closes, so the node closing
+    at step u draws the store's unit u - 1, as in :class:`ExponentialSum`.
+    The estimate is read as the tiles of [1, i], each discounted by
     ``alpha**(i - right)``.
     """
 
@@ -334,7 +340,7 @@ class EagerExponentialSum(ExponentialSum):
             if w >= _TINY_WEIGHT:
                 eager[level, idx] = eager.get((level, idx), 0.0) + x * w
             if u == i:  # it closes
-                tree.add(level, idx, eager.pop((level, idx)))
+                tree._create(level - 1, idx, eager.pop((level, idx)))
         est = 0.0
         for level, idx, right in decompose_nodes(i):
             est += tree.published(level, idx) * alpha ** (i - right)

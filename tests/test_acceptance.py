@@ -280,14 +280,15 @@ def test_criterion_03_noise_calibration():
     # publishes its noise
     scale_e = exp_decay_sensitivity(0.9) / 1.0
     tree = DyadicTree(RandomSource(33), lambda level: scale_e)
-    check([tree.add(1, idx, 0.0) for idx in range(110_000)], scale_e)
+    check([tree.add_path(i, 0.0, 1) for i in range(1, 110_001)], scale_e)
 
     # per-level schedule scales, pooled after normalising each draw by its
-    # level's scale (normalised noise is unit-scale Laplace)
-    eps_k = level_epsilons(1.0, 2.0, 4)
+    # level's scale (normalised noise is unit-scale Laplace); position i
+    # creates one node, on level (i & -i).bit_length()
+    eps_k = level_epsilons(1.0, 2.0, 18)
     sched_tree = DyadicTree(RandomSource(34), lambda level: 1.0 / eps_k[level - 1])
-    pooled = [sched_tree.add(level, idx, 0.0) * eps_k[level - 1]
-              for level in range(1, 5) for idx in range(35_000)]
+    pooled = [sched_tree.add(i, 0.0, [1.0] * 20) * eps_k[(i & -i).bit_length() - 1]
+              for i in range(1, 140_001)]
     check(pooled, 1.0)
     report(3, "counter noise calibration", ok)
 

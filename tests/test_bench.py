@@ -189,6 +189,21 @@ def test_checkpoint_randomized_response_equals_the_per_step_one(monkeypatch, mec
             assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
+def test_randomized_response_push_refuses_lanes_the_checkpoint_reader_reads():
+    # push refuses a lane source before it draws, naming the reader; the
+    # reader still reads that source, as one trial's pushes on a scalar one
+    cfg = ExperimentConfig(mech="window", W=4, trials=30)
+    stream = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+    lanes = RandomLanes([RandomSource(5).child(0)])
+    with pytest.raises(ValueError, match="_rr_at_checkpoints"):
+        RandomizedResponse(cfg.decay(), 0.5, lanes).push(1.0)
+    rr = RandomizedResponse(cfg.decay(), 0.5, RandomSource(5).child(0))
+    per_step = [rr.push(x) for x in stream]
+    got = bench._rr_at_checkpoints(cfg, 0.5, lanes, stream)
+    want = [per_step[j - 1] for j in checkpoints(len(stream))]
+    assert [np.asarray(v).tolist() for v in got] == [[v] for v in want]
+
+
 def test_pool_has_no_more_workers_than_units(tmp_path, monkeypatch):
     # a stream that is not binary has one series, and 30 trials fill one batch
     path = tmp_path / "stream.txt"

@@ -334,10 +334,12 @@ BUDGET_OPTIONS = [["--eps", "1"], ["--gamma", "0.1"], ["--T", "64"]]
     *(("bound", o) for o in STREAM_OPTIONS),
     *(("lbverify", o) for o in STREAM_OPTIONS + BUDGET_OPTIONS),
     ("bench", ["--rr-flip", "0.5"]),  # the baselines' flip follows --eps
+    ("run", ["--gamma", "0.1"]),  # only bench and bound read it
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_bound_and_lbverify_refuse_options_they_do_not_read(command, option, capsys):
-    # and bench refuses --rr-flip, which only run reads
+    # and bench refuses --rr-flip, which only run reads, and run --gamma
     argv = {
+        "run": ["run", "--mech", "window", "--W", "4", "--T", "3"],
         "bench": ["bench", "--mech", "running", "--T", "64", "--trials", "30"],
         "bound": ["bound", "--mech", "running", "--T", "64"],
         "lbverify": ["lbverify", "--mech", "window", "--W", "8", "--q", "4", "--D", "8",

@@ -118,17 +118,25 @@ def test_add_path_touches_exactly_the_path():
                                      for level in range(1, min(height, i.bit_length()) + 1)]
 
 
-def test_add_path_refuses_any_position_but_the_next():
+def _refuses_any_position_but_the_next(write):
     tree = make_tree()
     for i in (0, 2, -1):
         with pytest.raises(ValueError, match="not the next one"):
-            tree.add_path(i, 1.0, 3)
-    tree.add_path(1, 1.0, 3)
+            write(tree, i)
+    write(tree, 1)
     for i in (1, 3, 0):
         with pytest.raises(ValueError, match="not the next one"):
-            tree.add_path(i, 1.0, 3)
-    tree.add_path(2, 1.0, 3)
+            write(tree, i)
+    write(tree, 2)
     assert tree.received == 2
+
+
+def test_add_path_refuses_any_position_but_the_next():
+    _refuses_any_position_but_the_next(lambda tree, i: tree.add_path(i, 1.0, 3))
+
+
+def test_add_refuses_any_position_but_the_next():
+    _refuses_any_position_but_the_next(lambda tree, i: tree.add(i, 1.0, [1.0] * 3))
 
 
 def test_add_path_returns_the_topmost_node_it_closes():
@@ -408,17 +416,20 @@ def test_node_noise_is_drawn_in_creation_order():
         b.add_path(i, 1.0 if i % 3 else 0.5, 6)
         assert frozen_noise(a) == frozen_noise(b)
     # a growing tree creates, at each position, the nodes closing there,
-    # leaf first, as a store of fixed height does; the same creations
-    # through add draw the same noise
+    # leaf first, as a store of fixed height does, so each node draws the
+    # buffer's unit of its creation rank: refills popped from their ends
+    src = RandomSource(14)
+    units = [u for _ in range(4) for u in reversed(src.laplace_vector(1.0, dyadic._DRAWS))]
     grown = make_tree(noisy=True, seed=14)
     fixed = make_tree(noisy=True, seed=14)
-    ref = make_tree(noisy=True, seed=14)
     for i in range(1, 300):
-        for level in range(1, (i & -i).bit_length() + 1):
-            ref.add(level, (i >> (level - 1)) - 1, 0.0)
         grown.add_path(i, 1.0, (i - 1).bit_length() + 1)
         fixed.add_path(i, 1.0, block_levels(299))
-        assert frozen_noise(grown) == frozen_noise(ref) == frozen_noise(fixed)
+        zs = frozen_noise(grown)
+        assert zs == frozen_noise(fixed)
+        for (level, index), z in zs.items():
+            k = level - 1
+            assert z == units[DyadicTree._creation_rank(k, index << k, block_levels(299))]
 
 
 @pytest.mark.parametrize("inputs", ["uniform", "eighths"])
@@ -486,9 +497,9 @@ def test_evicted_and_uncreated_nodes_raise():
                          (5, 0), (0, 0), (-1, 0), (4, -1)):
         with pytest.raises(ValueError):
             tree.published(level, index)
-    for index in (4, 5):
-        with pytest.raises(ValueError, match="not newer"):
-            tree.add(1, index, 1.0)  # older than level 1's newest, or the newest itself
+    for i in (5, 6, 2):
+        with pytest.raises(ValueError, match="not the next one"):
+            tree.add(i, 1.0, [1.0] * 4)  # a position whose nodes the store created
     with pytest.raises(ValueError):
         tree.add_path(2, 1.0, 4)
 
@@ -518,14 +529,14 @@ def test_published_value_is_sum_of_c0_and_frozen_noise():
     assert tree.published(1, 0) == v1
     view = node(tree, Interval(1, 1))
     assert view.value == view.c0 + view.z
-    # add creates the named node with the same noise, writes its value once
-    # and returns c0 + z; a second add at the same index is refused
+    # add at position 1 creates leaf 0 with the same noise, writes its value
+    # once and returns c0 + z; a second add at the same position is refused
     tree = make_tree(noisy=True, seed=9, scale=3.0)
-    assert tree.add(1, 0, 2.5) == tree.published(1, 0) == v1 + 2.5
+    assert tree.add(1, 2.5, [1.0]) == tree.published(1, 0) == v1 + 2.5
     view = node(tree, Interval(1, 1))
     assert view.c0 == 2.5 and view.value == view.c0 + view.z
-    with pytest.raises(ValueError, match="not newer"):
-        tree.add(1, 0, 2.5)
+    with pytest.raises(ValueError, match="not the next one"):
+        tree.add(1, 2.5, [1.0])
     assert tree.published(1, 0) == v1 + 2.5
 
 
