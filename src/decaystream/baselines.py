@@ -41,7 +41,6 @@ class ExactOracle:
 
     def __init__(self, decay: DecaySpec):
         self.decay = decay
-        self.step = 0
         self._acc = 0.0
         self._recent: deque[float] | None = (
             deque() if decay.kind == "window" else None
@@ -55,7 +54,6 @@ class ExactOracle:
         )
 
     def push(self, x: float) -> float:
-        self.step += 1
         kind = self.decay.kind
         # `acc = acc + x`, not `acc += x`: on a lane array `+=` would change
         # the array the previous push returned
@@ -69,8 +67,8 @@ class ExactOracle:
             self._acc = self.decay.alpha * self._acc + x
             return self._acc
         if kind == "polynomial":
+            self._weights.append(self.decay.weight(len(self._buffer)))
             self._buffer.append(x)
-            self._weights.append(self.decay.weight(self.step - 1))
             return sum([y * w for y, w in zip(self._buffer, reversed(self._weights))])
         self._acc = self._acc + x
         return self._acc
@@ -107,7 +105,6 @@ class RandomizedResponse:
         self._flip_p = (1.0 - flip_parameter) / 2.0
         self._stored = ExactOracle(decay)  # decayed sum of flipped bits
         self._ones = ExactOracle(decay)  # decayed sum of the all-ones stream
-        self.step = 0
 
     def push(self, x) -> float:
         if isinstance(self._rng, RandomLanes):
@@ -115,7 +112,6 @@ class RandomizedResponse:
                              "read it with bench._rr_at_checkpoints")
         if x not in (0, 1):
             raise ValueError(f"randomized response takes bits, got {x}")
-        self.step += 1
         y = self.flip(float(x), self._rng.uniform())
         return self.rescale(self._stored.push(y), self._ones.push(1.0))
 
@@ -167,7 +163,7 @@ class RunningDiffBaseline(WindowSum):
         self.horizon = horizon
 
     def push(self, x: float) -> float:
-        if self.step >= self.horizon:
+        if self._tree.received >= self.horizon:
             raise ValueError(f"stream exceeds the declared horizon {self.horizon}")
         return WindowSum.push(self, x)
 

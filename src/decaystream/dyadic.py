@@ -32,21 +32,23 @@ its index, ``c0`` and ``z``.  Creating a node overwrites its level's slot;
 its ``z`` is the level's scale times the next value of the store's buffer of
 unit Laplace draws, so which draw a node gets depends only on the order in
 which nodes close, which never depends on the data.
-Two readers take at every step the node ``add_path`` just closed: a
-:class:`PrefixCursor` walks the running sum's prefixes, and a
-:class:`WindowCursor` the window sums over blocks of the levels its owner
+The store's ``received``, the last position written, is the one step count
+of its owner, which takes each new position from it.  Two readers take at
+every step that position and the node the store just closed: a
+:class:`PrefixCursor` walks the running and exponential sums' prefixes, and
+a :class:`WindowCursor` the window sums over blocks of the levels its owner
 gives (``W'`` for the window sum and fixed window view, the horizon for the
 baseline, whose longer window is clamped to it); no other code in the
 package splits a window or knows its blocks.  The polynomial estimator
-keeps its own archive of the closed nodes its age tiling reads, and the
-exponential sum reads the node each :meth:`DyadicTree.add` returns.
+keeps its own archive of the closed nodes its age tiling reads.
 
 Every estimate is post-processing of O(log n) closed nodes, so
 :func:`read_at` reads a fresh store at chosen steps only, ``==`` to pushing
 every step: it sums each node's ``c0`` from the stream level by level, takes
 its noise from the node's creation rank, and transforms only the units it
 reads.  :func:`window_sums_at` plans the window and running sums; the
-exponential and polynomial sums plan their own tilings.  A store on
+exponential and polynomial sums plan their own tilings.  The read uses up
+the store, which refuses any later write.  A store on
 :class:`~decaystream.noise.RandomLanes`, one lane per trial, is only read.
 """
 
@@ -97,6 +99,12 @@ class DyadicTree:
         self.received = 0  # the last position received
 
     def _reach(self, height: int) -> None:
+        """Grow the store to ``height`` levels.  A store :func:`read_at` used
+        up has received positions but no level: its next write, which always
+        reaches a level, is refused here, before it changes anything."""
+        if self.received and not self._index:
+            raise ValueError("the store was read by estimates_at, which uses up its noise: "
+                             "it takes no further push")
         while len(self._index) < height:
             level = len(self._index) + 1
             self._scale.append(self._scale_for_level(level) if self.noisy else 0.0)
@@ -202,30 +210,31 @@ class DyadicTree:
 
 
 class PrefixCursor:
-    """Published prefix sums of one aligned block, for p = 1, 2, 3, ... in turn.
+    """Published prefix sums of one aligned block, at the positions p = 1, 2,
+    3, ... its owner gives in turn.
 
     The tiling of the first p positions is the tiling of the first
     ``p - low`` positions plus the node of length ``low = p & -p`` ending at
     position p of the block.  Memoising each prefix sum under the level of
-    its last node makes every step take one node, the one
-    :meth:`DyadicTree.add_path` just closed; the tiles, of distinct
-    power-of-two lengths, are added to 0.0 largest first.
+    its last node makes every step take one node, the one its owner's store
+    just closed: the tiles, of distinct power-of-two lengths, are folded
+    largest first from 0.0, ``v = v * d + node``, with ``d`` the discount of
+    a node of length low: 1.0 for the running sum (exact), ``alpha**low``
+    for the exponential sum.
     """
 
-    __slots__ = ("p", "_memo")
+    __slots__ = ("_memo",)
 
     def __init__(self):
-        self.p = 0
         self._memo = [0.0] * 65  # by level; slot 0 is the empty prefix
 
-    def advance(self, node):
-        """Move to the next position, given the published value ``node`` of
-        the node of length ``p & -p`` ending there; return the prefix sum."""
-        p = self.p + 1
-        self.p = p
+    def advance(self, p: int, node, d: float):
+        """The prefix sum at position ``p``, given the published value
+        ``node`` of the node of length ``p & -p`` ending there and its
+        discount ``d``."""
         low = p & -p
         rest = p - low
-        total = self._memo[(rest & -rest).bit_length()] + node
+        total = self._memo[(rest & -rest).bit_length()] * d + node
         self._memo[low.bit_length()] = total
         return total
 
@@ -237,7 +246,8 @@ def block_levels(W: int) -> int:
 
 
 class WindowCursor:
-    """Published window sums over [j - W + 1, j] for j = 1, 2, 3, ... in turn.
+    """Published window sums over [j - W + 1, j] at the steps j = 1, 2, 3, ...
+    its owner gives in turn.
 
     Its owner's aligned blocks have ``levels`` levels, so
     ``B = 2**(levels - 1) >= W' = 2**ceil(log2 W)`` positions.  One prefix
@@ -251,7 +261,7 @@ class WindowCursor:
     value in it) minus m's prefix.
     """
 
-    __slots__ = ("W", "_mask", "_top", "j", "_now", "_past")
+    __slots__ = ("W", "_mask", "_top", "_now", "_past")
 
     def __init__(self, W: int, levels: int):
         if W < 1:
@@ -261,16 +271,12 @@ class WindowCursor:
         self.W = W
         self._top = levels  # level of a whole block's node
         self._mask = (1 << (levels - 1)) - 1  # B - 1
-        self.j = 0
         self._now = [0.0] * (levels + 1)  # prefix sums by level, as in PrefixCursor
         self._past: deque = deque()  # the walk's values at steps j - W + 1 .. j
 
-    def advance(self, node):
-        """Move to the next step j, given the published value ``node`` of the
-        node of length ``min(j & -j, B)`` ending at j; return the window sum
-        ending at j."""
-        j = self.j + 1
-        self.j = j
+    def advance(self, j: int, node):
+        """The window sum ending at step ``j``, given the published value
+        ``node`` of the node of length ``min(j & -j, B)`` ending there."""
         mask = self._mask
         memo = self._now
         p = ((j - 1) & mask) + 1  # j's place in its block

@@ -29,7 +29,10 @@ chosen steps, read by :func:`~decaystream.dyadic.read_at`):
   satisfies (1 - beta) * F <= F' <= F.
 
 Window estimates are read by :class:`~decaystream.dyadic.WindowCursor`,
-prefix sums by :class:`~decaystream.dyadic.PrefixCursor`.
+running and exponential prefix sums by
+:class:`~decaystream.dyadic.PrefixCursor`.  Every estimator counts its
+steps once, in its store's ``received``, and gives each push's position to
+its store and cursor; a store that ``estimates_at`` used up refuses a push.
 Estimates at step j read only counters whose intervals end at or before j,
 so the whole output sequence is a deterministic function of the noisy
 counter vector.  Every store keeps one node per level; the polynomial sum
@@ -188,15 +191,13 @@ class WindowSum:
         self.counter_scale = scale = self._h / epsilon
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         self._window = WindowCursor(W, self._h)
-        self.step = 0
 
     def push(self, x: float) -> float:
         """Feed one update, return the window estimate at the new step."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
-        i = self.step + 1
-        self.step = i
-        return self._window.advance(self._tree.add_path(i, x, self._h))
+        i = self._tree.received + 1
+        return self._window.advance(i, self._tree.add_path(i, x, self._h))
 
     def estimates_at(self, xs, steps) -> list:
         """The estimates ``push`` returns at ``steps`` when this fresh
@@ -235,7 +236,6 @@ class AllWindowSum:
     ):
         check_epsilon(epsilon)
         self.epsilon = epsilon
-        self.step = 0
         self._tree = DyadicTree(
             rng, lambda k: 1.0 / level_epsilons(epsilon, SCHEDULE_BETA, k)[-1], noisy
         )
@@ -245,8 +245,7 @@ class AllWindowSum:
         length ``i & -i`` ending at the new step i."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
-        i = self.step + 1
-        self.step = i
+        i = self._tree.received + 1
         # the tree [1, 2**(height-1)] holds i; it doubles when i - 1 is a
         # power of two, and its new root is created when its right child closes
         return self._tree.add_path(i, x, (i - 1).bit_length() + 1)
@@ -263,7 +262,8 @@ class RunningSum(AllWindowSum):
         self._prefix = PrefixCursor()
 
     def push(self, x: float) -> float:
-        return self._prefix.advance(AllWindowSum.push(self, x))
+        node = AllWindowSum.push(self, x)
+        return self._prefix.advance(self._tree.received, node, 1.0)
 
     def estimates_at(self, xs, steps) -> list:
         """As :meth:`WindowSum.estimates_at`: window sums over one block
@@ -292,11 +292,11 @@ class FixedWindowView(AllWindowSum):
 
     def push(self, x: float) -> float:
         node = AllWindowSum.push(self, x)
-        j = self.step
+        j = self._tree.received
         top = self._top
         if (j & -j) >> top:  # longer than a block: read the block's node
             node = self._tree.published(top, (j >> (top - 1)) - 1)
-        return self._window.advance(node)
+        return self._window.advance(j, node)
 
     def estimates_at(self, xs, steps) -> list:
         """As :meth:`WindowSum.estimates_at`."""
@@ -320,12 +320,14 @@ class ExponentialSum:
     bounds the change.
 
     The estimate at step i is the estimate at ``i - low`` (``low = i & -i``)
-    discounted by ``alpha**low``, plus the published node ending at i: one
-    node read per push, on nodes that ended by step i.  Each push feeds its
-    position to the store's :meth:`~decaystream.dyadic.DyadicTree.add`,
-    which folds the chain and creates the left node closing there, drawing
-    its noise, so the node closing at step u takes the store's unit draw of
-    rank u - 1, whatever the data, and the store keeps one node per level.
+    discounted by ``alpha**low``, plus the published node ending at i: the
+    running sum's :class:`~decaystream.dyadic.PrefixCursor` walk with
+    discount ``alpha**low``, one node read per push, on nodes that ended by
+    step i.  Each push feeds the store's next position to its
+    :meth:`~decaystream.dyadic.DyadicTree.add`, which folds the chain and
+    creates the left node closing there, drawing its noise, so the node
+    closing at step u takes the store's unit draw of rank u - 1, whatever
+    the data, and the store keeps one node per level.
     """
 
     def __init__(
@@ -341,31 +343,24 @@ class ExponentialSum:
         self.alpha = alpha
         self.epsilon = epsilon
         self.counter_scale = scale = self.sensitivity / epsilon
-        self.step = 0
         self._tree = DyadicTree(rng, lambda _level: scale, noisy)
         # per level (index = level, 1 = leaves), grown when a level's first
-        # node closes: alpha**(2**(level-1)), and the estimate memoised
-        # under the level of its last node (slot 0 is the empty prefix)
+        # node closes: alpha**(2**(level-1))
         self._disc = [1.0, alpha]
-        self._memo = [0.0, 0.0]
+        self._prefix = PrefixCursor()
 
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
-        i = self.step + 1
-        self.step = i
-        disc, memo = self._disc, self._memo
+        i = self._tree.received + 1
+        disc = self._disc
+        node = self._tree.add(i, x, disc)  # reads disc[1 .. level - 1]
         low = i & -i
         level = low.bit_length()
-        if level == len(disc):  # the level's first node closes
+        if level == len(disc):  # the level's first node closed
             disc.append(self.alpha**low)
-            memo.append(0.0)
-        node = self._tree.add(i, x, disc)
-        rest = i - low
-        est = memo[(rest & -rest).bit_length()] * disc[level] + node
-        memo[level] = est
-        return est
+        return self._prefix.advance(i, node, disc[level])
 
     def estimates_at(self, xs, steps) -> list:
         """As :meth:`WindowSum.estimates_at`: each estimate folds its prefix
@@ -465,7 +460,7 @@ class PolynomialSum(AllWindowSum):
     def push(self, x: float) -> float:
         """Feed one update, return the discounted-sum estimate."""
         node = AllWindowSum.push(self, x)
-        i = self.step
+        i = self._tree.received
         self._read_ranges(i)
         archive, base = self._archive, self._base
         # the nodes closing at i, one per level below the topmost, which
@@ -503,7 +498,7 @@ class PolynomialSum(AllWindowSum):
 
     def child_windows(self) -> list[int]:
         """Node lengths of the current step's tiling, youngest first."""
-        return [1 << k for k, _, _ in self._tiling(self.step)]
+        return [1 << k for k, _, _ in self._tiling(self._tree.received)]
 
 
 # ---------------------------------------------------------------------------

@@ -323,9 +323,8 @@ class EagerExponentialSum(ExponentialSum):
     def push(self, x):
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"update must lie in [0, 1], got {x}")
-        i = self.step + 1
-        self.step = i
         tree, eager = self._tree, self._eager
+        i = tree.received + 1
         alpha = self.alpha
         off = i - 1
         height = off.bit_length() + 1  # the tree [1, 2**(height-1)] holds i
@@ -341,6 +340,7 @@ class EagerExponentialSum(ExponentialSum):
                 eager[level, idx] = eager.get((level, idx), 0.0) + x * w
             if u == i:  # it closes
                 tree._create(level - 1, idx, eager.pop((level, idx)))
+        tree.received = i
         est = 0.0
         for level, idx, right in decompose_nodes(i):
             est += tree.published(level, idx) * alpha ** (i - right)

@@ -97,7 +97,7 @@ def test_criterion_01_oracle_equivalence():
             aw.push(x)
             for Wq, cursor in zip(sizes, cursors):
                 want_q = csum[j] - csum[max(0, j - Wq)]
-                ok &= abs(cursor.advance(block_node(aw._tree, j, Wq)) - want_q) <= 1e-9
+                ok &= abs(cursor.advance(j, block_node(aw._tree, j, Wq)) - want_q) <= 1e-9
             ok &= abs(run.push(x) - want_r[j - 1]) <= 1e-9
             ok &= abs(ex.push(x) - want_e[j - 1]) <= 1e-9
             out = po.push(x)

@@ -722,6 +722,11 @@ PINNED_OUTPUT = [
      "073d558cdcb350152e9c19d81bbc029dcaa806f8b337a5e8ef69f0f7d830067a"),
     ("run --mech oracle --W 8 --T 64 --seed 15",
      "9390347a0fb346d8615ce6ab5c3d2fe884723d2c382dfa81c269a8a33806eeef"),
+    # the polynomial oracle's direct sum, weights indexed by age
+    ("run --mech oracle --c 2 --beta 0.25 --T 200 --seed 21",
+     "5b5e37d4101c7deb7c898e391e08c219b0a835e152c65256ebf771455165288c"),
+    ("run --mech rr --c 2 --beta 0.25 --T 200 --with-exact --seed 22",
+     "1279f277f8161bfbfcbd3c3035e9ffb910d28d624ec9c333e521839f2a5b2f18"),
 ]
 
 

@@ -1,3 +1,7 @@
+import copy
+from array import array
+from collections import deque
+
 import numpy as np
 import pytest
 from dyadic_reference import (
@@ -239,7 +243,7 @@ def test_prefix_cursor_matches_prefix_value_bit_for_bit():
         for u in range(base, base + size):
             low = (u - base + 1) & -(u - base + 1)
             node = tree.published(low.bit_length(), u // low - 1)
-            assert cursor.advance(node) == prefix_value(tree, u, base)
+            assert cursor.advance(u - base + 1, node, 1.0) == prefix_value(tree, u, base)
 
 
 CURSOR_WINDOWS = (1, 2, 3, 5, 8, 12, 100, 128, 1000)
@@ -289,7 +293,7 @@ def test_window_cursor_matches_window_query_on_a_growing_tree(kind):
         aw.push(x)
         ref.push(x)
         for cursor in cursors:
-            got = cursor.advance(block_node(aw._tree, j, cursor.W))
+            got = cursor.advance(j, block_node(aw._tree, j, cursor.W))
             assert _same(got, window_query(ref._tree, j, cursor.W)), (j, cursor.W)
 
 
@@ -316,7 +320,7 @@ def test_window_cursor_matches_window_query_on_block_trees(kind, W):
         return
     tree = DyadicTree(_source(kind, W), lambda level: 2.0)
     for j, x in enumerate(xs, 1):
-        assert _same(cursor.advance(tree.add_path(j, x, height)), window_query(refs[0], j, W)), j
+        assert _same(cursor.advance(j, tree.add_path(j, x, height)), window_query(refs[0], j, W)), j
 
 
 def _count_reads(tree):
@@ -383,7 +387,7 @@ def test_window_cursor_reads_blocks_longer_than_its_window(W, levels):
     gen = RandomSource(24)
     xs = [float(gen.uniform() < 0.5) for _ in range(200)]
     for j, x in enumerate(xs, 1):
-        assert cursor.advance(tree.add_path(j, x, levels)) == sum(xs[max(j - W, 0):j]), j
+        assert cursor.advance(j, tree.add_path(j, x, levels)) == sum(xs[max(j - W, 0):j]), j
 
 
 def test_noise_frozen_under_updates():
@@ -511,8 +515,8 @@ def test_cursors_refuse_positions_the_store_has_not_received():
     window = WindowCursor(4, block_levels(4))
     prefix = PrefixCursor()
     nodes = [aw.push(1.0) for _ in range(3)]
-    assert [window.advance(v) for v in nodes] == [1.0, 2.0, 3.0]
-    assert [prefix.advance(v) for v in nodes] == [1.0, 2.0, 3.0]
+    assert [window.advance(j, v) for j, v in enumerate(nodes, 1)] == [1.0, 2.0, 3.0]
+    assert [prefix.advance(j, v, 1.0) for j, v in enumerate(nodes, 1)] == [1.0, 2.0, 3.0]
     # step 4 would read [1, 4], which closes at 4 and so is open at 3
     with pytest.raises(ValueError, match="level 3, index 0"):
         aw._tree.published(3, 0)
@@ -520,7 +524,7 @@ def test_cursors_refuse_positions_the_store_has_not_received():
         aw._tree.add_path(5, 1.0, 4)
     v = aw.push(1.0)
     assert v == aw._tree.published(3, 0) == 4.0
-    assert window.advance(v) == prefix.advance(v) == 4.0
+    assert window.advance(4, v) == prefix.advance(4, v, 1.0) == 4.0
 
 
 def test_published_value_is_sum_of_c0_and_frozen_noise():
@@ -733,6 +737,28 @@ def test_checkpoint_reader_reads_only_a_fresh_estimator_once(name):
         read.estimates_at(xs, [4])
     with pytest.raises(ValueError):
         READERS[name](3, 10, RandomSource(8), True).estimates_at(xs, [11])
+
+
+def _state(obj):
+    """A copy of ``vars(obj)``: containers by value, anything else as is."""
+    return {k: copy.deepcopy(v) if isinstance(v, (list, dict, deque, array)) else v
+            for k, v in vars(obj).items()}
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("name", ["window", "running_diff", "running", "allwindow", "exp 0.9",
+                                  "poly 2.0, 0.25"])
+def test_a_push_after_a_read_is_refused_by_the_store_with_no_state_changed(name, n):
+    # the store's received is the estimator's one step count: after a read
+    # it holds n and no node, and the next write is refused before it
+    # changes the estimator, its store or its noise
+    est = READERS[name](3, 10, RandomSource(8), True)
+    est.estimates_at([0.25, 1.0, 0.5, 0.0][:n], [n])
+    before = _state(est), _state(est._tree)
+    with pytest.raises(ValueError, match="estimates_at"):
+        est.push(0.5)
+    assert (_state(est), _state(est._tree)) == before
+    assert est._tree.received == n
 
 
 @pytest.mark.parametrize("name", ["window", "running_diff", "running", "allwindow", "exp 0.9",

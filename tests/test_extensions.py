@@ -71,7 +71,7 @@ def test_k_sensitive_wrapper_splits_budget():
 def test_distinct_count_trace():
     dc = DistinctCount(1.0, RandomSource(0), noisy=False)
     assert [dc.push(u) for u in "abac"] == [1.0, 2.0, 2.0, 3.0]
-    assert dc.inner.step == 4
+    assert dc.inner._tree.received == 4
 
 
 def test_distinct_count_budget_split():
@@ -114,7 +114,7 @@ def test_histogram_keys_match_independent_oracles():
         total += 1
     # partitioning: every update reached exactly one child
     assert sum(counts.values()) == total
-    assert sum(m.step for m in hist._mechs.values()) == total
+    assert sum(m._tree.received for m in hist._mechs.values()) == total
 
 
 def test_histogram_single_key_equals_plain_mechanism():

@@ -197,7 +197,7 @@ def walk(tree, W, j):
     keeps every node."""
     cursor = WindowCursor(W, block_levels(W))
     for step in range(1, j + 1):
-        value = cursor.advance(block_node(tree, step, W))
+        value = cursor.advance(step, block_node(tree, step, W))
     return value
 
 
@@ -224,7 +224,7 @@ def test_allwindow_query_matches_brute_force_all_windows():
         aw.push(x)
         ref.push(x)
         for W, cursor in fixed.items():
-            got = cursor.advance(block_node(aw._tree, j, W))
+            got = cursor.advance(j, block_node(aw._tree, j, W))
             assert got == pytest.approx(brute_window(xs, j, W), abs=1e-9), (j, W)
         W = int(gen.uniform() * j) + 1
         assert walk(ref._tree, W, j) == pytest.approx(
@@ -236,7 +236,7 @@ def test_allwindow_query_validation():
     aw = AllWindowSum(1.0, RandomSource(0))
     aw.push(1.0)
     cursor = WindowCursor(1, block_levels(1))
-    cursor.advance(block_node(aw._tree, 1, 1))
+    cursor.advance(1, block_node(aw._tree, 1, 1))
     with pytest.raises(ValueError):
         block_node(aw._tree, 2, 1)  # beyond current step: leaf 2 was never created
     with pytest.raises(ValueError):
